@@ -582,20 +582,26 @@ def _apply_config_file(subparser, rest: list[str]) -> list[str]:
     """Turn --config file entries into flags; explicit flags win.
 
     Keys must name known flags of the subcommand (dashes or underscores);
-    unknown keys are a configuration error.
+    unknown keys are a configuration error.  A flag that takes no value
+    (``--exact``) is set by ``true`` and left off by ``false``.
     """
     if "--config" not in rest:
         return rest
     path = rest[rest.index("--config") + 1]
-    known = set(subparser._option_string_actions)
+    actions = subparser._option_string_actions
     injected = []
     for key, value in load_kv(path).items():
         flag = "--" + key.replace("_", "-")
-        if flag not in known:
+        if flag not in actions:
             raise ConfigError(f"unknown key {key!r} for this subcommand")
         if flag in rest:
             continue
-        injected.extend([flag, value])
+        if actions[flag].nargs != 0:
+            injected.extend([flag, value])
+        elif value == "true":
+            injected.append(flag)
+        elif value != "false":
+            raise ConfigError(f"{key} takes true or false, got {value!r}")
     return injected + rest
 
 

@@ -14,6 +14,9 @@ Message types are hello, lambda, outcome, done, error.  Real-valued hidden
 variables travel as decimal text with 17 significant digits (exact
 round-trip); instruction sets as 3-character strings.
 
+``simulate_run`` runs the same source loop against the same wing protocol,
+with the wings called in process instead of over sockets.
+
 The source's log records every message with an ISO-8601 timestamp and a
 direction marker (``>`` sent, ``<`` received).  Merged statistics are
 computed from the log after the run, the way a real experiment would, and
@@ -78,8 +81,10 @@ class WireMessage:
             raise WireError(f"message fields must be exactly {_FIELDS}")
         if not isinstance(obj["payload"], dict):
             raise WireError("payload must be an object")
-        return WireMessage(obj["type"], int(obj["trial"]), str(obj["wing"]),
-                           obj["payload"], int(obj["v"]))
+        for key in ("trial", "v"):
+            if type(obj[key]) is not int:
+                raise WireError(f"{key} must be an integer, got {obj[key]!r}")
+        return WireMessage(obj["type"], obj["trial"], str(obj["wing"]), obj["payload"], obj["v"])
 
 
 @dataclass(frozen=True)
@@ -157,30 +162,37 @@ class RandomPolicy:
         return f"random:{','.join(c.text for c in self.choices)}:seed={self.seed}"
 
 
-# -- message constructors (shared by the socket and in-process paths) ---------
-
-def _hello_msg(wing: str, model: LhvModel, n_trials: int) -> WireMessage:
-    return WireMessage("hello", 0, wing, {
-        "role": "source", "model": model.name,
-        "b_convention": model.b_convention, "n_trials": n_trials,
-    })
-
-
-def _lambda_msg(wing: str, trial: int, lam_text: str) -> WireMessage:
-    return WireMessage("lambda", trial, wing, {"lambda": lam_text})
-
-
-def _outcome_msg(wing: str, trial: int, sign: int, setting: Setting) -> WireMessage:
-    return WireMessage("outcome", trial, wing, {"sign": int(sign), "setting": setting.text})
-
-
-def _wing_outcome(model: LhvModel, wing: str, lam, setting: Setting) -> int:
-    if wing == "A":
-        return model.outcome_a(lam, setting)
-    return model.outcome_b(lam, setting)
-
-
 # -- wing ----------------------------------------------------------------------
+
+def _wing_reply(wing_id: str, model: LhvModel, policy, msg: WireMessage):
+    """The wing protocol: one message in, ``(reply or None, keep_serving)`` out.
+
+    ``wing_serve`` runs it behind a socket and ``simulate_run`` calls it in
+    process.  A malformed message draws an ``error`` reply and the wing keeps
+    serving; a foreign protocol version or model ends the session.
+    """
+    def reply(mtype: str, payload: dict) -> WireMessage:
+        return WireMessage(mtype, msg.trial, wing_id, payload)
+
+    if msg.v != PROTOCOL_VERSION:
+        return reply("error", {"message": f"protocol version {msg.v} refused"}), False
+    if msg.type == "hello":
+        if msg.payload.get("model") != model.name or \
+                msg.payload.get("b_convention") != model.b_convention:
+            return reply("error", {"message": "model/convention mismatch refused"}), False
+        return reply("hello", {"role": "wing"}), True
+    if msg.type == "lambda":
+        try:
+            lam = model.lambda_from_text(msg.payload["lambda"])
+        except (KeyError, ValueError, TypeError) as exc:
+            return reply("error", {"message": f"bad lambda payload: {exc!r}"}), True
+        setting = policy.setting(msg.trial)
+        outcome = model.outcome_a if wing_id == "A" else model.outcome_b
+        return reply("outcome", {"sign": int(outcome(lam, setting)), "setting": setting.text}), True
+    if msg.type == "done":
+        return None, False
+    return reply("error", {"message": f"unknown message type {msg.type!r}"}), True
+
 
 def wing_serve(
     wing_id: str,
@@ -199,54 +211,31 @@ def wing_serve(
     """
     if wing_id not in WINGS:
         raise ValueError(f"wing_id must be one of {WINGS}")
-    srv = socket.create_server((host, port))
-    bound = srv.getsockname()
-    if announce is not None:
-        announce(f"WING {wing_id} LISTENING {bound[0]} {bound[1]}")
-    conn, _ = srv.accept()
+    with socket.create_server((host, port)) as srv:
+        bound = srv.getsockname()
+        if announce is not None:
+            announce(f"WING {wing_id} LISTENING {bound[0]} {bound[1]}")
+        conn, _ = srv.accept()
     served = 0
-    try:
-        rfile = conn.makefile("r", encoding="utf-8", newline="\n")
-        wfile = conn.makefile("w", encoding="utf-8", newline="\n")
-
-        def send(msg: WireMessage):
-            wfile.write(msg.to_line() + "\n")
-            wfile.flush()
-
+    with conn, conn.makefile("r", encoding="utf-8", newline="\n") as rfile, \
+            conn.makefile("w", encoding="utf-8", newline="\n") as wfile:
         for line in rfile:
             try:
                 msg = WireMessage.from_line(line.rstrip("\n"))
             except WireError as exc:
-                send(WireMessage("error", 0, wing_id, {"message": str(exc)}))
-                continue
-            if msg.v != PROTOCOL_VERSION:
-                send(WireMessage("error", msg.trial, wing_id,
-                                 {"message": f"protocol version {msg.v} refused"}))
-                break
-            if msg.type == "hello":
-                if msg.payload.get("model") != model.name or \
-                        msg.payload.get("b_convention") != model.b_convention:
-                    send(WireMessage("error", 0, wing_id,
-                                     {"message": "model/convention mismatch refused"}))
-                    break
-                send(WireMessage("hello", 0, wing_id, {"role": "wing"}))
-            elif msg.type == "lambda":
-                lam = model.lambda_from_text(msg.payload["lambda"])
-                setting = policy.setting(msg.trial)
-                sign = _wing_outcome(model, wing_id, lam, setting)
-                send(_outcome_msg(wing_id, msg.trial, sign, setting))
-                served += 1
-                if quit_after is not None and served >= quit_after:
-                    conn.shutdown(socket.SHUT_RDWR)  # simulated crash
-                    break
-            elif msg.type == "done":
-                break
+                reply, serving = WireMessage("error", 0, wing_id, {"message": str(exc)}), True
             else:
-                send(WireMessage("error", msg.trial, wing_id,
-                                 {"message": f"unknown message type {msg.type!r}"}))
-    finally:
-        conn.close()
-        srv.close()
+                reply, serving = _wing_reply(wing_id, model, policy, msg)
+            if reply is not None:
+                wfile.write(reply.to_line() + "\n")
+                wfile.flush()
+                if reply.type == "outcome":
+                    served += 1
+                    if quit_after is not None and served >= quit_after:
+                        conn.shutdown(socket.SHUT_RDWR)  # simulated crash
+                        break
+            if not serving:
+                break
 
 
 # -- source --------------------------------------------------------------------
@@ -275,14 +264,64 @@ class _WingLink:
             pass
 
 
-def _run_meta(model: LhvModel, n_trials: int, seed: int) -> dict:
-    return {
-        "v": PROTOCOL_VERSION,
-        "model": model.name,
-        "b_convention": model.b_convention,
-        "n_trials": n_trials,
-        "seed": seed,
-    }
+class _LocalLink:
+    """A wing in process: each message goes straight to ``_wing_reply``."""
+
+    def __init__(self, wing: str, model: LhvModel, policy):
+        self.wing, self.model, self.policy = wing, model, policy
+        self.reply = None
+
+    def send(self, msg: WireMessage):
+        self.reply, _ = _wing_reply(self.wing, self.model, self.policy, msg)
+
+    def recv(self) -> WireMessage:
+        reply, self.reply = self.reply, None
+        if reply is None:
+            raise ConnectionError(f"wing {self.wing} sent no reply")
+        return reply
+
+    def close(self):
+        pass
+
+
+def _run(model: LhvModel, n_trials: int, seed: int, connect) -> RunLog:
+    """The source's side of one run over the links ``connect(wing)`` opens."""
+    log = RunLog({"v": PROTOCOL_VERSION, "model": model.name,
+                  "b_convention": model.b_convention, "n_trials": n_trials, "seed": seed})
+    links = {}
+
+    def send_all(mtype: str, trial: int, payload: dict):
+        for wing, link in links.items():
+            # one payload per message, so editing a log entry cannot alter its twin
+            msg = WireMessage(mtype, trial, wing, dict(payload))
+            link.send(msg)
+            log.append(">", msg)
+
+    def recv_all(mtype: str, trial: int):
+        for wing, link in links.items():
+            reply = link.recv()
+            log.append("<", reply)
+            if reply.type == "error":
+                raise ConnectionError(f"wing {wing} error: {reply.payload.get('message')}")
+            if reply.type != mtype or reply.trial != trial or reply.v != PROTOCOL_VERSION:
+                raise ConnectionError(f"wing {wing} broke lockstep: {reply.to_line()}")
+
+    try:
+        for wing in WINGS:
+            links[wing] = connect(wing)
+        send_all("hello", 0, {"role": "source", "model": model.name,
+                              "b_convention": model.b_convention, "n_trials": n_trials})
+        recv_all("hello", 0)
+        for t, lam in enumerate(model.sample_lambdas(seed, n_trials)):
+            send_all("lambda", t, {"lambda": model.lambda_text(lam)})
+            recv_all("outcome", t)
+        send_all("done", n_trials, {})
+    except (ConnectionError, OSError, WireError):
+        log.incomplete = True
+    finally:
+        for link in links.values():
+            link.close()
+    return log
 
 
 def source_run(
@@ -300,71 +339,18 @@ def source_run(
     aborts the run and flags the log incomplete; the completed prefix is
     still auditable and mergeable.
     """
-    log = RunLog(_run_meta(model, n_trials, seed))
-    links = {}
-    try:
-        links = {"A": _WingLink("A", endpoint_a), "B": _WingLink("B", endpoint_b)}
-        for wing, link in links.items():
-            hello = _hello_msg(wing, model, n_trials)
-            link.send(hello)
-            log.append(">", hello)
-        for wing, link in links.items():
-            ack = link.recv()
-            log.append("<", ack)
-            if ack.type != "hello" or ack.v != PROTOCOL_VERSION:
-                raise ConnectionError(f"wing {wing} refused handshake: {ack.to_line()}")
-        for t in range(n_trials):
-            lam = model.sample_lambda(seed + t)
-            text = model.lambda_text(lam)
-            for wing, link in links.items():
-                msg = _lambda_msg(wing, t, text)
-                link.send(msg)
-                log.append(">", msg)
-            for wing, link in links.items():
-                reply = link.recv()
-                log.append("<", reply)
-                if reply.type == "error":
-                    raise ConnectionError(f"wing {wing} error: {reply.payload.get('message')}")
-                if reply.type != "outcome" or reply.trial != t:
-                    raise ConnectionError(f"wing {wing} broke lockstep: {reply.to_line()}")
-        for wing, link in links.items():
-            msg = WireMessage("done", n_trials, wing, {})
-            link.send(msg)
-            log.append(">", msg)
-    except (ConnectionError, OSError, WireError):
-        log.incomplete = True
-    finally:
-        for link in links.values():
-            link.close()
-    return log
+    endpoints = {"A": endpoint_a, "B": endpoint_b}
+    return _run(model, n_trials, seed, lambda wing: _WingLink(wing, endpoints[wing]))
 
 
 def simulate_run(model: LhvModel, policy_a, policy_b, n_trials: int, seed: int) -> RunLog:
     """In-process twin of source_run + two wings, no sockets.
 
-    Messages are built by the same constructors and the same seed schedule,
-    so the log merges to results bit-identical to a distributed run with
-    the same configuration.
+    The same source loop drives the same wing protocol, so the log equals a
+    distributed run's message for message under the same configuration.
     """
-    log = RunLog(_run_meta(model, n_trials, seed))
-    for wing in WINGS:
-        log.append(">", _hello_msg(wing, model, n_trials))
-    for wing in WINGS:
-        log.append("<", WireMessage("hello", 0, wing, {"role": "wing"}))
     policies = {"A": policy_a, "B": policy_b}
-    for t in range(n_trials):
-        lam = model.sample_lambda(seed + t)
-        text = model.lambda_text(lam)
-        for wing in WINGS:
-            log.append(">", _lambda_msg(wing, t, text))
-        for wing in WINGS:
-            lam_back = model.lambda_from_text(text)
-            setting = policies[wing].setting(t)
-            sign = _wing_outcome(model, wing, lam_back, setting)
-            log.append("<", _outcome_msg(wing, t, sign, setting))
-    for wing in WINGS:
-        log.append(">", WireMessage("done", n_trials, wing, {}))
-    return log
+    return _run(model, n_trials, seed, lambda wing: _LocalLink(wing, model, policies[wing]))
 
 
 # -- audit -----------------------------------------------------------------------

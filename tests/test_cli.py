@@ -151,6 +151,19 @@ def test_config_file_defaults_and_override(tmp_path, capsys):
     assert out == out2
 
 
+def test_config_file_sets_boolean_flags(tmp_path, capsys):
+    argv = ["chsh", "--indices", "0,1,2,0", "--n", "200"]
+    _, want_exact = run_cli(capsys, "chsh", "--model", "clock", *argv[1:], "--exact")
+    _, want_mc = run_cli(capsys, "chsh", "--model", "clock", *argv[1:])
+    for value, want in (("true", want_exact), ("false", want_mc)):
+        cfg = tmp_path / f"{value}.cfg"
+        cfg.write_text(f"model=clock\nexact={value}\n")
+        assert run_cli(capsys, *argv, "--config", str(cfg)) == (0, want)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("model=clock\nexact=yes\n")
+    assert cli.main([*argv, "--config", str(cfg)]) == 1
+
+
 def test_unknown_config_key_is_an_error(tmp_path, capsys):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("model=clock\nbogus_key=1\n")

@@ -48,6 +48,10 @@ def test_wire_message_rejects_bad_shapes():
     with pytest.raises(harness.WireError):
         harness.WireMessage.from_line(
             '{"type":"x","v":1,"trial":0,"wing":"A","payload":{},"extra":1}')
+    for trial, v in (('"x"', "1"), ("null", "1"), ("[0]", "1"), ("true", "1"), ("0", "1.5")):
+        with pytest.raises(harness.WireError):
+            harness.WireMessage.from_line(
+                f'{{"type":"x","v":{v},"trial":{trial},"wing":"A","payload":{{}}}}')
 
 
 def test_lambda_text_round_trip_is_exact():
@@ -142,6 +146,9 @@ def test_distributed_random_policies_match_simulation():
     log = harness.source_run(model, 200, seed=5, endpoint_a=addr_a, endpoint_b=addr_b)
     assert harness.audit_log(log).ok
     sim = harness.simulate_run(model, pol_a, pol_b, 200, seed=5)
+    assert log.meta == sim.meta
+    assert [(e.direction, e.message) for e in log.entries] == \
+        [(e.direction, e.message) for e in sim.entries]
     got = {(c.setting_a.text, c.setting_b.text): dataclasses.astuple(c)
            for c in harness.merge_statistics(log)}
     want = {(c.setting_a.text, c.setting_b.text): dataclasses.astuple(c)
@@ -169,10 +176,19 @@ def test_wing_survives_unknown_message_type():
             "b_convention": "anti_aligned", "n_trials": 1})
         send(json.loads(hello.to_line()))
         assert harness.WireMessage.from_line(rfile.readline().strip()).type == "hello"
-        # unknown type draws an error reply but the connection stays up
-        send({"type": "poke", "v": 1, "trial": 0, "wing": "A", "payload": {}})
-        reply = harness.WireMessage.from_line(rfile.readline().strip())
-        assert reply.type == "error"
+        # unknown types and malformed messages draw an error reply, but the
+        # connection stays up
+        for bad in ({"type": "poke", "v": 1, "trial": 0, "wing": "A", "payload": {}},
+                    {"type": "lambda", "v": 1, "trial": 0, "wing": "A", "payload": {}},
+                    {"type": "lambda", "v": 1, "trial": 0, "wing": "A",
+                     "payload": {"lambda": "half past"}},
+                    {"type": "lambda", "v": 1, "trial": 0, "wing": "A",
+                     "payload": {"lambda": None}},
+                    {"type": "lambda", "v": 1, "trial": "zero", "wing": "A",
+                     "payload": {"lambda": "0.25"}}):
+            send(bad)
+            reply = harness.WireMessage.from_line(rfile.readline().strip())
+            assert reply.type == "error"
         lam = harness.WireMessage("lambda", 0, "A", {"lambda": "0.25"})
         send(json.loads(lam.to_line()))
         outcome = harness.WireMessage.from_line(rfile.readline().strip())
@@ -204,6 +220,76 @@ def test_wing_crash_yields_auditable_prefix():
     want = harness.merge_statistics(sim)[0]
     assert cells[0].estimate.mean == want.estimate.mean
     assert cells[0].estimate.n_trials == want.estimate.n_trials
+
+
+# -- fault injection through the source loop -----------------------------------------
+
+
+class FaultyLink:
+    """An in-process wing whose reply to one lambda trial is replaced."""
+
+    def __init__(self, wing, model, policy, trial, fault):
+        self.inner = harness._LocalLink(wing, model, policy)
+        self.trial, self.fault = trial, fault
+        self.sent = self.last = None
+
+    def send(self, msg):
+        self.sent = msg
+        self.inner.send(msg)
+
+    def recv(self):
+        reply = self.inner.recv()
+        if self.sent.type == "lambda" and self.sent.trial == self.trial:
+            reply = self.fault(self.last, reply)
+        self.last = reply
+        return reply
+
+    def close(self):
+        pass
+
+
+def run_with_fault_on_b(model, n, seed, trial, fault):
+    def connect(wing):
+        if wing == "A":
+            return harness._LocalLink("A", model, harness.FixedPolicy(I0))
+        return FaultyLink("B", model, harness.FixedPolicy(I1), trial, fault)
+
+    return harness._run(model, n, seed, connect)
+
+
+def assert_incomplete_with_clean_prefix(log, model, n_done, seed):
+    assert log.incomplete
+    assert harness.audit_log(log).ok
+    sim = harness.simulate_run(model, harness.FixedPolicy(I0), harness.FixedPolicy(I1),
+                               n_done, seed)
+    got = [(c.estimate.mean, c.estimate.n_trials) for c in harness.merge_statistics(log)]
+    assert got == [(c.estimate.mean, c.estimate.n_trials) for c in harness.merge_statistics(sim)]
+
+
+def test_duplicate_trial_reply_flags_log_incomplete():
+    model = ClockModel()
+    # wing B answers trial 6 by repeating its outcome for trial 5
+    log = run_with_fault_on_b(model, 20, 31, 6, lambda last, reply: last)
+    assert log.entries[-1].message == log.entries[-5].message
+    assert_incomplete_with_clean_prefix(log, model, 6, 31)
+
+
+def test_wing_error_reply_flags_log_incomplete():
+    model = ClockModel()
+    log = run_with_fault_on_b(model, 20, 31, 9, lambda last, reply: harness.WireMessage(
+        "error", reply.trial, "B", {"message": "detector fault"}))
+    assert log.entries[-1].message.type == "error"
+    assert_incomplete_with_clean_prefix(log, model, 9, 31)
+
+
+def test_refused_handshake_flags_log_incomplete():
+    model = ClockModel()
+    other = ClockModel(b_convention="aligned")
+    log = harness._run(model, 20, 31, lambda wing: harness._LocalLink(
+        wing, model if wing == "A" else other, harness.FixedPolicy(I0)))
+    assert [e.message.type for e in log.entries] == ["hello", "hello", "hello", "error"]
+    assert log.entries[-1].message.payload == {"message": "model/convention mismatch refused"}
+    assert_incomplete_with_clean_prefix(log, model, 0, 31)
 
 
 # -- negative audits --------------------------------------------------------------------
