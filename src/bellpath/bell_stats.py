@@ -206,6 +206,14 @@ def chsh(
     return ChshResult(s, terms, (a, a_prime, b, b_prime))
 
 
+def verdict_tolerance(estimates) -> float:
+    """The slack of the Bell check and every CHSH verdict: EXACT_TOLERANCE for
+    exact inputs, else 3x the combined stderr (an undefined one counts as 0)."""
+    if all(e.exact for e in estimates):
+        return EXACT_TOLERANCE
+    return 3.0 * math.sqrt(sum((e.stderr or 0.0) ** 2 for e in estimates))
+
+
 def bell_check(
     e_ab: CorrelationEstimate,
     e_ab_prime: CorrelationEstimate,
@@ -219,12 +227,7 @@ def bell_check(
     rhs_plus = 2.0 + tail
     rhs_minus = 2.0 - tail
     if tolerance is None:
-        inputs = (e_ab, e_ab_prime, e_aprime_bprime, e_aprime_b)
-        if all(e.exact for e in inputs):
-            tolerance = EXACT_TOLERANCE
-        else:
-            combined = math.sqrt(sum((e.stderr or 0.0) ** 2 for e in inputs))
-            tolerance = 3.0 * combined
+        tolerance = verdict_tolerance((e_ab, e_ab_prime, e_aprime_bprime, e_aprime_b))
     satisfied = lhs <= min(rhs_plus, rhs_minus) + tolerance
     return BellCheck(lhs, rhs_plus, rhs_minus, satisfied, tolerance)
 
@@ -313,14 +316,3 @@ def overall_agreement(model: LhvModel, n: int, seed: int) -> ProbabilityEstimate
         agree = model.outcomes_a(lams, sa) == model.outcomes_b(lams, sb)
     return _prob_from_count(int(agree.sum()), n)
 
-
-# -- tabular output ------------------------------------------------------------
-
-CSV_HEADER = "setting_a,setting_b,mean,stderr,n,exact"
-
-
-def estimate_csv_row(a: Setting, b: Setting, est: CorrelationEstimate) -> str:
-    from .util import fmt17
-
-    stderr = "" if est.stderr is None else fmt17(est.stderr)
-    return ",".join([a.text, b.text, fmt17(est.mean), stderr, str(est.n_trials), str(est.exact).lower()])

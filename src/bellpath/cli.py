@@ -12,27 +12,32 @@ Exit codes: 0 success, 1 configuration error, 2 audit violation,
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import bell_stats, harness, interferometer, oracle, path_engine
+from . import bell_stats, harness, interferometer, oracle, path_engine, rng
 from .config import ConfigError, load_kv, model_from_file
 from .hv_models import (
     ALIGNED,
     ANTI_ALIGNED,
+    DEFAULT_QUADRATURE_N,
     ClockModel,
     LhvModel,
     MerminModel,
     Setting,
 )
-from .util import csv_text, fmt17, json_document
+from .util import render
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_AUDIT = 2
 EXIT_INCOMPLETE = 3
+
+#: (a, a', b, b') = (0, pi/2, pi/4, 3pi/4), where the singlet reaches |S| = 2*sqrt(2).
+SINGLET_ANGLES = "0,1.5707963267948966,0.78539816339744828,2.3561944901923448"
 
 
 def _emit(args, text: str) -> None:
@@ -76,6 +81,23 @@ def _settings_from_args(args) -> tuple[Setting, Setting, Setting, Setting]:
 
 # -- subcommand implementations -------------------------------------------------
 
+PAIR_HEADER = "setting_a,setting_b,p_agree,mean,exact"
+
+
+def _report(args, doc, header: str, rows=None, summary=()) -> None:
+    _emit(args, render(args.format, doc, header, rows, summary))
+
+
+def _pair_table(model: LhvModel, n_grid: int = DEFAULT_QUADRATURE_N) -> dict:
+    """The model and its exact E and P(A = B) at the nine discrete setting pairs."""
+    pairs = itertools.product([Setting.index(i) for i in range(3)], repeat=2)
+    return {"model": model.name, "b_convention": model.b_convention,
+            "pairs": [{"setting_a": a.text, "setting_b": b.text,
+                       "mean": bell_stats.exact_E(model, a, b, n_grid).mean,
+                       "p_agree": bell_stats.exact_agreement_prob(model, a, b, n_grid).value,
+                       "exact": True} for a, b in pairs]}
+
+
 def cmd_mermin(args) -> int:
     if args.model_config or args.model:
         model = _build_model(args)
@@ -83,46 +105,19 @@ def cmd_mermin(args) -> int:
         model = MerminModel.uniform(b_convention=args.convention or ALIGNED)
     if not isinstance(model, MerminModel):
         raise ConfigError("mermin subcommand needs an instruction-set model")
-    pairs = []
-    for i in range(3):
-        for j in range(3):
-            a, b = Setting.index(i), Setting.index(j)
-            e = bell_stats.exact_E(model, a, b)
-            p = bell_stats.exact_agreement_prob(model, a, b)
-            pairs.append((a, b, e, p))
     overall = bell_stats.exact_overall_agreement(model)
-    bound_ok = overall >= 5.0 / 9.0 - 1e-12
-    mc = None
+    doc = {
+        **_pair_table(model),
+        "overall_agreement_exact": overall,
+        "bound_five_ninths_ok": overall >= 5.0 / 9.0 - 1e-12,
+        "quantum_overall_agreement": oracle.mermin_agreement_prob(None),
+    }
     if args.n:
         mc = bell_stats.overall_agreement(model, args.n, args.seed)
-    if args.format == "json":
-        doc = {
-            "model": model.name,
-            "b_convention": model.b_convention,
-            "pairs": [
-                {"setting_a": a.text, "setting_b": b.text,
-                 "mean": e.mean, "p_agree": p.value, "exact": True}
-                for a, b, e, p in pairs
-            ],
-            "overall_agreement_exact": overall,
-            "bound_five_ninths_ok": bound_ok,
-            "quantum_overall_agreement": oracle.mermin_agreement_prob(None),
-        }
-        if mc is not None:
-            doc["overall_agreement_mc"] = {
-                "value": mc.value, "stderr": mc.stderr, "n": mc.n_trials}
-        _emit(args, json_document(doc))
-    else:
-        rows = [",".join([a.text, b.text, fmt17(p.value), fmt17(e.mean), "true"])
-                for a, b, e, p in pairs]
-        lines = [csv_text("setting_a,setting_b,p_agree,mean,exact", rows).rstrip("\n")]
-        lines.append(f"# overall_agreement_exact = {fmt17(overall)}")
-        lines.append(f"# bound_five_ninths_ok = {str(bound_ok).lower()}")
-        if mc is not None:
-            lines.append(f"# overall_agreement_mc = {fmt17(mc.value)} "
-                         f"stderr = {fmt17(mc.stderr)} n = {mc.n_trials}")
-        lines.append(f"# quantum_overall_agreement = {fmt17(oracle.mermin_agreement_prob(None))}")
-        _emit(args, "\n".join(lines) + "\n")
+        doc["overall_agreement_mc"] = {"value": mc.value, "stderr": mc.stderr, "n": mc.n_trials}
+    _report(args, doc, PAIR_HEADER, doc["pairs"],
+            ("overall_agreement_exact", "bound_five_ninths_ok", "overall_agreement_mc",
+             "quantum_overall_agreement"))
     return EXIT_OK
 
 
@@ -134,74 +129,47 @@ def cmd_clock(args) -> int:
     if not isinstance(model, ClockModel):
         raise ConfigError("clock subcommand needs the clock model")
     other = ClockModel(b_convention=ALIGNED if model.b_convention == ANTI_ALIGNED else ANTI_ALIGNED)
-    n_grid = args.grid
-    rows = []
-    for i in range(3):
-        for j in range(3):
-            a, b = Setting.index(i), Setting.index(j)
-            e = bell_stats.exact_E(model, a, b, n_grid)
-            p = bell_stats.exact_agreement_prob(model, a, b, n_grid)
-            rows.append((a, b, e, p))
-    diff = bell_stats.exact_agreement_prob(model, Setting.index(0), Setting.index(1), n_grid)
-    diff_other = bell_stats.exact_agreement_prob(other, Setting.index(0), Setting.index(1), n_grid)
-    mc = None
+    a, b = Setting.index(0), Setting.index(1)
+    diff = bell_stats.exact_agreement_prob(model, a, b, args.grid)
+    doc = {
+        **_pair_table(model, args.grid),
+        "p_agree_differing_exact": diff.value,
+        "p_disagree_differing_exact": diff.complement(),
+        "p_agree_differing_other_convention":
+            bell_stats.exact_agreement_prob(other, a, b, args.grid).value,
+    }
     if args.n:
-        mc = bell_stats.agreement_prob(model, Setting.index(0), Setting.index(1), args.n, args.seed)
-    if args.format == "json":
-        doc = {
-            "model": model.name,
-            "b_convention": model.b_convention,
-            "pairs": [{"setting_a": a.text, "setting_b": b.text,
-                       "mean": e.mean, "p_agree": p.value, "exact": True}
-                      for a, b, e, p in rows],
-            "p_agree_differing_exact": diff.value,
-            "p_disagree_differing_exact": diff.complement(),
-            "p_agree_differing_other_convention": diff_other.value,
-        }
-        if mc is not None:
-            doc["p_agree_differing_mc"] = {"value": mc.value, "stderr": mc.stderr, "n": mc.n_trials}
-        _emit(args, json_document(doc))
-    else:
-        body = [",".join([a.text, b.text, fmt17(p.value), fmt17(e.mean), "true"])
-                for a, b, e, p in rows]
-        lines = [csv_text("setting_a,setting_b,p_agree,mean,exact", body).rstrip("\n")]
-        lines.append(f"# b_convention = {model.b_convention}")
-        lines.append(f"# p_agree_differing_exact = {fmt17(diff.value)}")
-        lines.append(f"# p_disagree_differing_exact = {fmt17(diff.complement())}")
-        lines.append(f"# p_agree_differing_other_convention = {fmt17(diff_other.value)}")
-        if mc is not None:
-            lines.append(f"# p_agree_differing_mc = {fmt17(mc.value)} "
-                         f"stderr = {fmt17(mc.stderr)} n = {mc.n_trials}")
-        _emit(args, "\n".join(lines) + "\n")
+        mc = bell_stats.agreement_prob(model, a, b, args.n, args.seed)
+        doc["p_agree_differing_mc"] = {"value": mc.value, "stderr": mc.stderr, "n": mc.n_trials}
+    _report(args, doc, PAIR_HEADER, doc["pairs"],
+            ("b_convention", "p_agree_differing_exact", "p_disagree_differing_exact",
+             "p_agree_differing_other_convention", "p_agree_differing_mc"))
     return EXIT_OK
+
+
+def _classical_bound(result: bell_stats.ChshResult) -> dict:
+    """|S| <= 2 within the tolerance the Bell check uses for the same terms."""
+    tol = bell_stats.verdict_tolerance(result.terms)
+    return {"tolerance": tol, "classical_bound_ok": abs(result.s_value) <= 2.0 + tol}
 
 
 def cmd_chsh(args) -> int:
     if args.oracle:
-        a, ap, b, bp = _parse_angles(args.angles or "0,1.5707963267948966,0.78539816339744828,2.3561944901923448")
+        a, ap, b, bp = _parse_angles(args.angles or SINGLET_ANGLES)
         s = oracle.chsh_quantum(a, ap, b, bp)
         doc = {"oracle": True, "settings": [a, ap, b, bp], "s_value": s, "abs_s": abs(s),
                "tsirelson": oracle.TSIRELSON_BOUND}
-        if args.format == "json":
-            _emit(args, json_document(doc))
-        else:
-            _emit(args, csv_text("s_value,abs_s,tsirelson",
-                                 [",".join([fmt17(s), fmt17(abs(s)), fmt17(oracle.TSIRELSON_BOUND)])]))
+        _report(args, doc, "s_value,abs_s,tsirelson")
         return EXIT_OK
 
     model = _build_model(args)
     if args.scan:
         # exhaustive discrete quadruples plus, for the clock model, random angles
-        max_abs, argmax = _chsh_scan(model, args.scan, args.seed)
+        best = _chsh_scan(model, args.scan, args.seed)
         doc = {"model": model.name, "b_convention": model.b_convention,
-               "scan_points": args.scan, "max_abs_s": max_abs,
-               "at_settings": [s.text for s in argmax],
-               "classical_bound_ok": max_abs <= 2.0 + 1e-9}
-        if args.format == "json":
-            _emit(args, json_document(doc))
-        else:
-            _emit(args, csv_text("max_abs_s,classical_bound_ok",
-                                 [",".join([fmt17(max_abs), str(max_abs <= 2.0 + 1e-9).lower()])]))
+               "scan_points": args.scan, "max_abs_s": abs(best.s_value),
+               "at_settings": [s.text for s in best.settings], **_classical_bound(best)}
+        _report(args, doc, "max_abs_s,classical_bound_ok", summary=("tolerance",))
         return EXIT_OK
 
     settings = _settings_from_args(args)
@@ -209,58 +177,39 @@ def cmd_chsh(args) -> int:
         result = bell_stats.chsh(model, *settings, exact=True, n_grid=args.grid)
     else:
         result = bell_stats.chsh(model, *settings, n=args.n or 100_000, seed=args.seed)
-    if args.format == "json":
-        doc = {
-            "model": model.name,
-            "settings": [s.text for s in result.settings],
-            "terms": [
-                {"label": label, "mean": t.mean, "stderr": t.stderr,
-                 "n": t.n_trials, "exact": t.exact}
-                for label, t in zip(bell_stats.CHSH_TERM_LABELS, result.terms)
-            ],
-            "s_value": result.s_value,
-            "abs_s": abs(result.s_value),
-            "classical_bound_ok": abs(result.s_value) <= 2.0 + 1e-9,
-        }
-        _emit(args, json_document(doc))
-    else:
-        a, ap, b, bp = result.settings
-        pairs = ((a, b), (ap, b), (ap, bp), (a, bp))
-        rows = [bell_stats.estimate_csv_row(sa, sb, t)
-                for (sa, sb), t in zip(pairs, result.terms)]
-        lines = [csv_text(bell_stats.CSV_HEADER, rows).rstrip("\n")]
-        lines.append(f"# S = {fmt17(result.s_value)}")
-        lines.append(f"# |S| <= 2 holds: {str(abs(result.s_value) <= 2.0 + 1e-9).lower()}")
-        _emit(args, "\n".join(lines) + "\n")
+    terms = [{"label": label, "mean": t.mean, "stderr": t.stderr, "n": t.n_trials,
+              "exact": t.exact}
+             for label, t in zip(bell_stats.CHSH_TERM_LABELS, result.terms)]
+    doc = {
+        "model": model.name,
+        "settings": [s.text for s in result.settings],
+        "terms": terms,
+        "s_value": result.s_value,
+        "abs_s": abs(result.s_value),
+        **_classical_bound(result),
+    }
+    a, ap, b, bp = result.settings
+    rows = [{"setting_a": sa.text, "setting_b": sb.text, **term}
+            for (sa, sb), term in zip(((a, b), (ap, b), (ap, bp), (a, bp)), terms)]
+    _report(args, doc, "setting_a,setting_b,mean,stderr,n,exact", rows,
+            ("s_value", "tolerance", "classical_bound_ok"))
     return EXIT_OK
 
 
-def _chsh_scan(model: LhvModel, n_random: int, seed: int):
-    best = -1.0
-    best_settings = None
-    discrete = [Setting.index(i) for i in range(3)]
-    for a in discrete:
-        for ap in discrete:
-            for b in discrete:
-                for bp in discrete:
-                    s = bell_stats.chsh(model, a, ap, b, bp, exact=True)
-                    if abs(s.s_value) > best:
-                        best, best_settings = abs(s.s_value), (a, ap, b, bp)
+def _chsh_scan(model: LhvModel, n_random: int, seed: int) -> bell_stats.ChshResult:
+    """The exact CHSH result of largest |S| over the scanned quadruples."""
+    quads = list(itertools.product([Setting.index(i) for i in range(3)], repeat=4))
     if isinstance(model, ClockModel) and n_random:
-        from . import rng
-
         u = rng.uniforms_for_seeds(rng.trial_seeds(seed, n_random), 4) * (2.0 * np.pi)
-        for row in u:
-            quad = tuple(Setting.angle(x) for x in row)
-            s = bell_stats.chsh(model, *quad, exact=True)
-            if abs(s.s_value) > best:
-                best, best_settings = abs(s.s_value), quad
-    return best, best_settings
+        quads += [tuple(Setting.angle(x) for x in row) for row in u]
+    # max keeps the first of equal |S|, in scan order
+    return max((bell_stats.chsh(model, *q, exact=True) for q in quads),
+               key=lambda r: abs(r.s_value))
 
 
 def cmd_bell(args) -> int:
     if args.oracle:
-        a, ap, b, bp = _parse_angles(args.angles or "0,1.5707963267948966,0.78539816339744828,2.3561944901923448")
+        a, ap, b, bp = _parse_angles(args.angles or SINGLET_ANGLES)
         es = [oracle.singlet_E(a, b), oracle.singlet_E(a, bp),
               oracle.singlet_E(ap, bp), oracle.singlet_E(ap, b)]
         check = bell_stats.bell_check(*[
@@ -274,13 +223,7 @@ def cmd_bell(args) -> int:
     doc = {"lhs": check.lhs, "rhs_plus": check.rhs_plus, "rhs_minus": check.rhs_minus,
            "tolerance": check.tolerance, "satisfied": check.satisfied,
            "verdict": "satisfied" if check.satisfied else "violated"}
-    if args.format == "json":
-        _emit(args, json_document(doc))
-    else:
-        _emit(args, csv_text("lhs,rhs_plus,rhs_minus,tolerance,verdict",
-                             [",".join([fmt17(check.lhs), fmt17(check.rhs_plus),
-                                        fmt17(check.rhs_minus), fmt17(check.tolerance),
-                                        doc["verdict"]])]))
+    _report(args, doc, "lhs,rhs_plus,rhs_minus,tolerance,verdict")
     return EXIT_OK
 
 
@@ -299,34 +242,20 @@ def cmd_propagate(args) -> int:
     analytic = path_engine.analytic_propagator(potential, args.mass, args.hbar,
                                                args.u, args.v, args.t)
     if args.convergence:
-        slice_list = [int(x) for x in args.convergence.split(",")]
-        rows = []
-        for ns in slice_list:
+        doc = []
+        for ns in (int(x) for x in args.convergence.split(",")):
             res = run(ns, grid[2])
-            rel_mod = abs(abs(res.value) - abs(analytic)) / abs(analytic)
-            phase_err = abs(np.angle(res.value / analytic))
-            rows.append((ns, grid[2], rel_mod, phase_err))
-        if args.format == "json":
-            _emit(args, json_document([
-                {"n_slices": ns, "n_points": np_, "rel_err_modulus": rm, "phase_err": pe}
-                for ns, np_, rm, pe in rows]))
-        else:
-            _emit(args, csv_text("n_slices,n_points,rel_err_modulus,phase_err",
-                                 [",".join([str(ns), str(np_), fmt17(rm), fmt17(pe)])
-                                  for ns, np_, rm, pe in rows]))
+            doc.append({"n_slices": ns, "n_points": grid[2],
+                        "rel_err_modulus": abs(abs(res.value) - abs(analytic)) / abs(analytic),
+                        "phase_err": abs(np.angle(res.value / analytic))})
+        _report(args, doc, "n_slices,n_points,rel_err_modulus,phase_err")
         return EXIT_OK
 
     res = run(args.slices, grid[2])
     doc = {"re": res.value.real, "im": res.value.imag,
            "modulus": res.modulus, "phase": res.phase,
            "support_warning": res.support_warning}
-    if args.format == "json":
-        _emit(args, json_document(doc))
-    else:
-        _emit(args, csv_text("re,im,modulus,phase,support_warning",
-                             [",".join([fmt17(doc["re"]), fmt17(doc["im"]),
-                                        fmt17(doc["modulus"]), fmt17(doc["phase"]),
-                                        str(doc["support_warning"]).lower()])]))
+    _report(args, doc, "re,im,modulus,phase,support_warning")
     return EXIT_OK
 
 
@@ -362,16 +291,12 @@ def cmd_rt(args) -> int:
         spreads = interferometer.SourceSpreads(args.spread_dt, args.spread_dx)
         rows = interferometer.correlation_scan(cfg_a, cfg_b, phase_grid,
                                                args.n_per_point, args.seed, spreads)
-    if args.format == "json":
-        _emit(args, json_document([
-            {"delta_a": r.delta_a, "delta_b": r.delta_b, "E": r.e_value,
-             "stderr": r.stderr, "p_agree": r.p_agree,
-             "p_undetermined": r.p_undetermined, "quantum_fringe": r.quantum_fringe,
-             "n": r.n_trials}
-            for r in rows]))
-    else:
-        _emit(args, csv_text(interferometer.SCAN_CSV_HEADER,
-                             interferometer.scan_csv_rows(rows)))
+    doc = [{"delta_a": r.delta_a, "delta_b": r.delta_b, "E": r.e_value,
+            "stderr": r.stderr, "p_agree": r.p_agree,
+            "p_undetermined": r.p_undetermined, "quantum_fringe": r.quantum_fringe,
+            "n": r.n_trials}
+           for r in rows]
+    _report(args, doc, "delta_a,delta_b,E,stderr,p_agree,p_undetermined,quantum_fringe")
     return EXIT_OK
 
 
@@ -399,8 +324,11 @@ def cmd_source(args) -> int:
                              _endpoint(args.wing_a), _endpoint(args.wing_b))
     if args.log:
         log.write(args.log)
-    cells = harness.merge_statistics(log)
-    _emit(args, csv_text(harness.MERGE_CSV_HEADER, harness.merge_csv_rows(cells)))
+    doc = [{"setting_a": c.setting_a.text, "setting_b": c.setting_b.text,
+            "mean": c.estimate.mean, "stderr": c.estimate.stderr, "n": c.estimate.n_trials,
+            "exact": c.estimate.exact, "p_agree": c.p_agree}
+           for c in harness.merge_statistics(log)]
+    _report(args, doc, "setting_a,setting_b,mean,stderr,n,exact,p_agree")
     if log.incomplete:
         print("# run incomplete", file=sys.stderr)
         return EXIT_INCOMPLETE
@@ -420,25 +348,21 @@ def cmd_audit(args) -> int:
 
 def cmd_oracle(args) -> int:
     if args.what == "singlet":
-        value = oracle.singlet_E(args.a, args.b)
-        doc = {"what": "singlet_E", "a": args.a, "b": args.b, "value": value}
+        doc = {"what": "singlet_E", "a": args.a, "b": args.b,
+               "value": oracle.singlet_E(args.a, args.b)}
     elif args.what == "mermin":
         same = None if args.same == "overall" else (args.same == "true")
-        value = oracle.mermin_agreement_prob(same)
-        doc = {"what": "mermin_agreement_prob", "same_setting": args.same, "value": value}
+        doc = {"what": "mermin_agreement_prob", "same_setting": args.same,
+               "value": oracle.mermin_agreement_prob(same)}
     elif args.what == "rt":
-        value = oracle.rt_coincidence_prob(args.phia, args.phib)
         doc = {"what": "rt_coincidence_prob", "phi_a": args.phia, "phi_b": args.phib,
-               "value": value}
+               "value": oracle.rt_coincidence_prob(args.phia, args.phib)}
     else:
         a, ap, b, bp = _parse_angles(args.angles)
         value = oracle.chsh_quantum(a, ap, b, bp)
         doc = {"what": "chsh_quantum", "settings": [a, ap, b, bp], "value": value,
                "abs": abs(value)}
-    if args.format == "json":
-        _emit(args, json_document(doc))
-    else:
-        _emit(args, csv_text("what,value", [f"{doc['what']},{fmt17(value)}"]))
+    _report(args, doc, "what,value")
     return EXIT_OK
 
 
@@ -572,7 +496,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--same", choices=("true", "false", "overall"), default="overall")
     p.add_argument("--phia", type=float, default=0.0)
     p.add_argument("--phib", type=float, default=0.0)
-    p.add_argument("--angles", default="0,1.5707963267948966,0.78539816339744828,2.3561944901923448")
+    p.add_argument("--angles", default=SINGLET_ANGLES)
     p.set_defaults(func=cmd_oracle)
 
     return ap, sub.choices

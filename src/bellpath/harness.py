@@ -413,12 +413,13 @@ def audit_log(log: RunLog) -> AuditReport:
     Three layers: (1) schema, every message has exactly the protocol fields
     and the payload keys its (direction, type) allows; (2) the genetic
     hypothesis, identical lambda text to both wings per trial, dense trial
-    ids, outcomes before the next trial's lambdas; (3) content, no payload
+    ids, outcomes before the next trial's lambdas, at most one outcome per
+    trial and wing (an identical repeat is allowed); (3) content, no payload
     value delivered to a wing equals a setting the other wing reported.
     """
     violations: list[Violation] = []
     lam_text: dict[int, dict[str, tuple[int, str]]] = {}
-    outcome_seen: dict[int, set[str]] = {}
+    outcome_seen: dict[int, dict[str, dict]] = {}
     settings_used: dict[str, set[str]] = {"A": set(), "B": set()}
     max_lambda_trial = {"A": -1, "B": -1}
     n_trials_seen = 0
@@ -445,7 +446,11 @@ def audit_log(log: RunLog) -> AuditReport:
             if msg.payload["sign"] not in (1, -1):
                 violations.append(Violation(idx, "schema", f"sign {msg.payload['sign']!r}"))
             settings_used[msg.wing].add(str(msg.payload["setting"]))
-            outcome_seen.setdefault(msg.trial, set()).add(msg.wing)
+            first = outcome_seen.setdefault(msg.trial, {}).setdefault(msg.wing, msg.payload)
+            if first != msg.payload:
+                violations.append(Violation(
+                    idx, "duplicate_outcome",
+                    f"trial {msg.trial}: second wing-{msg.wing} outcome differs from the first"))
         if entry.direction == ">" and msg.type == "lambda":
             t = msg.trial
             if t != max_lambda_trial[msg.wing] + 1:
@@ -455,8 +460,7 @@ def audit_log(log: RunLog) -> AuditReport:
             max_lambda_trial[msg.wing] = max(max_lambda_trial[msg.wing], t)
             lam_text.setdefault(t, {})[msg.wing] = (idx, msg.payload["lambda"])
             if t > 0:
-                prev = outcome_seen.get(t - 1, set())
-                if prev != {"A", "B"}:
+                if set(outcome_seen.get(t - 1, ())) != {"A", "B"}:
                     violations.append(Violation(
                         idx, "lockstep",
                         f"trial {t} lambda before both outcomes of trial {t - 1}"))
@@ -497,30 +501,29 @@ class MergedCell:
     partial: bool
 
 
-MERGE_CSV_HEADER = "setting_a,setting_b,mean,stderr,n,exact,p_agree"
-
-
 def merge_statistics(log: RunLog) -> list[MergedCell]:
     """Group completed trials by setting pair and compute E per cell.
 
     Uses the same integer tallies as the in-process estimators, so for a
     fixed seed schedule the distributed and in-process results are
     identical, not merely statistically compatible.  Trials missing an
-    outcome (an incomplete run's tail) are skipped and the cells flagged
-    partial.
+    outcome (an incomplete run's tail) or holding two different outcomes
+    from one wing are skipped and the cells flagged partial.
     """
     outcomes: dict[int, dict[str, tuple[int, str]]] = {}
+    contradicted: set[int] = set()
     for entry in log.entries:
         msg = entry.message
         if entry.direction == "<" and msg.type == "outcome":
-            outcomes.setdefault(msg.trial, {})[msg.wing] = (
-                int(msg.payload["sign"]), str(msg.payload["setting"]))
+            got = (int(msg.payload["sign"]), str(msg.payload["setting"]))
+            if outcomes.setdefault(msg.trial, {}).setdefault(msg.wing, got) != got:
+                contradicted.add(msg.trial)
     partial = log.incomplete
     cells: dict[tuple[str, str], list[int]] = {}
     agrees: dict[tuple[str, str], int] = {}
     for t in sorted(outcomes):
         per_wing = outcomes[t]
-        if set(per_wing) != {"A", "B"}:
+        if t in contradicted or set(per_wing) != {"A", "B"}:
             partial = True
             continue
         (sa, ta), (sb, tb) = per_wing["A"], per_wing["B"]
@@ -535,15 +538,3 @@ def merge_statistics(log: RunLog) -> list[MergedCell]:
                               est, agrees[(ta, tb)] / n, partial))
     return out
 
-
-def merge_csv_rows(cells: list[MergedCell]) -> list[str]:
-    from .util import fmt17
-
-    rows = []
-    for c in cells:
-        stderr = "" if c.estimate.stderr is None else fmt17(c.estimate.stderr)
-        rows.append(",".join([
-            c.setting_a.text, c.setting_b.text, fmt17(c.estimate.mean), stderr,
-            str(c.estimate.n_trials), "false", fmt17(c.p_agree),
-        ]))
-    return rows

@@ -28,6 +28,7 @@ that identical settings always agree (same color on both sides).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -350,7 +351,10 @@ class ClockModel(LhvModel):
         return format(float(lam), ".17g")
 
     def lambda_from_text(self, text: str):
-        return float(text)
+        lam = float(text)
+        if not math.isfinite(lam):
+            raise ValueError(f"hidden variable {text!r} is not a finite angle")
+        return lam
 
 
 # ---------------------------------------------------------------------------

@@ -248,9 +248,6 @@ class ScanRow:
     n_trials: int
 
 
-SCAN_CSV_HEADER = "delta_a,delta_b,E,stderr,p_agree,p_undetermined,quantum_fringe"
-
-
 def correlation_scan(
     cfg_a: SideConfig,
     cfg_b: SideConfig,
@@ -299,21 +296,6 @@ def _scan_row(da: float, db: float, out_a: np.ndarray, out_b: np.ndarray) -> Sca
         stderr = math.sqrt(var / n_det)
     agree = int((out_a[determined] == out_b[determined]).sum()) / n_det
     return ScanRow(da, db, float(mean), stderr, agree, p_undet, rt_coincidence_prob(da, db), n)
-
-
-def scan_csv_rows(rows: list[ScanRow]) -> list[str]:
-    from .util import fmt17
-
-    def opt(x):
-        return "" if x is None else fmt17(x)
-
-    return [
-        ",".join([
-            fmt17(r.delta_a), fmt17(r.delta_b), opt(r.e_value), opt(r.stderr),
-            opt(r.p_agree), fmt17(r.p_undetermined), fmt17(r.quantum_fringe),
-        ])
-        for r in rows
-    ]
 
 
 # -- degenerate single-path configuration ------------------------------------

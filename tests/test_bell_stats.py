@@ -188,6 +188,14 @@ def test_bell_check_mc_tolerance_uses_stderr():
     check = bs.bell_check_from_model(model, I0, I1, I2, I0, exact=False, n=2000, seed=8)
     assert check.tolerance > bs.EXACT_TOLERANCE
     assert check.satisfied
+    es = [bs.estimate_E(model, sa, sb, 2000, 8 + k)
+          for k, (sa, sb) in enumerate(((I0, I2), (I0, I0), (I1, I0), (I1, I2)))]
+    assert check.tolerance == bs.verdict_tolerance(es) == 3.0 * math.sqrt(
+        sum(e.stderr ** 2 for e in es))
+    # an undefined stderr (one trial) counts as 0; exact inputs get EXACT_TOLERANCE
+    one = bs.estimate_E(model, I0, I1, 1, 8)
+    assert bs.verdict_tolerance([one, one]) == 0.0
+    assert bs.verdict_tolerance([bs.exact_E(model, I0, I1)] * 4) == bs.EXACT_TOLERANCE
 
 
 # -- agreement ---------------------------------------------------------------------------
@@ -227,11 +235,3 @@ def test_overall_agreement_clock_runs():
     exact = bs.exact_overall_agreement(model)
     assert abs(est.value - exact) < 5 * est.stderr
 
-
-# -- output row ---------------------------------------------------------------------------
-
-
-def test_csv_row_format():
-    est = bs.CorrelationEstimate(-1.0 / 3.0, 0.0, 10000, exact=True)
-    row = bs.estimate_csv_row(I0, I1, est)
-    assert row == "i0,i1,-0.33333333333333331,0,10000,true"

@@ -1,4 +1,6 @@
 import json
+import math
+import re
 import subprocess
 import sys
 
@@ -12,6 +14,21 @@ def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def parse_cell(text):
+    """A CSV cell or summary value back as the JSON value it renders."""
+    if text == "":
+        return None
+    if text in ("true", "false"):
+        return text == "true"
+    m = re.fullmatch(r"(\S*) stderr = (\S*) n = (\S+)", text)
+    if m:
+        return {"value": parse_cell(m[1]), "stderr": parse_cell(m[2]), "n": parse_cell(m[3])}
+    try:
+        return float(text)
+    except ValueError:
+        return text
 
 
 def test_mermin_report(capsys):
@@ -64,7 +81,33 @@ def test_chsh_clock_exact(capsys):
     code, out = run_cli(capsys, "chsh", "--model", "clock", "--exact",
                         "--indices", "0,1,2,0")
     assert code == 0
-    assert "# |S| <= 2 holds: true" in out
+    assert "# classical_bound_ok = true" in out
+    assert "# tolerance = 1.0000000000000001e-09" in out
+
+
+def test_csv_row_format(capsys):
+    # a grid divisible by 6 integrates the discrete settings exactly: E = -1/3
+    code, out = run_cli(capsys, "chsh", "--model", "clock", "--convention", "aligned",
+                        "--exact", "--indices", "0,0,1,1", "--grid", "10002")
+    assert code == 0
+    assert out.splitlines()[:2] == ["setting_a,setting_b,mean,stderr,n,exact",
+                                    "i0,i1,-0.33333333333333331,0,10002,true"]
+
+
+def test_chsh_verdict_uses_the_bell_check_tolerance(capsys):
+    # the clock model's exact |S| is 2 here; Monte Carlo noise alone takes
+    # S to -2.00002, well within 3x the combined standard error
+    code, out = run_cli(capsys, "chsh", "--model", "clock", "--angles", cli.SINGLET_ANGLES,
+                        "--n", "100000", "--seed", "2000", "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["s_value"] < -2.0
+    assert doc["tolerance"] == 3.0 * math.sqrt(sum(t["stderr"] ** 2 for t in doc["terms"]))
+    assert doc["classical_bound_ok"] is True
+    for argv in (("--exact", "--indices", "0,1,2,0"), ("--scan", "5")):
+        code, out = run_cli(capsys, "chsh", "--model", "clock", *argv, "--format", "json")
+        doc = json.loads(out)
+        assert doc["tolerance"] == 1e-9 and doc["classical_bound_ok"] is True
 
 
 def test_chsh_scan(capsys):
@@ -114,6 +157,7 @@ def test_rt_scan_csv(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "delta_a,delta_b,E,stderr,p_agree,p_undetermined,quantum_fringe"
     assert len(lines) == 5
+    assert all(len(line.split(",")) == 7 for line in lines)
 
 
 def test_rt_exact_degenerate(capsys):
@@ -206,21 +250,30 @@ def clock_cfg(tmp_path):
     return path
 
 
-def test_distributed_cli_run_and_audit(tmp_path, clock_cfg, capsys):
-    wa, addr_a = spawn_wing(tmp_path, "A", clock_cfg, ("--setting", "i0"))
-    wb, addr_b = spawn_wing(tmp_path, "B", clock_cfg, ("--setting", "i1"))
-    log_path = tmp_path / "run.log"
+def run_source(tmp_path, cfg, capsys, *extra):
+    """One `source` run of 50 trials against two fresh wing processes."""
+    wa, addr_a = spawn_wing(tmp_path, "A", cfg, ("--setting", "i0"))
+    wb, addr_b = spawn_wing(tmp_path, "B", cfg, ("--setting", "i1"))
     try:
-        code = cli.main(["source", "--model-config", str(clock_cfg), "--n", "50",
-                         "--seed", "3", "--wing-a", addr_a, "--wing-b", addr_b,
-                         "--log", str(log_path)])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert out.splitlines()[0] == harness.MERGE_CSV_HEADER
-        assert len(out.splitlines()) == 2
+        code = cli.main(["source", "--model-config", str(cfg), "--n", "50",
+                         "--seed", "3", "--wing-a", addr_a, "--wing-b", addr_b, *extra])
+        return code, capsys.readouterr().out
     finally:
         wa.wait(timeout=10)
         wb.wait(timeout=10)
+
+
+def test_distributed_cli_run_and_audit(tmp_path, clock_cfg, capsys):
+    log_path = tmp_path / "run.log"
+    code, out = run_source(tmp_path, clock_cfg, capsys, "--log", str(log_path))
+    assert code == 0
+    header, row = out.splitlines()
+    assert header == "setting_a,setting_b,mean,stderr,n,exact,p_agree"
+    code, out = run_source(tmp_path, clock_cfg, capsys, "--format", "json")
+    assert code == 0
+    (cell,) = json.loads(out)
+    assert list(cell) == header.split(",")
+    assert list(cell.values()) == [parse_cell(x) for x in row.split(",")]
     code = cli.main(["audit", str(log_path)])
     audit_out = capsys.readouterr().out
     assert code == 0
@@ -265,3 +318,80 @@ def test_audit_cli_flags_tampered_log(tmp_path, clock_cfg, capsys):
     out = capsys.readouterr().out
     assert code == 2
     assert "[schema]" in out
+
+
+# -- one document, two formats ------------------------------------------------------
+
+
+@pytest.fixture
+def simulated_source(monkeypatch):
+    """`source` without sockets: in-process wings fixed at i0 (A) and i1 (B)."""
+    def run(model, n, seed, endpoint_a, endpoint_b):
+        return harness.simulate_run(model, harness.FixedPolicy(Setting.index(0)),
+                                    harness.FixedPolicy(Setting.index(1)), n, seed)
+
+    monkeypatch.setattr(harness, "source_run", run)
+
+
+#: name -> (argv, key of the JSON rows behind the CSV table or None for the
+#: document itself); "{cfg}" stands for a clock model config file
+FORMAT_CASES = {
+    "mermin": (["mermin", "--n", "200"], "pairs"),
+    "clock": (["clock", "--n", "200", "--grid", "600"], "pairs"),
+    "chsh_oracle": (["chsh", "--oracle"], None),
+    "chsh_exact": (["chsh", "--model", "clock", "--exact", "--indices", "0,1,2,0"], "terms"),
+    "chsh_mc": (["chsh", "--model", "clock", "--indices", "0,1,2,0", "--n", "300"], "terms"),
+    "chsh_scan": (["chsh", "--model", "mermin", "--scan", "3"], None),
+    "bell": (["bell", "--model", "clock", "--indices", "0,1,2,0", "--n", "300"], None),
+    "propagate": (["propagate", "--slices", "3", "--grid=-20,20,256"], None),
+    "propagate_convergence": (["propagate", "--convergence", "1,2", "--grid=-20,20,256"], None),
+    "rt": (["rt", "--phase-points", "2", "--n-per-point", "3"], None),
+    "rt_exact": (["rt", "--arms", "1.0", "--k", "1.0", "--exact", "--grid", "600"], None),
+    "oracle": (["oracle", "--what", "chsh"], None),
+    "source": (["source", "--model-config", "{cfg}", "--n", "40", "--wing-a", ":1",
+                "--wing-b", ":2"], None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FORMAT_CASES))
+def test_csv_and_json_carry_the_same_values(case, clock_cfg, simulated_source, capsys):
+    argv, rows_key = FORMAT_CASES[case]
+    argv = [str(clock_cfg) if a == "{cfg}" else a for a in argv]
+    code, csv_out = run_cli(capsys, *argv)
+    assert code == 0
+    code, json_out = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    doc = json.loads(json_out)
+    header, *lines = csv_out.splitlines()
+    columns = header.split(",")
+    table = [line.split(",") for line in lines if not line.startswith("# ")]
+    rows = doc[rows_key] if rows_key else doc if isinstance(doc, list) else [doc]
+    assert len(table) == len(rows)
+    for cells, row in zip(table, rows):
+        assert len(cells) == len(columns)
+        shared = [(col, text) for col, text in zip(columns, cells) if col in row]
+        assert shared
+        for col, text in shared:
+            assert parse_cell(text) == row[col], (col, text)
+    for line in lines:
+        if line.startswith("# "):
+            key, _, text = line[2:].partition(" = ")
+            assert key in doc and parse_cell(text) == doc[key], line
+
+
+@pytest.mark.parametrize("argv, summary", [
+    (["mermin", "--n", "1"], "overall_agreement_mc"),
+    (["clock", "--n", "1"], "p_agree_differing_mc"),
+])
+def test_single_trial_stderr_is_an_empty_field(capsys, argv, summary):
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert re.search(rf"^# {summary} = [01] stderr =  n = 1$", out, re.M)
+
+
+def test_single_trial_merge_row_has_empty_stderr(clock_cfg, simulated_source, capsys):
+    code, out = run_cli(capsys, "source", "--model-config", str(clock_cfg), "--n", "1",
+                        "--seed", "6", "--wing-a", ":1", "--wing-b", ":2")
+    assert code == 0
+    setting_a, setting_b, mean, stderr, n, exact, p_agree = out.splitlines()[1].split(",")
+    assert (setting_a, setting_b, stderr, n, exact) == ("i0", "i1", "", "1", "false")

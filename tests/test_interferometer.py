@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from bellpath import bell_stats as bs
+from bellpath import cli
 from bellpath import interferometer as itf
 from bellpath import oracle
 from bellpath.hv_models import ALIGNED, ClockModel, Setting, TWO_PI, wrap_angle
 from bellpath.path_engine import resultant
+from bellpath.util import fmt17
 
 
 def simple_side(delta=0.0, arms=(1.0, 1.0), k=TWO_PI, **kw):
@@ -160,12 +162,17 @@ def test_all_zero_phases_symmetric_sides_give_unit_correlation():
     assert rows[0].p_undetermined == 0.0
 
 
-def test_scan_csv_rows_shape():
+def test_scan_csv_rows_shape(capsys):
+    # the scan written as CSV by `rt`: one line per cell, seven fields each,
+    # carrying the values correlation_scan computed
     cfg = simple_side()
     rows = itf.correlation_scan(cfg, cfg, [0.0, 1.0], 50, seed=0)
-    text = itf.scan_csv_rows(rows)
+    code = cli.main(["rt", "--settings", "0,1", "--n-per-point", "50", "--seed", "0"])
+    text = capsys.readouterr().out.strip().splitlines()[1:]
+    assert code == 0
     assert len(text) == 4
     assert all(len(line.split(",")) == 7 for line in text)
+    assert [line.split(",")[2] for line in text] == [fmt17(r.e_value) for r in rows]
 
 
 # -- degeneration onto the clock model ---------------------------------------------------
