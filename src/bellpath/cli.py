@@ -237,7 +237,12 @@ def cmd_propagate(args) -> int:
             mass=args.mass, potential=potential, u=args.u, v=args.v, t=args.t,
             n_slices=n_slices, grid=(grid[0], grid[1], n_points),
             hbar=args.hbar, damping=args.damping)
-        return path_engine.sliced_propagator(spec)
+        res = path_engine.sliced_propagator(spec)
+        if res.eta > path_engine.ETA_WARNING_LEVEL:
+            print(f"warning: eta = {res.eta:.3g} exceeds {path_engine.ETA_WARNING_LEVEL} "
+                  f"at {n_slices} slices on {n_points} points; the result carries a bias "
+                  f"of order eta, refine the grid", file=sys.stderr)
+        return res
 
     analytic = path_engine.analytic_propagator(potential, args.mass, args.hbar,
                                                args.u, args.v, args.t)

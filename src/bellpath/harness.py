@@ -39,6 +39,10 @@ from .hv_models import LhvModel, Setting
 PROTOCOL_VERSION = 1
 WINGS = ("A", "B")
 
+#: Seconds the source waits to connect to a wing and for each of its replies;
+#: a wing that stays silent longer ends the run with the log flagged incomplete.
+WING_TIMEOUT_S = 30.0
+
 _FIELDS = ("type", "v", "trial", "wing", "payload")
 
 # payload key sets per (direction, type); direction is the source's view
@@ -243,7 +247,7 @@ def wing_serve(
 class _WingLink:
     def __init__(self, wing: str, endpoint: tuple[str, int]):
         self.wing = wing
-        self.sock = socket.create_connection(endpoint, timeout=30)
+        self.sock = socket.create_connection(endpoint, timeout=WING_TIMEOUT_S)
         self.rfile = self.sock.makefile("r", encoding="utf-8", newline="\n")
         self.wfile = self.sock.makefile("w", encoding="utf-8", newline="\n")
 

@@ -19,7 +19,17 @@ envelope suppresses both aliasing and domain-edge truncation, and eta
 vanishes as dx^2 under grid refinement, so the continuum limit is
 unchanged.  The known cost is a small bias of order eta (about eta/2 in
 phase from the sqrt(1/tau) normalization); with the default damping of 8
-it sits at the 1e-3 level for desk-scale grids.
+it sits at the 1e-3 level for desk-scale grids.  Results report eta, and
+above ETA_WARNING_LEVEL the bias is no longer small.  Only this bias
+vanishes under refinement: the finite domain truncates the kernel, and
+that error sets a floor (flagged by the support warning).
+
+Every slice kernel is diagonal x (Toeplitz or Hankel) x diagonal, so each
+joint is one zero-padded FFT convolution: O(N log N) time and O(N) memory
+per joint, with no N x N matrix.  Its round-off is absolute, about
+eps * |psi| over the whole state rather than relative per entry, so in a
+state damped by tens of orders of magnitude it can fill the edge cells and
+raise the support warning.
 
 Endpoints are handled exactly: the first slice is the kernel evaluated at
 u, the last at v, so a single slice involves no grid at all and reproduces
@@ -47,6 +57,10 @@ DEGENERATE_R = 1e-12
 #: Fraction of |psi| mass in the outer 1% of grid cells (each side) above
 #: which a propagator result carries a support warning.
 SUPPORT_WARNING_LEVEL = 1e-3
+
+#: Damping eta above which a propagator result is reported as unresolved:
+#: its O(eta) bias is then no longer small (the CLI warns on stderr).
+ETA_WARNING_LEVEL = 0.05
 
 
 @dataclass(frozen=True)
@@ -136,6 +150,10 @@ class PropagatorResult:
     value: complex
     support_warning: bool
     spec: PropagatorSpec = field(repr=False, default=None)
+    #: anti-alias damping of every slice; 0.0 for one slice (no grid)
+    eta: float = 0.0
+    #: largest edge mass fraction of an intermediate state (support_warning's input)
+    edge_fraction: float = 0.0
 
     @property
     def modulus(self) -> float:
@@ -167,14 +185,49 @@ def _slice_kernel(spec: PropagatorSpec, tau: complex, xp, xq):
     return pref * np.exp(1j * action / hbar)
 
 
+def _slice_operator(spec: PropagatorSpec, tau: complex, x: np.ndarray):
+    """The map psi -> K @ psi for the slice kernel K on the uniform grid x.
+
+    For V(x) = c*x^2 (c = m*omega^2/2, or 0 when free), a = i*m/(2*hbar*tau)
+    and b = -i*tau*c/(4*hbar), the kernel is
+    pref*exp(a*(x-x')^2 + b*(x+x')^2) = D(x) * M * D(x'), where M is either
+    Toeplitz in x-x' (coefficient a-b, D = exp(2b*x^2)) or Hankel in x+x'
+    (coefficient b-a, D = exp(2a*x^2)).  The split whose M decays is taken;
+    the Toeplitz one grows once omega*dt > 2/sqrt(1 + eta^2).  Either M
+    applied to a vector is one linear convolution of its 2N-1 coefficients,
+    the Hankel one of the reversed vector, done by zero-padded FFT in
+    O(N log N).
+    """
+    m, hbar, n = spec.mass, spec.hbar, x.size
+    a = 1j * m / (2.0 * hbar * tau)
+    b = -1j * tau * float(spec.potential.energy(1.0, m)) / (4.0 * hbar)
+    pref = np.sqrt(m / (2j * np.pi * hbar * tau))  # principal branch
+    steps = np.arange(2 * n - 1) * (x[1] - x[0])
+    hankel = (a - b).real > 0
+    if hankel:
+        diag, coef, s = np.exp(2.0 * a * x * x), b - a, steps + 2.0 * x[0]
+    else:
+        diag, coef, s = np.exp(2.0 * b * x * x), a - b, steps - steps[n - 1]
+    size = 1 << (2 * n - 2).bit_length()  # circular wrap-around misses rows n-1..2n-2
+    spectrum = pref * np.fft.fft(np.exp(coef * s * s), size)
+
+    def apply(psi: np.ndarray) -> np.ndarray:
+        w = diag * psi
+        conv = np.fft.ifft(spectrum * np.fft.fft(w[::-1] if hankel else w, size))
+        return diag * conv[n - 1:2 * n - 1]
+
+    return apply
+
+
 def sliced_propagator(spec: PropagatorSpec) -> PropagatorResult:
     """Propagator <v|u> by composing n_slices short-time kernels.
 
     The first and last slices are evaluated at the exact endpoints u and v;
-    intermediate joints are trapezoid integrals over the grid.  The result
-    carries a support warning when any intermediate state has more than
-    SUPPORT_WARNING_LEVEL of its |psi| mass in the outer 1% of cells on
-    either side, a sign that the grid truncates the kernel materially.
+    intermediate joints are trapezoid integrals over the grid, each one FFT
+    convolution (see _slice_operator).  The result reports the damping eta
+    and the largest fraction of any intermediate state's |psi| mass in the
+    outer 1% of cells on either side; above SUPPORT_WARNING_LEVEL it carries
+    a support warning, a sign that the grid truncates the kernel materially.
     """
     dt = spec.t / spec.n_slices
     if spec.n_slices == 1:
@@ -194,16 +247,16 @@ def sliced_propagator(spec: PropagatorSpec) -> PropagatorResult:
 
     psi = _slice_kernel(spec, tau, x, spec.u)
     n_edge = max(1, n_points // 100)
-    warn = _edge_fraction(psi, weights, n_edge) > SUPPORT_WARNING_LEVEL
+    edge = _edge_fraction(psi, weights, n_edge)
 
     if spec.n_slices > 2:
-        kernel = _slice_kernel(spec, tau, x[:, None], x[None, :])
+        joint = _slice_operator(spec, tau, x)
         for _ in range(spec.n_slices - 2):
-            psi = kernel @ (weights * psi)
-            warn = warn or _edge_fraction(psi, weights, n_edge) > SUPPORT_WARNING_LEVEL
+            psi = joint(weights * psi)
+            edge = max(edge, _edge_fraction(psi, weights, n_edge))
 
     value = complex(np.sum(weights * _slice_kernel(spec, tau, spec.v, x) * psi))
-    return PropagatorResult(value, bool(warn), spec)
+    return PropagatorResult(value, edge > SUPPORT_WARNING_LEVEL, spec, float(eta), edge)
 
 
 def _edge_fraction(psi: np.ndarray, weights: np.ndarray, n_edge: int) -> float:

@@ -151,6 +151,23 @@ def test_propagate_convergence_table(capsys):
     assert first[0] == "1" and float(first[2]) < 1e-12
 
 
+def test_propagate_warns_of_coarse_grids_on_stderr(capsys):
+    # eta ~ 35: modulus 0.067 against the closed form's 0.399
+    argv = ["propagate", "--grid=-20,20,16", "--slices", "3"]
+    assert cli.main(argv) == 0
+    captured = capsys.readouterr()
+    assert re.fullmatch(r"warning: eta = 34\.6 exceeds 0\.05 at 3 slices on 16 points;.*\n",
+                        captured.err)
+    quiet = subprocess.run([sys.executable, "-m", "bellpath.cli", *argv], stdout=subprocess.PIPE,
+                           stderr=subprocess.DEVNULL, text=True, check=True)
+    assert quiet.stdout == captured.out
+    # the README commands stay silent: eta ~ 5e-3 on 2048 points at 8 slices
+    for argv in (["propagate", "--kind", "free", "--slices", "8", "--format", "json"],
+                 ["propagate", "--convergence", "1,2,4,8", "--grid=-20,20,2048"]):
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().err == ""
+
+
 def test_rt_scan_csv(capsys):
     code, out = run_cli(capsys, "rt", "--phase-points", "2", "--n-per-point", "100")
     assert code == 0

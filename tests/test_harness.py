@@ -157,6 +157,22 @@ def test_distributed_random_policies_match_simulation():
     assert len(got) == 9
 
 
+def test_silent_wing_times_out(monkeypatch):
+    import socket
+    import time
+
+    # a wing that accepts the connection and never answers
+    monkeypatch.setattr(harness, "WING_TIMEOUT_S", 0.3)
+    with socket.create_server(("127.0.0.1", 0)) as silent:
+        start = time.monotonic()
+        log = harness.source_run(ClockModel(), 5, 1, silent.getsockname()[:2],
+                                 silent.getsockname()[:2])
+        assert time.monotonic() - start < 5.0
+    assert log.incomplete
+    assert [(e.direction, e.message.type, e.message.wing) for e in log.entries] == \
+        [(">", "hello", "A"), (">", "hello", "B")]
+
+
 def test_wing_survives_unknown_message_type():
     import json
     import socket

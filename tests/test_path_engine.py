@@ -139,6 +139,85 @@ def test_no_support_warning_for_confined_harmonic():
     assert not pe.sliced_propagator(spec).support_warning
 
 
+# -- FFT joints against a dense reference ------------------------------------------
+
+
+def slice_eta(spec):
+    dx = (spec.grid[1] - spec.grid[0]) / (spec.grid[2] - 1)
+    return 2.0 * spec.damping * spec.mass * dx * dx / (math.pi**2 * spec.hbar * (spec.t / spec.n_slices))
+
+
+def dense_propagator(spec):
+    """The N x N kernel loop that the FFT joints replace, kept as a reference."""
+    x = np.linspace(*spec.grid)
+    dx = x[1] - x[0]
+    tau = spec.t / spec.n_slices * (1.0 - 1j * slice_eta(spec))
+    weights = np.full(x.size, dx)
+    weights[[0, -1]] *= 0.5
+    psi = pe._slice_kernel(spec, tau, x, spec.u)
+    kernel = pe._slice_kernel(spec, tau, x[:, None], x[None, :])
+    for _ in range(spec.n_slices - 2):
+        psi = kernel @ (weights * psi)
+    return complex(np.sum(weights * pe._slice_kernel(spec, tau, spec.v, x) * psi))
+
+
+@st.composite
+def propagator_specs(draw):
+    x_min = -draw(st.floats(1.0, 30.0))
+    x_max = draw(st.floats(1.0, 30.0))
+    inside = st.floats(0.95 * x_min, 0.95 * x_max)
+    # omega up to 40 puts omega*dt past 2, where only the Hankel split decays
+    potential = draw(st.one_of(st.just(pe.FREE), st.floats(0.1, 40.0).map(pe.harmonic)))
+    return pe.PropagatorSpec(
+        mass=draw(st.floats(0.2, 5.0)), potential=potential, u=draw(inside), v=draw(inside),
+        t=draw(st.floats(0.1, 3.0)), n_slices=draw(st.integers(3, 24)),
+        grid=(x_min, x_max, draw(st.integers(16, 600))),
+        hbar=draw(st.floats(0.3, 3.0)), damping=draw(st.floats(2.0, 12.0)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(propagator_specs())
+def test_fft_joints_match_the_dense_kernel(spec):
+    scale = math.sqrt(spec.mass / (2.0 * math.pi * spec.hbar * spec.t))
+    got = pe.sliced_propagator(spec)
+    assert abs(got.value - dense_propagator(spec)) <= 1e-10 * scale
+    assert got.eta == pytest.approx(slice_eta(spec), rel=1e-12)
+    assert got.support_warning == (got.edge_fraction > pe.SUPPORT_WARNING_LEVEL)
+
+
+def test_hankel_split_where_the_toeplitz_factor_grows():
+    # omega*dt = 8/3 > 2/sqrt(1 + eta^2): the Toeplitz middle factor grows as
+    # exp(+c*(x-x')^2) and a Toeplitz-only product overflows to ~1e81
+    spec = pe.PropagatorSpec(1.0, pe.harmonic(8.0), 0.0, 1.0, 1.0, 3, (-20.0, 20.0, 256))
+    got = pe.sliced_propagator(spec)
+    want = dense_propagator(spec)
+    assert abs(want - (0.01681291705425189 + 0.004513405782659664j)) < 1e-12
+    assert abs(got.value - want) < 1e-12
+    assert not got.support_warning
+
+
+def test_fine_grid_runs_in_linear_memory():
+    # a dense 32768-point kernel would take 16 GB
+    spec = pe.PropagatorSpec(1.0, pe.FREE, 0.0, 1.0, 1.0, 8, (-20.0, 20.0, 32768))
+    got = pe.sliced_propagator(spec)
+    ref = pe.analytic_propagator(pe.FREE, 1.0, 1.0, 0.0, 1.0, 1.0)
+    # the eta bias is gone here; what is left is domain truncation, flagged
+    assert got.eta < 1e-4
+    assert got.support_warning
+    assert abs(got.value - ref) / abs(ref) < 0.02
+
+
+def test_eta_and_edge_fraction_are_reported():
+    one = pe.sliced_propagator(pe.PropagatorSpec(1.0, pe.FREE, 0.0, 1.0, 1.0, 1, (-20, 20, 16)))
+    assert one.eta == 0.0 and one.edge_fraction == 0.0
+    coarse = pe.sliced_propagator(pe.PropagatorSpec(1.0, pe.FREE, 0.0, 1.0, 1.0, 3, (-20, 20, 16)))
+    assert coarse.eta > 30.0 > pe.ETA_WARNING_LEVEL
+    assert not coarse.support_warning and coarse.edge_fraction <= pe.SUPPORT_WARNING_LEVEL
+    flat = pe.sliced_propagator(pe.PropagatorSpec(1.0, pe.FREE, 0.0, 1.0, 1.0, 8, (-20, 20, 2048)))
+    assert flat.eta < pe.ETA_WARNING_LEVEL
+    assert flat.support_warning and flat.edge_fraction > pe.SUPPORT_WARNING_LEVEL
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         pe.PropagatorSpec(1.0, pe.FREE, 0.0, 30.0, 1.0, 8, (-20, 20, 2048))
