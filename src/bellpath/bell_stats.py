@@ -5,13 +5,20 @@ outcomes over the hidden-variable distribution.  It is computed two ways:
 
 * ``estimate_E`` -- Monte Carlo over n independent hidden-variable draws,
   trial i using the stream of seed + i (shard-stable; see ``rng``);
-* ``exact_E`` -- enumeration over the atoms of a finite model, or circle
-  quadrature for a continuous one.
+* ``exact_E`` -- enumeration over the atoms of a finite model, or the
+  closed form E = +/-(1 - 2d/pi) of the clock model, d being the circular
+  distance between the settings (``ClockModel.exact_correlation``).
 
 Monte Carlo outcomes are +/-1, so estimates carry exact integer tallies.
 Means, standard errors, and merged shard results are reconstructed from the
 tallies, which makes every statistic bit-reproducible and independent of how
-trials were partitioned.
+trials were partitioned.  For +/-1 outcomes the agreement count is
+(n + product tally)/2, so agreement probabilities come from the same tally,
+and the exact agreement of the clock model is (1 + E)/2.
+
+The circle models' exact results report ``n_grid`` as their n; it reaches
+no value.  ``enumerate_lambda(n_grid)`` keeps the circle grid as a
+quadrature oracle for tests.
 
 The CHSH quantity is assembled as S = E(a,b) + E(a',b) + E(a',b') - E(a,b'),
 the combination bounded by 2 for any local hidden-variable model, while the
@@ -79,6 +86,8 @@ class ProbabilityEstimate:
     def __post_init__(self):
         if not -1e-9 <= self.value <= 1.0 + 1e-9:
             raise ValueError(f"probability {self.value} outside [0, 1]")
+        if self.n_trials < 1:
+            raise ValueError("n_trials must be positive")
 
     def complement(self) -> float:
         return 1.0 - self.value
@@ -119,9 +128,15 @@ class BellCheck:
     tolerance: float
 
 
-def _mc_products(model: LhvModel, a: Setting, b: Setting, n: int, seed: int) -> np.ndarray:
-    lams = model.sample_lambdas(seed, n)
-    return model.outcomes_a(lams, a) * model.outcomes_b(lams, b)
+def _draws(model: LhvModel, n: int, seed: int) -> np.ndarray:
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return model.sample_lambdas(seed, n)
+
+
+def _tally(model: LhvModel, lams: np.ndarray, a, b) -> int:
+    """Sum of the +/-1 products A*B over the draws; settings may be per-draw arrays."""
+    return int((model.outcomes_a(lams, a) * model.outcomes_b(lams, b)).sum(dtype=np.int64))
 
 
 def _estimate_from_tally(total: int, n: int) -> CorrelationEstimate:
@@ -137,27 +152,18 @@ def _estimate_from_tally(total: int, n: int) -> CorrelationEstimate:
 
 def estimate_E(model: LhvModel, a: Setting, b: Setting, n: int, seed: int) -> CorrelationEstimate:
     """Monte Carlo correlation over n hidden-variable draws."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    prod = _mc_products(model, a, b, n, seed)
-    return _estimate_from_tally(int(prod.astype(np.int64).sum()), n)
+    return _estimate_from_tally(_tally(model, _draws(model, n, seed), a, b), n)
 
 
 def exact_E(model: LhvModel, a: Setting, b: Setting, n_grid: int = DEFAULT_QUADRATURE_N) -> CorrelationEstimate:
-    """Exact correlation by enumeration or circle quadrature.
-
-    For a continuous hidden variable the grid error is bounded by 6/n_grid
-    (piecewise-constant integrand with at most six breakpoints).  Uniform
-    grids are accumulated as integer tallies, so values like -1 at equal
-    settings come out bit-exact.
-    """
-    lams, probs = model.enumerate_lambda(n_grid)
-    prod = model.outcomes_a(lams, a) * model.outcomes_b(lams, b)
+    """Exact correlation: the closed form of a circle model, reported with
+    n = n_grid, or the dot product over the atoms of a finite one."""
     if model.lambda_kind == "circle":
-        mean = int(prod.astype(np.int64).sum()) / len(probs)
-    else:
-        mean = float(np.dot(probs, prod.astype(np.float64)))
-    return CorrelationEstimate(mean, 0.0, len(probs), exact=True)
+        return CorrelationEstimate(float(model.exact_correlation(a, b)), 0.0, n_grid, exact=True)
+    lams, probs = model.enumerate_lambda()
+    prod = model.outcomes_a(lams, a) * model.outcomes_b(lams, b)
+    return CorrelationEstimate(float(np.dot(probs, prod.astype(np.float64))), 0.0, len(probs),
+                               exact=True)
 
 
 def merge_estimates(parts: list[CorrelationEstimate]) -> CorrelationEstimate:
@@ -191,7 +197,8 @@ def chsh(
     """CHSH quantity for an LHV model.
 
     Monte Carlo terms use seeds seed, seed+1, seed+2, seed+3 in the storage
-    order of ``CHSH_TERM_LABELS``, so results are bit-reproducible.
+    order of ``CHSH_TERM_LABELS``, so results are bit-reproducible.  Exact
+    terms of a circle model report n_grid as their n.
     """
     pairs = ((a, b), (a_prime, b), (a_prime, b_prime), (a, b_prime))
     if exact:
@@ -241,10 +248,9 @@ def bell_check_from_model(
     exact: bool = True,
     n: int | None = None,
     seed: int | None = None,
-    n_grid: int = DEFAULT_QUADRATURE_N,
 ) -> BellCheck:
     if exact:
-        es = [exact_E(model, sa, sb, n_grid) for sa, sb in
+        es = [exact_E(model, sa, sb) for sa, sb in
               ((a, b), (a, b_prime), (a_prime, b_prime), (a_prime, b))]
     else:
         if n is None or seed is None:
@@ -268,29 +274,27 @@ def _prob_from_count(count: int, n: int) -> ProbabilityEstimate:
 
 def agreement_prob(model: LhvModel, a: Setting, b: Setting, n: int, seed: int) -> ProbabilityEstimate:
     """Monte Carlo P(A = B) at one setting pair."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    lams = model.sample_lambdas(seed, n)
-    agree = model.outcomes_a(lams, a) == model.outcomes_b(lams, b)
-    return _prob_from_count(int(agree.sum()), n)
+    return _prob_from_count((n + _tally(model, _draws(model, n, seed), a, b)) // 2, n)
 
 
 def exact_agreement_prob(model: LhvModel, a: Setting, b: Setting, n_grid: int = DEFAULT_QUADRATURE_N) -> ProbabilityEstimate:
-    lams, probs = model.enumerate_lambda(n_grid)
-    agree = model.outcomes_a(lams, a) == model.outcomes_b(lams, b)
+    """Exact P(A = B): (1 + E)/2 in closed form for a circle model, reported
+    with n = n_grid, or the dot product over the atoms of a finite one."""
     if model.lambda_kind == "circle":
-        p = int(agree.sum()) / len(probs)
-    else:
-        p = float(np.dot(probs, agree.astype(np.float64)))
-    return ProbabilityEstimate(p, 0.0, len(probs), exact=True)
+        p = (1.0 + float(model.exact_correlation(a, b))) / 2.0
+        return ProbabilityEstimate(p, 0.0, n_grid, exact=True)
+    lams, probs = model.enumerate_lambda()
+    agree = model.outcomes_a(lams, a) == model.outcomes_b(lams, b)
+    return ProbabilityEstimate(float(np.dot(probs, agree.astype(np.float64))), 0.0, len(probs),
+                               exact=True)
 
 
-def exact_overall_agreement(model: LhvModel, n_grid: int = DEFAULT_QUADRATURE_N) -> float:
+def exact_overall_agreement(model: LhvModel) -> float:
     """P(A = B) with both discrete settings drawn uniformly from {0, 1, 2}."""
     total = 0.0
     for i in range(3):
         for j in range(3):
-            total += exact_agreement_prob(model, Setting.index(i), Setting.index(j), n_grid).value
+            total += exact_agreement_prob(model, Setting.index(i), Setting.index(j)).value
     return total / 9.0
 
 
@@ -301,9 +305,7 @@ def overall_agreement(model: LhvModel, n: int, seed: int) -> ProbabilityEstimate
     from dedicated streams tagged off the base seed, so the run is
     reproducible and shard-stable.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    lams = model.sample_lambdas(seed, n)
+    lams = _draws(model, n, seed)
     seeds = rng.trial_seeds(seed, n)
     ua = rng.uniforms_for_seeds(seeds ^ np.uint64(0xA11CE), 1)[:, 0]
     ub = rng.uniforms_for_seeds(seeds ^ np.uint64(0xB0B0B0), 1)[:, 0]
@@ -311,8 +313,6 @@ def overall_agreement(model: LhvModel, n: int, seed: int) -> ProbabilityEstimate
     sb = np.minimum((ub * 3).astype(np.int64), 2)
     if model.lambda_kind == "circle":
         angles = np.asarray([Setting.index(k).radians for k in range(3)])
-        agree = model.outcomes_a(lams, angles[sa]) == model.outcomes_b(lams, angles[sb])
-    else:
-        agree = model.outcomes_a(lams, sa) == model.outcomes_b(lams, sb)
-    return _prob_from_count(int(agree.sum()), n)
+        sa, sb = angles[sa], angles[sb]
+    return _prob_from_count((n + _tally(model, lams, sa, sb)) // 2, n)
 

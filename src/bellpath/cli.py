@@ -24,10 +24,13 @@ from .hv_models import (
     ALIGNED,
     ANTI_ALIGNED,
     DEFAULT_QUADRATURE_N,
+    SETTING_ANGLES,
+    TWO_PI,
     ClockModel,
     LhvModel,
     MerminModel,
     Setting,
+    wrap_angle,
 )
 from .util import render
 
@@ -88,13 +91,13 @@ def _report(args, doc, header: str, rows=None, summary=()) -> None:
     _emit(args, render(args.format, doc, header, rows, summary))
 
 
-def _pair_table(model: LhvModel, n_grid: int = DEFAULT_QUADRATURE_N) -> dict:
+def _pair_table(model: LhvModel) -> dict:
     """The model and its exact E and P(A = B) at the nine discrete setting pairs."""
     pairs = itertools.product([Setting.index(i) for i in range(3)], repeat=2)
     return {"model": model.name, "b_convention": model.b_convention,
             "pairs": [{"setting_a": a.text, "setting_b": b.text,
-                       "mean": bell_stats.exact_E(model, a, b, n_grid).mean,
-                       "p_agree": bell_stats.exact_agreement_prob(model, a, b, n_grid).value,
+                       "mean": bell_stats.exact_E(model, a, b).mean,
+                       "p_agree": bell_stats.exact_agreement_prob(model, a, b).value,
                        "exact": True} for a, b in pairs]}
 
 
@@ -130,13 +133,13 @@ def cmd_clock(args) -> int:
         raise ConfigError("clock subcommand needs the clock model")
     other = ClockModel(b_convention=ALIGNED if model.b_convention == ANTI_ALIGNED else ANTI_ALIGNED)
     a, b = Setting.index(0), Setting.index(1)
-    diff = bell_stats.exact_agreement_prob(model, a, b, args.grid)
+    diff = bell_stats.exact_agreement_prob(model, a, b)
     doc = {
-        **_pair_table(model, args.grid),
+        **_pair_table(model),
         "p_agree_differing_exact": diff.value,
         "p_disagree_differing_exact": diff.complement(),
         "p_agree_differing_other_convention":
-            bell_stats.exact_agreement_prob(other, a, b, args.grid).value,
+            bell_stats.exact_agreement_prob(other, a, b).value,
     }
     if args.n:
         mc = bell_stats.agreement_prob(model, a, b, args.n, args.seed)
@@ -197,14 +200,29 @@ def cmd_chsh(args) -> int:
 
 
 def _chsh_scan(model: LhvModel, n_random: int, seed: int) -> bell_stats.ChshResult:
-    """The exact CHSH result of largest |S| over the scanned quadruples."""
-    quads = list(itertools.product([Setting.index(i) for i in range(3)], repeat=4))
-    if isinstance(model, ClockModel) and n_random:
-        u = rng.uniforms_for_seeds(rng.trial_seeds(seed, n_random), 4) * (2.0 * np.pi)
-        quads += [tuple(Setting.angle(x) for x in row) for row in u]
-    # max keeps the first of equal |S|, in scan order
-    return max((bell_stats.chsh(model, *q, exact=True) for q in quads),
-               key=lambda r: abs(r.s_value))
+    """The exact CHSH result of largest |S| over the scanned quadruples: the
+    81 discrete ones, then for the clock model n_random random angle ones.
+
+    S is evaluated for the whole (a, a', b, b') table at once; the first
+    quadruple of largest |S| is then rebuilt through ``chsh``.
+    """
+    index = np.array(list(itertools.product(range(3), repeat=4)))
+    if isinstance(model, ClockModel):
+        table = np.asarray(SETTING_ANGLES)[index]
+        if n_random:
+            u = rng.uniforms_for_seeds(rng.trial_seeds(seed, n_random), 4)
+            table = np.vstack([table, wrap_angle(u * TWO_PI)])
+        corr = model.exact_correlation
+    else:
+        e = np.array([[bell_stats.exact_E(model, Setting.index(i), Setting.index(j)).mean
+                       for j in range(3)] for i in range(3)])
+        table, corr = index, lambda x, y: e[x, y]
+    a, ap, b, bp = table.T
+    s = corr(a, b) + corr(ap, b) + corr(ap, bp) - corr(a, bp)
+    k = int(np.argmax(np.abs(s)))  # the first of equal |S|, in scan order
+    quad = ([Setting.index(i) for i in index[k]] if k < len(index)
+            else [Setting.angle(x) for x in table[k]])
+    return bell_stats.chsh(model, *quad, exact=True)
 
 
 def cmd_bell(args) -> int:
@@ -218,8 +236,7 @@ def cmd_bell(args) -> int:
         model = _build_model(args)
         settings = _settings_from_args(args)
         check = bell_stats.bell_check_from_model(model, *settings, exact=not args.n,
-                                                 n=args.n or None, seed=args.seed,
-                                                 n_grid=args.grid)
+                                                 n=args.n or None, seed=args.seed)
     doc = {"lhs": check.lhs, "rhs_plus": check.rhs_plus, "rhs_minus": check.rhs_minus,
            "tolerance": check.tolerance, "satisfied": check.satisfied,
            "verdict": "satisfied" if check.satisfied else "violated"}
@@ -388,6 +405,19 @@ def _add_model_args(p):
                    help="side B detector convention override")
 
 
+def _grid_points(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
+    return n
+
+
+def _add_grid(p):
+    p.add_argument("--grid", type=_grid_points, default=DEFAULT_QUADRATURE_N,
+                   help="the n reported for exact clock-model results; "
+                        "changes no value (closed forms)")
+
+
 def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     ap = argparse.ArgumentParser(
         prog="bellpath",
@@ -404,7 +434,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p = sub.add_parser("clock", help="clock-model agreement table; 2/3 vs 1/3 by convention")
     _add_common(p)
     _add_model_args(p)
-    p.add_argument("--grid", type=int, default=10_000, help="circle quadrature points")
+    _add_grid(p)
     p.set_defaults(func=cmd_clock)
 
     p = sub.add_parser("chsh", help="CHSH quantity S and its classical |S| <= 2 bound")
@@ -413,8 +443,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--oracle", action="store_true", help="quantum singlet prediction instead of a model")
     p.add_argument("--angles", help="a,a',b,b' in radians")
     p.add_argument("--indices", help="four discrete setting indices")
-    p.add_argument("--exact", action="store_true", help="enumeration/quadrature instead of Monte Carlo")
-    p.add_argument("--grid", type=int, default=10_000)
+    p.add_argument("--exact", action="store_true",
+                   help="enumeration or closed form instead of Monte Carlo")
+    _add_grid(p)
     p.add_argument("--scan", type=int, default=0,
                    help="max |S| over all discrete quadruples plus this many random ones")
     p.set_defaults(func=cmd_chsh)
@@ -425,7 +456,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--oracle", action="store_true")
     p.add_argument("--angles", help="a,a',b,b' in radians")
     p.add_argument("--indices", help="four discrete setting indices")
-    p.add_argument("--grid", type=int, default=10_000)
+    _add_grid(p)
     p.set_defaults(func=cmd_bell)
 
     p = sub.add_parser("propagate", help="time-sliced propagator vs the closed-form oracle")
@@ -463,8 +494,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--spread-dt", dest="spread_dt", type=float, default=0.0)
     p.add_argument("--spread-dx", dest="spread_dx", type=float, default=1.0)
     p.add_argument("--exact", action="store_true",
-                   help="exact single-path table (degenerate configuration only)")
-    p.add_argument("--grid", type=int, default=10_000, help="points for --exact")
+                   help="closed-form clock table for single-path, jitter-free sides "
+                        "with |k*geom_sign| equal on both")
+    _add_grid(p)
     p.set_defaults(func=cmd_rt)
 
     p = sub.add_parser("wing", help="serve one measurement wing over loopback")

@@ -47,9 +47,8 @@ ANTI_ALIGNED = "anti_aligned"
 #: Angles of the three discrete settings (index 0, 1, 2).
 SETTING_ANGLES = (0.0, TWO_PI / 3.0, 2.0 * TWO_PI / 3.0)
 
-#: Default number of grid points for circle quadrature over a continuous
-#: hidden variable.  The integrands are piecewise constant with at most six
-#: breakpoints, so the quadrature error is bounded by 6/N.
+#: Default size of the circle grid of ``enumerate_lambda``.  The exact clock
+#: statistics are closed forms; there this number is only the reported n.
 DEFAULT_QUADRATURE_N = 10_000
 
 # Angles within this distance of the 0/pi detector boundaries are snapped
@@ -323,6 +322,20 @@ class ClockModel(LhvModel):
     def sample_lambdas(self, seed: int, n: int) -> np.ndarray:
         u = rng.uniforms_for_seeds(rng.trial_seeds(seed, n), 1)[:, 0]
         return TWO_PI * u
+
+    def exact_correlation(self, a, b) -> np.ndarray:
+        """E(a, b) in closed form, elementwise over settings or arrays of angles.
+
+        With d the circular distance between the two settings, the phases
+        where the outcomes agree have measure 1 - d/pi, so E = 1 - 2d/pi for
+        the aligned convention and its negative for the anti-aligned one.
+        Settings within BOUNDARY_SNAP of equal or opposite count as such, as
+        the threshold rule does for angles, so they give exactly +/-1.
+        """
+        w = np.mod(np.abs(self._setting_angles(a) - self._setting_angles(b)), TWO_PI)
+        d = np.minimum(w, TWO_PI - w)
+        d = np.where(d < BOUNDARY_SNAP, 0.0, np.where(np.pi - d < BOUNDARY_SNAP, np.pi, d))
+        return self._b_flip * (1.0 - 2.0 * d / np.pi)
 
     def enumerate_lambda(self, n_grid: int = DEFAULT_QUADRATURE_N):
         if n_grid < 1:

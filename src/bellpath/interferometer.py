@@ -23,8 +23,9 @@ the path lengths.
 
 With one arm per side, one replica, and no jitter, a side's resultant is a
 single phasor and the model reduces exactly to the synchronized-clock
-hidden-variable model with theta0 = k*(L + geometry_sign*dx0); see
-``degenerate_exact_scan``.
+hidden-variable model with theta0 = k*(L + geometry_sign*dx0); when both
+sides couple to dx0 with the same |k*geometry_sign|, ``degenerate_exact_scan``
+gives that model's closed-form table.
 """
 
 from __future__ import annotations
@@ -35,7 +36,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .hv_models import TWO_PI, threshold_sign, wrap_angle
+from .hv_models import (
+    ALIGNED,
+    ANTI_ALIGNED,
+    DEFAULT_QUADRATURE_N,
+    TWO_PI,
+    ClockModel,
+    threshold_sign,
+    wrap_angle,
+)
 from .oracle import rt_coincidence_prob
 from .path_engine import DEGENERATE_R, Resultant
 
@@ -308,32 +317,38 @@ def degenerate_exact_scan(
     cfg_a: SideConfig,
     cfg_b: SideConfig,
     phase_grid,
-    n_grid: int = 10_000,
+    n_grid: int = DEFAULT_QUADRATURE_N,
 ) -> list[ScanRow]:
-    """Exact setting-pair table for single-path sides.
+    """Exact setting-pair table for single-path sides; rows report n = n_grid.
 
     With one jitter-free path per side the only randomness is the shared
-    transverse offset, which enters through the wrapped phase
-    k*(L + geometry_sign*dx0).  This scan integrates over that wrapped
-    phase uniform on [0, 2pi) (the rotation-invariant large-spread limit of
-    the Gaussian source), which is precisely the synchronized-clock model's
-    distribution: the table must match the clock model's exact tables.
+    transverse offset.  Side A's phase is delta_A + k_A*L_A + phi with
+    phi = k_A*g_A*dx0, taken uniform on the circle (the rotation-invariant
+    large-spread limit of the Gaussian source).  When k_B*g_B = s*k_A*g_A
+    with s = +/-1, side B's phase is delta_B + k_B*L_B + s*phi, which is the
+    synchronized-clock model with settings delta_A + k_A*L_A and
+    s*(delta_B + k_B*L_B), aligned for s = +1 and anti-aligned for s = -1;
+    the table is its closed form.  Any other ratio of the two couplings
+    does not reduce to the clock model and raises ValueError.
     """
     if not (is_degenerate(cfg_a) and is_degenerate(cfg_b)):
         raise ValueError("exact scan requires single-path, jitter-free sides")
+    if n_grid < 1:
+        raise ValueError("n_grid must be >= 1")
+    coupling_a = cfg_a.k_wave * cfg_a.geometry_sign
+    coupling_b = cfg_b.k_wave * cfg_b.geometry_sign
+    # written so that a NaN coupling fails the test too
+    if not (coupling_a != 0.0
+            and abs(abs(coupling_a) - abs(coupling_b)) <= 1e-12 * abs(coupling_a)):
+        raise ValueError(f"exact scan requires |k*geom_sign| equal and nonzero on both sides, "
+                         f"got {abs(coupling_a)!r} and {abs(coupling_b)!r}")
+    s = 1.0 if coupling_a * coupling_b > 0.0 else -1.0
+    clock = ClockModel(ALIGNED if s > 0.0 else ANTI_ALIGNED)
+    # only the settings' difference matters, so both path terms go to A's side
+    offset = cfg_a.k_wave * cfg_a.arm_lengths[0] - s * cfg_b.k_wave * cfg_b.arm_lengths[0]
     grid = [float(wrap_angle(d)) for d in phase_grid]
-    thetas = TWO_PI * np.arange(n_grid) / n_grid
-    # invert side A's phase map so its wrapped phase runs over the grid
-    dx0 = (thetas - cfg_a.k_wave * cfg_a.arm_lengths[0]) / (cfg_a.k_wave * cfg_a.geometry_sign)
-    base_a = cfg_a.k_wave * (cfg_a.arm_lengths[0] + cfg_a.geometry_sign * dx0)
-    base_b = cfg_b.k_wave * (cfg_b.arm_lengths[0] + cfg_b.geometry_sign * dx0)
-    rows = []
-    for da in grid:
-        out_a = threshold_sign(base_a + da)
-        for db in grid:
-            out_b = threshold_sign(base_b + db)
-            prod = (out_a.astype(np.int64) * out_b).sum()
-            agree = int((out_a == out_b).sum()) / n_grid
-            rows.append(ScanRow(da, db, prod / n_grid, 0.0, agree, 0.0,
-                                rt_coincidence_prob(da, db), n_grid))
-    return rows
+    da, db = (x.ravel() for x in np.meshgrid(grid, grid, indexing="ij"))
+    e = clock.exact_correlation(da + offset, s * db)
+    return [ScanRow(a, b, float(ei), 0.0, (1.0 + float(ei)) / 2.0, 0.0,
+                    rt_coincidence_prob(a, b), n_grid)
+            for a, b, ei in zip(da.tolist(), db.tolist(), e)]

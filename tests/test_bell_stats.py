@@ -66,11 +66,13 @@ def test_exact_mermin_equal_settings():
 
 
 def test_exact_clock_discrete_values():
+    # closed form; the grid size is only the reported n
     model = ClockModel(b_convention=ALIGNED)
     est = bs.exact_E(model, I0, I1)
-    assert abs(est.mean - (-1.0 / 3.0)) <= 6.0 / 10_000
+    assert abs(est.mean - (-1.0 / 3.0)) <= 2 * math.ulp(1.0 / 3.0)
+    assert est.n_trials == 10_000 and bs.exact_E(model, I0, I1, 600).n_trials == 600
     est_pi = bs.exact_E(model, Setting.angle(0.0), Setting.angle(math.pi))
-    assert abs(est_pi.mean - (-1.0)) <= 6.0 / 10_000
+    assert est_pi.mean == -1.0
 
 
 def test_mc_vs_exact_cross_check():
@@ -209,6 +211,18 @@ def test_clock_agreement_exact_values():
     assert abs(p_anti.value - 2.0 / 3.0) < 1e-10
     assert abs(p_aligned.value - 1.0 / 3.0) < 1e-10
     assert abs(p_anti.complement() - 1.0 / 3.0) < 1e-10
+
+
+def test_agreement_comes_from_the_product_tally():
+    # +/-1 outcomes: agreements = (n + sum of products) / 2, exactly
+    for model in (ClockModel(), ClockModel(ALIGNED), MerminModel.uniform()):
+        for n in (1, 2, 999):
+            e = bs.estimate_E(model, I0, I1, n, seed=5)
+            assert 2 * bs.agreement_prob(model, I0, I1, n, seed=5).count == n + e.sum_products
+    for model in (ClockModel(), ClockModel(ALIGNED)):
+        for a, b in ((I0, I1), (I2, I2), (Setting.angle(0.4), Setting.angle(5.9))):
+            e = bs.exact_E(model, a, b).mean
+            assert bs.exact_agreement_prob(model, a, b).value == (1.0 + e) / 2.0
 
 
 def test_clock_agreement_mc():

@@ -4,10 +4,13 @@ import re
 import subprocess
 import sys
 
+import itertools
+
+import numpy as np
 import pytest
 
-from bellpath import cli, harness
-from bellpath.hv_models import Setting
+from bellpath import bell_stats, cli, harness, rng
+from bellpath.hv_models import ALIGNED, ANTI_ALIGNED, ClockModel, MerminModel, Setting
 
 
 def run_cli(capsys, *argv):
@@ -86,12 +89,43 @@ def test_chsh_clock_exact(capsys):
 
 
 def test_csv_row_format(capsys):
-    # a grid divisible by 6 integrates the discrete settings exactly: E = -1/3
+    # the closed form 1 - 2d/pi at d = 2pi/3 in floating point (-1/3 to 1 ulp);
+    # --grid only names the reported n
     code, out = run_cli(capsys, "chsh", "--model", "clock", "--convention", "aligned",
                         "--exact", "--indices", "0,0,1,1", "--grid", "10002")
     assert code == 0
     assert out.splitlines()[:2] == ["setting_a,setting_b,mean,stderr,n,exact",
-                                    "i0,i1,-0.33333333333333331,0,10002,true"]
+                                    "i0,i1,-0.33333333333333326,0,10002,true"]
+
+
+def test_chsh_exact_clock_is_the_closed_form(capsys):
+    # E(1, 0) = -(1 - 2/pi) for the anti-aligned clock, to within 1 ulp
+    code, out = run_cli(capsys, "chsh", "--model", "clock", "--exact", "--angles", "0,1,0,1",
+                        "--format", "json")
+    assert code == 0
+    terms = json.loads(out)["terms"]
+    want = -(1.0 - 2.0 / math.pi)
+    for term in (terms[1], terms[3]):
+        assert abs(term["mean"] - want) <= math.ulp(want)
+        assert term["exact"] is True and term["stderr"] == 0 and term["n"] == 10_000
+    assert terms[0]["mean"] == terms[2]["mean"] == -1.0
+
+
+@pytest.mark.parametrize("model", [ClockModel(), ClockModel(ALIGNED), MerminModel.uniform(),
+                                   MerminModel.point_mass("RGG", ANTI_ALIGNED)],
+                         ids=["clock", "clock-aligned", "mermin", "mermin-RGG"])
+def test_chsh_scan_equals_the_largest_chsh(model):
+    # the array expression picks the same quadruple and |S| as max over chsh()
+    n_random, seed = 60, 17
+    quads = list(itertools.product([Setting.index(i) for i in range(3)], repeat=4))
+    if isinstance(model, ClockModel):
+        u = rng.uniforms_for_seeds(rng.trial_seeds(seed, n_random), 4) * (2.0 * np.pi)
+        quads += [tuple(Setting.angle(x) for x in row) for row in u]
+    want = max((bell_stats.chsh(model, *q, exact=True) for q in quads),
+               key=lambda r: abs(r.s_value))
+    got = cli._chsh_scan(model, n_random, seed)
+    assert abs(got.s_value) == abs(want.s_value)
+    assert got.settings == want.settings
 
 
 def test_chsh_verdict_uses_the_bell_check_tolerance(capsys):
@@ -183,6 +217,18 @@ def test_rt_exact_degenerate(capsys):
                         "--grid", "10002")
     assert code == 0
     assert len(out.strip().splitlines()) == 10
+
+
+def test_rt_exact_refuses_unequal_couplings(capsys):
+    # k_B*g_B = k_A*g_A/2: B's phase turns at half A's rate, so the table is
+    # not the clock model's (a Monte Carlo scan gives E ~ 0 at (0.3, 1.7),
+    # where the one-period grid of earlier versions printed 0.8914)
+    code = cli.main(["rt", "--arms", "1.0", "--k", "1.0", "--k-b", "0.5", "--exact",
+                     "--settings", "0.3,1.7"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "|k*geom_sign| equal" in captured.err
 
 
 def test_oracle_rt(capsys):

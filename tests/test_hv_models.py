@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bellpath import config
 from bellpath.hv_models import (
@@ -279,6 +281,42 @@ def test_quadrature_error_bound_random_settings():
         da, db = g.uniform(0, TWO_PI, 2)
         err = abs(quadrature_E_aligned(da, db, 10_000) - sawtooth_E(da - db))
         assert err <= 6.0 / 10_000
+
+
+# -- closed form vs the quadrature oracle ---------------------------------------------
+# Each of the four jumps of the integrand A*B shifts a left-point sum on N
+# points by less than 2/N, and the two rising jumps shift it against the two
+# falling ones, so the sum lies within 4/N of the closed form (README: 6/N).
+
+angles = st.floats(0.0, TWO_PI, exclude_max=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=angles, b=angles, convention=st.sampled_from((ALIGNED, ANTI_ALIGNED)),
+       n_grid=st.integers(1, 2000).map(lambda k: 6 * k))
+def test_closed_form_lies_within_6_over_n_of_quadrature(a, b, convention, n_grid):
+    model = ClockModel(b_convention=convention)
+    thetas, _ = enumerate_lambda(model, n_grid)
+    prod = model.outcomes_a(thetas, a) * model.outcomes_b(thetas, b)
+    quadrature = int(prod.astype(np.int64).sum()) / n_grid
+    closed = model.exact_correlation(Setting.angle(a), Setting.angle(b))
+    assert abs(closed - quadrature) <= 6.0 / n_grid
+    flip = 1.0 if convention == ALIGNED else -1.0
+    assert model.exact_correlation(a, a) == flip
+    opposite = a + math.pi if a < math.pi else a - math.pi
+    assert model.exact_correlation(a, opposite) == -flip
+
+
+def test_closed_form_is_elementwise():
+    model = ClockModel()
+    a = np.array([0.0, 1.0, 2.0, 6.0])
+    b = np.array([[3.0], [0.5]])
+    table = model.exact_correlation(a, b)
+    assert table.shape == (2, 4)
+    for i in range(2):
+        for j in range(4):
+            assert table[i, j] == model.exact_correlation(Setting.angle(a[j]),
+                                                          Setting.angle(b[i, 0]))
 
 
 # -- config files ----------------------------------------------------------------------

@@ -200,6 +200,40 @@ def test_degenerate_exact_scan_requires_single_path():
         itf.degenerate_exact_scan(cfg, cfg, [0.0])
 
 
+@pytest.mark.parametrize("sign_product", [1.0, -1.0])
+def test_exact_scan_matches_monte_carlo(sign_product):
+    # random single-path sides with |k_A*g_A| = |k_B*g_B|; a wide source
+    # spread makes the shared phase uniform, which the exact table assumes
+    g = np.random.default_rng(31 if sign_product > 0 else 32)
+    for _ in range(3):
+        k_a, g_a = g.uniform(0.5, 4.0), g.choice([-1.0, 1.0]) * g.uniform(0.3, 2.0)
+        k_b = g.uniform(0.5, 4.0)
+        g_b = sign_product * np.sign(g_a) * abs(k_a * g_a) / k_b
+        cfg_a = single_path_side(k=k_a, length=g.uniform(0.1, 3.0), g=g_a)
+        cfg_b = single_path_side(k=k_b, length=g.uniform(0.1, 3.0), g=g_b)
+        grid = list(g.uniform(0.0, TWO_PI, 3))
+        exact = itf.degenerate_exact_scan(cfg_a, cfg_b, grid, 600)
+        mc = itf.correlation_scan(cfg_a, cfg_b, grid, 40_000, seed=int(g.integers(1 << 40)),
+                                  spreads=itf.SourceSpreads(0.0, 200.0))
+        for e, m in zip(exact, mc):
+            assert (e.delta_a, e.delta_b) == (m.delta_a, m.delta_b)
+            assert abs(e.e_value - m.e_value) <= 5.0 * m.stderr
+            assert e.p_agree == (1.0 + e.e_value) / 2.0
+            assert (e.stderr, e.p_undetermined, e.n_trials) == (0.0, 0.0, 600)
+
+
+def test_exact_scan_requires_equal_couplings():
+    for g_b in (0.5, 0.0, 2.0, -3.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="equal and nonzero"):
+            itf.degenerate_exact_scan(single_path_side(), single_path_side(g=g_b), [0.0])
+    with pytest.raises(ValueError, match="equal and nonzero"):
+        itf.degenerate_exact_scan(single_path_side(g=0.0), single_path_side(g=0.0), [0.0])
+    with pytest.raises(ValueError, match="n_grid"):
+        itf.degenerate_exact_scan(single_path_side(), single_path_side(), [0.0], 0)
+    # equal up to rounding is accepted: k*g = 0.3*3 against 0.9
+    itf.degenerate_exact_scan(single_path_side(k=0.3, g=3.0), single_path_side(k=0.9), [0.0])
+
+
 def test_degenerate_trials_equal_clock_outcomes():
     # trial by trial: the single-path interferometer applies the clock rule
     # to theta0 = wrap(k*(L + g*dx0))
