@@ -26,10 +26,11 @@ schedule.
 
 from __future__ import annotations
 
+import functools
 import json
 import socket
+import time
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
 from pathlib import Path
 
 from . import rng
@@ -58,6 +59,10 @@ _SCHEMA_RECEIVED = {
 }
 
 
+# json.dumps builds a new encoder per call when given separators; one is enough
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+
 class WireError(ValueError):
     """Malformed or out-of-protocol message."""
 
@@ -73,7 +78,7 @@ class WireMessage:
     def to_line(self) -> str:
         obj = {"type": self.type, "v": self.v, "trial": self.trial,
                "wing": self.wing, "payload": self.payload}
-        return json.dumps(obj, separators=(",", ":"))
+        return _ENCODER.encode(obj)
 
     @staticmethod
     def from_line(line: str) -> "WireMessage":
@@ -98,6 +103,11 @@ class LogEntry:
     message: WireMessage
 
 
+@functools.lru_cache(maxsize=1)
+def _utc_second(second: int) -> str:
+    return time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime(second))
+
+
 @dataclass
 class RunLog:
     meta: dict
@@ -105,8 +115,12 @@ class RunLog:
     incomplete: bool = False
 
     def append(self, direction: str, message: WireMessage):
-        ts = datetime.now(timezone.utc).isoformat(timespec="microseconds")
-        self.entries.append(LogEntry(ts, direction, message))
+        # The text of datetime.now(timezone.utc).isoformat(timespec="microseconds"),
+        # microseconds truncated, with the date and time of day formatted once
+        # per second rather than once per message.
+        second, ns = divmod(time.time_ns(), 1_000_000_000)
+        stamp = f"{_utc_second(second)}.{ns // 1000:06d}+00:00"
+        self.entries.append(LogEntry(stamp, direction, message))
 
     def write(self, path):
         lines = [f"# {k}={v}" for k, v in self.meta.items()]

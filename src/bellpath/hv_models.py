@@ -68,12 +68,31 @@ def wrap_angle(theta):
     )
 
 
+def _scalar_sign(theta: float) -> int:
+    """``threshold_sign`` of one Python float, in plain float arithmetic.
+
+    Python's ``%`` on floats is the same IEEE operation as ``np.mod`` (fmod,
+    then a shift by the divisor when the signs differ), so with the same
+    snap band this gives the array rule's sign bit for bit.
+    """
+    w = theta % TWO_PI
+    if abs(w - TWO_PI) < BOUNDARY_SNAP:
+        w = 0.0
+    elif abs(w - math.pi) < BOUNDARY_SNAP:
+        w = math.pi
+    return 1 if w < math.pi else -1
+
+
 def threshold_sign(theta):
     """Detector rule: +1 for clock angles in [0, pi), -1 for [pi, 2pi).
 
     Angles exactly 0 or pi map to +1 and -1 respectively (half-open
-    intervals, fixed for determinism).  Works elementwise on arrays.
+    intervals, fixed for determinism).  Works elementwise on arrays; a
+    Python or numpy float scalar takes a plain-float path with the same
+    result, returned as ``np.int8`` like the array rule's scalars.
     """
+    if isinstance(theta, (float, np.floating)):
+        return np.int8(_scalar_sign(float(theta)))
     w = np.mod(np.asarray(theta, dtype=np.float64), TWO_PI)
     w = np.where(np.abs(w - TWO_PI) < BOUNDARY_SNAP, 0.0, w)
     w = np.where(np.abs(w - np.pi) < BOUNDARY_SNAP, np.pi, w)
@@ -163,8 +182,10 @@ ALL_INSTRUCTION_SETS = tuple(
     InstructionSet(c) for c in itertools.product((RED, GREEN), repeat=3)
 )
 
-# sign table: row k = signs of ALL_INSTRUCTION_SETS[k]
+# sign table: row k = signs of ALL_INSTRUCTION_SETS[k]; the tuple form serves
+# one-trial lookups without numpy
 _SIGN_TABLE = np.stack([s.signs for s in ALL_INSTRUCTION_SETS])
+_SIGN_ROWS = tuple(tuple(int(x) for x in row) for row in _SIGN_TABLE)
 
 
 def _check_convention(b_convention: str) -> str:
@@ -207,12 +228,11 @@ class LhvModel:
         raise NotImplementedError
 
     def outcome_a(self, lam, setting: Setting) -> int:
-        return int(self.outcomes_a(self._pack(lam), setting)[0])
+        """One trial of ``outcomes_a``, as a Python int."""
+        raise NotImplementedError
 
     def outcome_b(self, lam, setting: Setting) -> int:
-        return int(self.outcomes_b(self._pack(lam), setting)[0])
-
-    def _pack(self, lam) -> np.ndarray:
+        """One trial of ``outcomes_b``, as a Python int."""
         raise NotImplementedError
 
     # -- wire serialization ----------------------------------------------
@@ -245,7 +265,7 @@ class MerminModel(LhvModel):
         self.name = name
         self.b_convention = _check_convention(b_convention)
         self._cum = np.cumsum(probs)
-        self._b_flip = np.int8(-1 if self.b_convention == ANTI_ALIGNED else 1)
+        self._b_flip = -1 if self.b_convention == ANTI_ALIGNED else 1
 
     @staticmethod
     def uniform(b_convention: str = ALIGNED) -> "MerminModel":
@@ -271,13 +291,6 @@ class MerminModel(LhvModel):
     def instruction_set(self, lam) -> InstructionSet:
         return ALL_INSTRUCTION_SETS[int(lam)]
 
-    def _pack(self, lam) -> np.ndarray:
-        if isinstance(lam, InstructionSet):
-            lam = ALL_INSTRUCTION_SETS.index(lam)
-        elif isinstance(lam, str):
-            lam = ALL_INSTRUCTION_SETS.index(InstructionSet.from_text(lam))
-        return np.asarray([lam], dtype=np.int64)
-
     # outcomes --------------------------------------------------------------
     def _setting_indices(self, setting) -> np.ndarray:
         if isinstance(setting, Setting):
@@ -296,6 +309,23 @@ class MerminModel(LhvModel):
     def outcomes_b(self, lams, setting) -> np.ndarray:
         j = self._setting_indices(setting)
         return _SIGN_TABLE[np.asarray(lams, dtype=np.int64), j] * self._b_flip
+
+    def _scalar_outcome(self, lam, setting) -> int:
+        if isinstance(lam, InstructionSet):
+            lam = ALL_INSTRUCTION_SETS.index(lam)
+        elif isinstance(lam, str):
+            lam = ALL_INSTRUCTION_SETS.index(InstructionSet.from_text(lam))
+        if isinstance(setting, Setting) and setting.kind == "index":
+            j = setting.value
+        else:
+            j = int(self._setting_indices(setting))
+        return _SIGN_ROWS[int(lam)][j]
+
+    def outcome_a(self, lam, setting: Setting) -> int:
+        return self._scalar_outcome(lam, setting)
+
+    def outcome_b(self, lam, setting: Setting) -> int:
+        return self._scalar_outcome(lam, setting) * self._b_flip
 
     # wire -------------------------------------------------------------------
     def lambda_text(self, lam) -> str:
@@ -317,7 +347,7 @@ class ClockModel(LhvModel):
     def __init__(self, b_convention: str = ANTI_ALIGNED, name: str = "clock"):
         self.name = name
         self.b_convention = _check_convention(b_convention)
-        self._b_flip = np.int8(-1 if self.b_convention == ANTI_ALIGNED else 1)
+        self._b_flip = -1 if self.b_convention == ANTI_ALIGNED else 1
 
     def sample_lambdas(self, seed: int, n: int) -> np.ndarray:
         u = rng.uniforms_for_seeds(rng.trial_seeds(seed, n), 1)[:, 0]
@@ -343,9 +373,6 @@ class ClockModel(LhvModel):
         thetas = TWO_PI * np.arange(n_grid, dtype=np.float64) / n_grid
         return thetas, np.full(n_grid, 1.0 / n_grid)
 
-    def _pack(self, lam) -> np.ndarray:
-        return np.asarray([lam], dtype=np.float64)
-
     def _setting_angles(self, setting) -> np.ndarray:
         if isinstance(setting, Setting):
             return np.asarray(setting.radians)
@@ -358,6 +385,16 @@ class ClockModel(LhvModel):
     def outcomes_b(self, lams, setting) -> np.ndarray:
         delta = self._setting_angles(setting)
         return threshold_sign(np.asarray(lams, dtype=np.float64) + delta) * self._b_flip
+
+    def _scalar_outcome(self, lam, setting) -> int:
+        delta = setting.radians if isinstance(setting, Setting) else float(setting)
+        return _scalar_sign(float(lam) + delta)
+
+    def outcome_a(self, lam, setting: Setting) -> int:
+        return self._scalar_outcome(lam, setting)
+
+    def outcome_b(self, lam, setting: Setting) -> int:
+        return self._scalar_outcome(lam, setting) * self._b_flip
 
     # wire -------------------------------------------------------------------
     def lambda_text(self, lam) -> str:

@@ -11,16 +11,23 @@ the SplitMix64 finalizer once, and successive outputs are finalizer values of
 states stepped by the golden-ratio increment.  Everything is integer mixing
 plus IEEE-754 double arithmetic, so results are identical across platforms.
 Seed 0 is valid.
+
+``uniform`` is the scalar form of the stream: the first draw of one seed,
+computed in plain Python integers masked to 64 bits.  It gives the same bits
+as ``uniforms(seed, 1)[0]`` and costs a few operations instead of a numpy
+round-trip, which matters on the per-trial path of a wire run.
 """
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
-_MIX_A = np.uint64(0xBF58476D1CE4E5B9)
-_MIX_B = np.uint64(0x94D049BB133111EB)
-_U64 = np.uint64(0xFFFFFFFFFFFFFFFF)
+# SplitMix64 constants: Python ints for the scalar path, uint64 for arrays
+_GOLDEN_I, _MIX_A_I, _MIX_B_I = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+_GOLDEN, _MIX_A, _MIX_B = np.uint64(_GOLDEN_I), np.uint64(_MIX_A_I), np.uint64(_MIX_B_I)
+_MASK64 = (1 << 64) - 1
 
 # 2**-53: maps the top 53 bits of a u64 to [0, 1)
 _INV53 = float(np.ldexp(1.0, -53))
@@ -51,7 +58,7 @@ def u64_stream(seed: int, n: int) -> np.ndarray:
     if n < 0:
         raise ValueError("n must be >= 0")
     with np.errstate(over="ignore"):
-        state0 = mix64(np.uint64(seed % (1 << 64)))
+        state0 = mix64(np.uint64(operator.index(seed) & _MASK64))
         steps = (np.arange(1, n + 1, dtype=np.uint64)) * _GOLDEN
         return _finalize(state0 + steps)
 
@@ -61,8 +68,16 @@ def uniforms(seed: int, n: int) -> np.ndarray:
     return (u64_stream(seed, n) >> np.uint64(11)).astype(np.float64) * _INV53
 
 
+def _finalize_int(z: int) -> int:
+    z = ((z ^ (z >> 30)) * _MIX_A_I) & _MASK64
+    z = ((z ^ (z >> 27)) * _MIX_B_I) & _MASK64
+    return z ^ (z >> 31)
+
+
 def uniform(seed: int) -> float:
-    return float(uniforms(seed, 1)[0])
+    """The first uniform of the stream of ``seed``; equals ``uniforms(seed, 1)[0]``."""
+    state0 = _finalize_int((operator.index(seed) + _GOLDEN_I) & _MASK64)
+    return (_finalize_int((state0 + _GOLDEN_I) & _MASK64) >> 11) * _INV53
 
 
 def uniforms_for_seeds(seeds, n: int) -> np.ndarray:

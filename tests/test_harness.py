@@ -1,5 +1,7 @@
 import dataclasses
+import re
 import threading
+from datetime import datetime, timedelta, timezone
 
 import pytest
 
@@ -38,6 +40,60 @@ def test_wire_message_round_trip():
     msg = harness.WireMessage("lambda", 3, "A", {"lambda": "0.25"})
     back = harness.WireMessage.from_line(msg.to_line())
     assert back == msg
+
+
+# the wire bytes of each message type, pinned: logs and wings of other
+# versions must read them unchanged
+_GOLDEN_LINES = [
+    (harness.WireMessage("hello", 0, "A", {"role": "source", "model": "clock",
+                                           "b_convention": "anti_aligned", "n_trials": 3}),
+     '{"type":"hello","v":1,"trial":0,"wing":"A","payload":{"role":"source","model":"clock",'
+     '"b_convention":"anti_aligned","n_trials":3}}'),
+    (harness.WireMessage("hello", 0, "B", {"role": "wing"}),
+     '{"type":"hello","v":1,"trial":0,"wing":"B","payload":{"role":"wing"}}'),
+    (harness.WireMessage("lambda", 41, "B", {"lambda": "4.1215426508012845"}),
+     '{"type":"lambda","v":1,"trial":41,"wing":"B","payload":{"lambda":"4.1215426508012845"}}'),
+    (harness.WireMessage("outcome", 41, "A", {"sign": -1, "setting": "a0.5"}),
+     '{"type":"outcome","v":1,"trial":41,"wing":"A","payload":{"sign":-1,"setting":"a0.5"}}'),
+    (harness.WireMessage("done", 1000, "A", {}),
+     '{"type":"done","v":1,"trial":1000,"wing":"A","payload":{}}'),
+    (harness.WireMessage("error", 7, "B", {"message": "bad \"λ\" payload"}),
+     '{"type":"error","v":1,"trial":7,"wing":"B","payload":{"message":"bad \\"\\u03bb\\" payload"}}'),
+]
+
+
+@pytest.mark.parametrize("msg,line", _GOLDEN_LINES, ids=[m.type for m, _ in _GOLDEN_LINES])
+def test_wire_lines_are_pinned(msg, line):
+    assert msg.to_line() == line
+    assert harness.WireMessage.from_line(line) == msg
+
+
+_STAMP = re.compile(r"^\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\.\d{6}\+00:00$")
+
+
+def test_log_stamps_are_utc_microseconds_and_never_decrease():
+    before = datetime.now(timezone.utc)
+    log = harness.simulate_run(ClockModel(), harness.RandomPolicy([I0, I1], 5),
+                               harness.RandomPolicy([I1, I2], 6), 300, seed=3)
+    after = datetime.now(timezone.utc)
+    stamps = [e.timestamp for e in log.entries]
+    assert all(_STAMP.match(s) for s in stamps)
+    parsed = [datetime.fromisoformat(s) for s in stamps]
+    assert all(p.utcoffset() == timedelta(0) for p in parsed)
+    assert parsed == sorted(parsed)
+    assert before <= parsed[0] and parsed[-1] <= after
+
+
+@pytest.mark.parametrize("ns,stamp", [
+    (0, "1970-01-01T00:00:00.000000+00:00"),
+    (1_700_000_000_999_999_999, "2023-11-14T22:13:20.999999+00:00"),
+    (1_700_000_001_000_000_000, "2023-11-14T22:13:21.000000+00:00"),
+])
+def test_log_stamp_text_is_pinned(monkeypatch, ns, stamp):
+    monkeypatch.setattr(harness.time, "time_ns", lambda: ns)
+    log = harness.RunLog({})
+    log.append(">", harness.WireMessage("done", 0, "A", {}))
+    assert log.entries[0].timestamp == stamp
 
 
 def test_wire_message_rejects_bad_shapes():

@@ -11,6 +11,7 @@ from bellpath.hv_models import (
     ALIGNED,
     ALL_INSTRUCTION_SETS,
     ANTI_ALIGNED,
+    BOUNDARY_SNAP,
     ClockModel,
     InstructionSet,
     MerminModel,
@@ -90,6 +91,28 @@ def test_threshold_examples():
     # values a rounding error away from a boundary snap onto it
     assert threshold_sign(TWO_PI - 1e-15) == 1
     assert threshold_sign(math.pi - 1e-15) == -1
+
+
+# angles anywhere, and in and around the snap bands at 0, pi and 2pi
+_ANGLES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.builds(lambda c, k: c + k * BOUNDARY_SNAP,
+              st.sampled_from([0.0, math.pi, TWO_PI, -math.pi, 4 * math.pi]),
+              st.floats(min_value=-3.0, max_value=3.0)),
+    st.builds(lambda c, n: c + n * 2.0 ** -50,
+              st.sampled_from([0.0, math.pi, TWO_PI]), st.integers(-64, 64)),
+    st.sampled_from([-0.0, -1e-300, 1e-300, -5e-324, 1e300, -1e300, 1.7e308]),
+)
+
+
+@settings(max_examples=2000, deadline=None)
+@given(_ANGLES)
+def test_scalar_threshold_equals_array_rule(theta):
+    want = threshold_sign(np.array([theta]))[0]
+    for scalar in (theta, np.float64(theta)):
+        got = threshold_sign(scalar)
+        assert type(got) is np.int8
+        assert got == want
 
 
 # -- instruction sets -----------------------------------------------------------
@@ -184,7 +207,7 @@ def test_clock_outcome_examples():
 
 def test_mermin_outcome_examples():
     model = MerminModel.uniform()
-    lam = model._pack("RRG")[0]
+    lam = model.lambda_from_text("RRG")
     assert outcome_A(model, lam, Setting.index(2)) == -1  # G -> -1
     assert outcome_B(model, lam, Setting.index(0)) == 1  # R -> +1, aligned default
 
@@ -194,6 +217,27 @@ def test_b_convention():
     aligned = ClockModel(b_convention=ALIGNED)
     assert outcome_B(anti, math.pi / 2, Setting.index(0)) == -1
     assert outcome_B(aligned, math.pi / 2, Setting.index(0)) == 1
+
+
+_MODELS = (ClockModel(), ClockModel(ALIGNED), MerminModel.uniform(),
+           MerminModel.uniform(ANTI_ALIGNED))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_MODELS), st.integers(0, 1 << 40), st.integers(0, 2), _ANGLES)
+def test_scalar_outcomes_equal_array_outcomes(model, seed, index, angle):
+    settings_ = [Setting.index(index)]
+    lams = list(model.sample_lambdas(seed, 3))
+    if model.lambda_kind == "circle":
+        settings_.append(Setting.angle(angle % TWO_PI))
+        lams.append(angle)  # phases outside [0, 2pi) and at the band edges too
+    for setting in settings_:
+        want_a = model.outcomes_a(np.asarray(lams), setting)
+        want_b = model.outcomes_b(np.asarray(lams), setting)
+        for k, lam in enumerate(lams):
+            got_a, got_b = model.outcome_a(lam, setting), model.outcome_b(lam, setting)
+            assert type(got_a) is int and type(got_b) is int
+            assert (got_a, got_b) == (want_a[k], want_b[k])
 
 
 def test_setting_kind_mismatch_is_an_error():

@@ -1,4 +1,7 @@
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bellpath import rng
 
@@ -54,3 +57,27 @@ def test_normals_rows_are_independent_streams():
 
 def test_negative_and_huge_seeds_wrap():
     assert rng.uniform(-1) == rng.uniform((1 << 64) - 1)
+
+
+# -- scalar form of the stream ---------------------------------------------------
+
+_SEEDS = st.one_of(
+    st.integers(min_value=-(1 << 80), max_value=1 << 80),
+    st.integers(min_value=-(1 << 63), max_value=(1 << 63) - 1).map(np.int64),
+    st.integers(min_value=0, max_value=(1 << 64) - 1).map(np.uint64),
+    st.sampled_from([0, -1, (1 << 64) - 3, (1 << 64) - 1, 1 << 64, -(1 << 64)]),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_SEEDS)
+def test_scalar_uniform_is_the_first_draw_of_the_stream(seed):
+    assert rng.uniform(seed).hex() == float(rng.uniforms(seed, 1)[0]).hex()
+
+
+def test_float_seeds_are_refused():
+    for seed in (1.0, np.float64(2.0)):
+        with pytest.raises(TypeError):
+            rng.uniform(seed)
+        with pytest.raises(TypeError):
+            rng.uniforms(seed, 3)
