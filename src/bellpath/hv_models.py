@@ -87,12 +87,8 @@ def threshold_sign(theta):
     """Detector rule: +1 for clock angles in [0, pi), -1 for [pi, 2pi).
 
     Angles exactly 0 or pi map to +1 and -1 respectively (half-open
-    intervals, fixed for determinism).  Works elementwise on arrays; a
-    Python or numpy float scalar takes a plain-float path with the same
-    result, returned as ``np.int8`` like the array rule's scalars.
+    intervals, fixed for determinism).  Works elementwise on arrays.
     """
-    if isinstance(theta, (float, np.floating)):
-        return np.int8(_scalar_sign(float(theta)))
     w = np.mod(np.asarray(theta, dtype=np.float64), TWO_PI)
     w = np.where(np.abs(w - TWO_PI) < BOUNDARY_SNAP, 0.0, w)
     w = np.where(np.abs(w - np.pi) < BOUNDARY_SNAP, np.pi, w)
@@ -311,15 +307,7 @@ class MerminModel(LhvModel):
         return _SIGN_TABLE[np.asarray(lams, dtype=np.int64), j] * self._b_flip
 
     def _scalar_outcome(self, lam, setting) -> int:
-        if isinstance(lam, InstructionSet):
-            lam = ALL_INSTRUCTION_SETS.index(lam)
-        elif isinstance(lam, str):
-            lam = ALL_INSTRUCTION_SETS.index(InstructionSet.from_text(lam))
-        if isinstance(setting, Setting) and setting.kind == "index":
-            j = setting.value
-        else:
-            j = int(self._setting_indices(setting))
-        return _SIGN_ROWS[int(lam)][j]
+        return _SIGN_ROWS[int(lam)][int(self._setting_indices(setting))]
 
     def outcome_a(self, lam, setting: Setting) -> int:
         return self._scalar_outcome(lam, setting)
@@ -386,9 +374,8 @@ class ClockModel(LhvModel):
         delta = self._setting_angles(setting)
         return threshold_sign(np.asarray(lams, dtype=np.float64) + delta) * self._b_flip
 
-    def _scalar_outcome(self, lam, setting) -> int:
-        delta = setting.radians if isinstance(setting, Setting) else float(setting)
-        return _scalar_sign(float(lam) + delta)
+    def _scalar_outcome(self, lam, setting: Setting) -> int:
+        return _scalar_sign(float(lam) + setting.radians)
 
     def outcome_a(self, lam, setting: Setting) -> int:
         return self._scalar_outcome(lam, setting)

@@ -179,7 +179,7 @@ def detector_outcome(sr) -> int:
     res = sr.resultant if isinstance(sr, SideResultant) else sr
     if res.degenerate:
         return UNDETERMINED
-    return int(threshold_sign(float(res.theta)))  # float: threshold_sign's scalar branch
+    return int(threshold_sign(res.theta))
 
 
 def _phasor_parts(cfg: SideConfig, side: str, dx0: np.ndarray, seed: int, n: int):

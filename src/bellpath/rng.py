@@ -58,7 +58,7 @@ def u64_stream(seed: int, n: int) -> np.ndarray:
     if n < 0:
         raise ValueError("n must be >= 0")
     with np.errstate(over="ignore"):
-        state0 = mix64(np.uint64(operator.index(seed) & _MASK64))
+        state0 = mix64(np.uint64(seed % (1 << 64)))
         steps = (np.arange(1, n + 1, dtype=np.uint64)) * _GOLDEN
         return _finalize(state0 + steps)
 

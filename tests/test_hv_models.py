@@ -17,6 +17,7 @@ from bellpath.hv_models import (
     MerminModel,
     Setting,
     TWO_PI,
+    _scalar_sign,
     enumerate_lambda,
     outcome_A,
     outcome_B,
@@ -108,11 +109,9 @@ _ANGLES = st.one_of(
 @settings(max_examples=2000, deadline=None)
 @given(_ANGLES)
 def test_scalar_threshold_equals_array_rule(theta):
-    want = threshold_sign(np.array([theta]))[0]
-    for scalar in (theta, np.float64(theta)):
-        got = threshold_sign(scalar)
-        assert type(got) is np.int8
-        assert got == want
+    got = _scalar_sign(theta)
+    assert type(got) is int
+    assert got == threshold_sign(np.array([theta]))[0]
 
 
 # -- instruction sets -----------------------------------------------------------
