@@ -91,25 +91,43 @@ def harmonic(omega: float) -> Potential:
 
 @dataclass(frozen=True)
 class PathSample:
-    """A discrete path: N+1 positions over total duration t_total."""
+    """A discrete path: N+1 positions over total duration t_total.
+
+    The constructor checks its input and keeps a private read-only copy of
+    the positions, so later writes to the caller's array (or to the array a
+    view of it shares memory with) never reach the path.  sample_paths hands
+    out read-only row views of one matrix that it has checked as a whole.
+    """
 
     positions: np.ndarray
     t_total: float
 
     def __post_init__(self):
-        pos = np.asarray(self.positions, dtype=np.float64)
+        pos = np.array(self.positions, dtype=np.float64)
         if pos.ndim != 1 or pos.size < 2:
             raise ValueError("a path needs at least two positions")
         if not np.all(np.isfinite(pos)):
             raise ValueError("path positions must be finite")
-        if self.t_total <= 0:
-            raise ValueError("t_total must be positive")
+        _require_positive("t_total", self.t_total)
         pos.flags.writeable = False
         object.__setattr__(self, "positions", pos)
+
+    @classmethod
+    def _checked_row(cls, row: np.ndarray, t_total: float) -> "PathSample":
+        """Wrap a read-only row whose matrix and t_total are already checked."""
+        path = object.__new__(cls)
+        object.__setattr__(path, "positions", row)
+        object.__setattr__(path, "t_total", t_total)
+        return path
 
     @property
     def n_segments(self) -> int:
         return self.positions.size - 1
+
+
+def _require_positive(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
 @dataclass(frozen=True)
@@ -165,14 +183,30 @@ class PropagatorResult:
 
 
 def discrete_action(path: PathSample, potential: Potential = FREE, mass: float = 1.0) -> float:
-    """Midpoint-rule action: sum of [m/2 * v_k^2 - V(midpoint_k)] * dt."""
+    """Midpoint-rule action: sum of [m/2 * v_k^2 - V(midpoint_k)] * dt.
+
+    Each term is (0.5*m)*((b - a)/dt)^2 - c*(0.5*(a + b))^2, times dt, over
+    adjacent positions a, b, summed pairwise by numpy; c = V(1) is taken
+    once from Potential.energy (V is c*x^2, as _slice_operator uses it).
+    This is the unchanged midpoint rule, operation for operation, with the
+    arithmetic done in place on two short arrays.
+    """
     x = path.positions
-    n = path.n_segments
-    dt = path.t_total / n
-    dx = np.diff(x)
-    mid = 0.5 * (x[:-1] + x[1:])
-    kinetic = 0.5 * mass * (dx / dt) ** 2
-    return float(np.sum((kinetic - potential.energy(mid, mass)) * dt))
+    dt = path.t_total / path.n_segments
+    c = float(potential.energy(1.0, mass))
+    a, b = x[:-1], x[1:]
+    terms = b - a
+    terms /= dt
+    terms *= terms
+    terms *= 0.5 * mass
+    if c:  # a free path subtracts nothing (c*mid^2 could be 0*inf)
+        mid = a + b
+        mid *= 0.5
+        mid *= mid
+        mid *= c
+        terms -= mid
+    terms *= dt
+    return float(terms.sum())
 
 
 def _slice_kernel(spec: PropagatorSpec, tau: complex, xp, xq):
@@ -322,11 +356,18 @@ def sample_paths(
     Path i is a pure function of seed + i.  Increments have variance dt,
     the bridge is pinned to zero at both ends, and jitter_scale multiplies
     the whole bridge, so positions[0] == u and positions[-1] == v exactly.
+    The inputs and the finiteness of the whole (n_paths, n_slices + 1)
+    matrix are checked once; the matrix is then made read-only and each
+    path is a view of one of its rows.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
     if n_slices < 1:
         raise ValueError("n_slices must be >= 1")
+    _require_positive("t", t)
+    for name, value in (("u", u), ("v", v), ("jitter_scale", jitter_scale)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     dt = t / n_slices
     base = np.linspace(u, v, n_slices + 1)
     z = rng.normals_for_seeds(rng.trial_seeds(seed, n_paths), n_slices)
@@ -336,4 +377,7 @@ def sample_paths(
     paths = np.repeat(base[None, :], n_paths, axis=0)
     paths[:, 1:] += jitter_scale * bridge
     paths[:, -1] = v  # bridge end is 0 by construction; pin exactly anyway
-    return [PathSample(row, t) for row in paths]
+    if not np.isfinite(paths).all():
+        raise ValueError("path positions must be finite")
+    paths.flags.writeable = False
+    return [PathSample._checked_row(row, t) for row in paths]

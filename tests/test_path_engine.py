@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bellpath import path_engine as pe
+from bellpath import rng
 
 TWO_PI = 2.0 * math.pi
 
@@ -313,3 +314,95 @@ def test_straight_line_minimizes_free_action():
     actions = np.array([pe.discrete_action(p) for p in paths])
     assert actions.min() >= straight - 1e-9
     assert actions.mean() > straight
+
+
+# -- batch sampling and the lean action against the per-row reference ---------------
+
+
+def reference_paths(u, v, t, n_slices, n_paths, jitter_scale, seed):
+    """The per-row construction that sample_paths replaces, kept as a reference."""
+    dt = t / n_slices
+    base = np.linspace(u, v, n_slices + 1)
+    z = rng.normals_for_seeds(rng.trial_seeds(seed, n_paths), n_slices)
+    walk = np.cumsum(z * math.sqrt(dt), axis=1)
+    frac = np.arange(1, n_slices + 1) / n_slices
+    bridge = walk - frac[None, :] * walk[:, -1:]
+    paths = np.repeat(base[None, :], n_paths, axis=0)
+    paths[:, 1:] += jitter_scale * bridge
+    paths[:, -1] = v
+    rows = []
+    for row in paths:
+        pos = np.asarray(row, dtype=np.float64)
+        assert pos.ndim == 1 and pos.size >= 2 and np.all(np.isfinite(pos)) and t > 0
+        rows.append(pos)
+    return rows
+
+
+def reference_action(x, t_total, potential, mass):
+    """The np.diff/np.sum midpoint rule that discrete_action replaces."""
+    dt = t_total / (x.size - 1)
+    dx = np.diff(x)
+    mid = 0.5 * (x[:-1] + x[1:])
+    kinetic = 0.5 * mass * (dx / dt) ** 2
+    return float(np.sum((kinetic - potential.energy(mid, mass)) * dt))
+
+
+@settings(max_examples=200, deadline=None)
+@given(u=st.floats(-5.0, 5.0), v=st.floats(-5.0, 5.0), t=st.floats(0.01, 10.0),
+       n_slices=st.integers(1, 64), n_paths=st.integers(1, 50), jitter=st.floats(0.0, 3.0),
+       seed=st.one_of(st.sampled_from([0, -1, 2**64 - 3]), st.integers(-2**70, 2**70)),
+       potential=st.one_of(st.just(pe.FREE), st.floats(0.01, 10.0).map(pe.harmonic)),
+       mass=st.floats(0.05, 20.0))
+def test_batch_paths_and_actions_are_bit_identical_to_the_per_row_rule(
+        u, v, t, n_slices, n_paths, jitter, seed, potential, mass):
+    paths = pe.sample_paths(u, v, t, n_slices, n_paths, jitter, seed)
+    want = reference_paths(u, v, t, n_slices, n_paths, jitter, seed)
+    assert len(paths) == n_paths
+    for path, ref in zip(paths, want):
+        assert path.t_total == t
+        assert not path.positions.flags.writeable
+        assert np.array_equal(path.positions, ref)
+        assert pe.discrete_action(path, potential, mass) == reference_action(ref, t, potential, mass)
+
+
+def test_rows_cannot_be_made_writeable():
+    path = pe.sample_paths(0.0, 1.0, 1.0, 4, 3, 0.5, seed=2)[1]
+    with pytest.raises(ValueError):
+        path.positions[1] = 0.0
+    with pytest.raises(ValueError):
+        path.positions.flags.writeable = True
+
+
+def test_path_sample_copies_the_callers_array():
+    base = np.array([0.0, 0.5, 1.0, 1.5])
+    path = pe.PathSample(base[:3], 1.0)
+    action = pe.discrete_action(path)
+    base[1] = 0.9
+    assert base.flags.writeable
+    assert path.positions[1] == 0.5
+    assert not path.positions.flags.writeable
+    assert pe.discrete_action(path) == action
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [-1.0, 0.0, math.nan, math.inf])
+def test_sample_paths_needs_a_finite_positive_t(bad):
+    with pytest.raises(ValueError, match=r"^t must be finite and positive"):
+        pe.sample_paths(0.0, 1.0, bad, 4, 2, 0.5, seed=1)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", ["u", "v", "jitter_scale"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_sample_paths_names_a_non_finite_input(name, bad):
+    args = {"u": 0.0, "v": 1.0, "t": 1.0, "n_slices": 4, "n_paths": 2, "jitter_scale": 0.5,
+            "seed": 1, name: bad}
+    with pytest.raises(ValueError, match=rf"^{name} must be finite"):
+        pe.sample_paths(**args)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [-2.0, math.nan, math.inf])
+def test_path_sample_needs_a_finite_positive_duration(bad):
+    with pytest.raises(ValueError, match=r"^t_total must be finite and positive"):
+        pe.PathSample([0.0, 1.0], bad)
