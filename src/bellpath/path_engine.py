@@ -39,6 +39,7 @@ the analytic free propagator to machine precision.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,8 +74,8 @@ class Potential:
     def __post_init__(self):
         if self.kind not in ("free", "harmonic"):
             raise ValueError(f"unknown potential {self.kind!r}")
-        if self.kind == "harmonic" and self.omega <= 0:
-            raise ValueError("harmonic potential needs omega > 0")
+        if self.kind == "harmonic" and not (math.isfinite(self.omega) and self.omega > 0):
+            raise ValueError(f"harmonic potential needs a finite omega > 0, got {self.omega}")
 
     def energy(self, x, mass: float):
         if self.kind == "free":
@@ -89,18 +90,48 @@ def harmonic(omega: float) -> Potential:
     return Potential("harmonic", omega)
 
 
-@dataclass(frozen=True)
+class _PathBatch:
+    """A checked, read-only (n_paths, N + 1) position matrix and its last action table.
+
+    actions(potential, mass) computes the midpoint action of every row in one
+    array pass and keeps that table for the last (potential, mass) key only,
+    so a batch holds at most one list of n_paths floats.
+    """
+
+    __slots__ = ("positions", "t_total", "_key", "_table")
+
+    def __init__(self, positions: np.ndarray, t_total: float):
+        self.positions = positions
+        self.t_total = t_total
+        self._key = None
+        self._table = None
+
+    def actions(self, potential: Potential, mass: float) -> list[float]:
+        key = (potential, mass)
+        if key != self._key:
+            self._table = _action_table(self.positions, self.t_total, potential, mass)
+            self._key = key
+        return self._table
+
+
+@dataclass(frozen=True, slots=True)
 class PathSample:
     """A discrete path: N+1 positions over total duration t_total.
 
     The constructor checks its input and keeps a private read-only copy of
     the positions, so later writes to the caller's array (or to the array a
-    view of it shares memory with) never reach the path.  sample_paths hands
-    out read-only row views of one matrix that it has checked as a whole.
+    view of it shares memory with) never reach the path; such a path is a
+    one-row batch of its own.  sample_paths hands out read-only row views of
+    one matrix that it has checked as a whole, all sharing that batch, so
+    discrete_action serves every row from one action table.  Two paths are
+    equal when their t_total and positions are equal, whatever batch they
+    come from.
     """
 
     positions: np.ndarray
     t_total: float
+    _batch: _PathBatch = field(init=False, repr=False, compare=False)
+    _row: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pos = np.array(self.positions, dtype=np.float64)
@@ -111,14 +142,40 @@ class PathSample:
         _require_positive("t_total", self.t_total)
         pos.flags.writeable = False
         object.__setattr__(self, "positions", pos)
+        object.__setattr__(self, "_batch", _PathBatch(pos[None, :], self.t_total))
+        object.__setattr__(self, "_row", 0)
 
     @classmethod
-    def _checked_row(cls, row: np.ndarray, t_total: float) -> "PathSample":
-        """Wrap a read-only row whose matrix and t_total are already checked."""
-        path = object.__new__(cls)
-        object.__setattr__(path, "positions", row)
-        object.__setattr__(path, "t_total", t_total)
-        return path
+    def _rows(cls, batch: _PathBatch) -> list["PathSample"]:
+        """One path per row of a batch whose matrix and t_total are already checked.
+
+        The fields are set through their slot descriptors, which skip the
+        frozen __setattr__ as object.__setattr__ does, at half its cost.
+        """
+        set_pos, set_t, set_batch, set_row = (
+            vars(cls)[name].__set__ for name in ("positions", "t_total", "_batch", "_row"))
+        new, t_total, paths = object.__new__, batch.t_total, []
+        for row, pos in enumerate(batch.positions):
+            path = new(cls)
+            set_pos(path, pos)
+            set_t(path, t_total)
+            set_batch(path, batch)
+            set_row(path, row)
+            paths.append(path)
+        return paths
+
+    def __eq__(self, other):
+        if not isinstance(other, PathSample):
+            return NotImplemented
+        return self.t_total == other.t_total and np.array_equal(self.positions, other.positions)
+
+    def __hash__(self):
+        # tolist(): -0.0 and 0.0 compare equal, so they must hash equal too
+        return hash((self.t_total, tuple(self.positions.tolist())))
+
+    def __reduce__(self):
+        # a pickled path carries its own positions, not the batch it came from
+        return PathSample, (self.positions, self.t_total)
 
     @property
     def n_segments(self) -> int:
@@ -185,28 +242,49 @@ class PropagatorResult:
 def discrete_action(path: PathSample, potential: Potential = FREE, mass: float = 1.0) -> float:
     """Midpoint-rule action: sum of [m/2 * v_k^2 - V(midpoint_k)] * dt.
 
-    Each term is (0.5*m)*((b - a)/dt)^2 - c*(0.5*(a + b))^2, times dt, over
-    adjacent positions a, b, summed pairwise by numpy; c = V(1) is taken
-    once from Potential.energy (V is c*x^2, as _slice_operator uses it).
-    This is the unchanged midpoint rule, operation for operation, with the
-    arithmetic done in place on two short arrays.
+    The value is looked up in the action table of the path's batch (see
+    _action_table), built on the first call for a (potential, mass) key and
+    rebuilt when the key changes; only the last table is kept.  Each entry is
+    bit-identical to the same rule applied to the path alone.  mass must be
+    finite and positive (ValueError otherwise).  An action that overflows is
+    returned as the rule gives it (inf or nan) with a RuntimeWarning for that
+    path alone, as when each path was computed on its own.
     """
-    x = path.positions
-    dt = path.t_total / path.n_segments
+    action = path._batch.actions(potential, mass)[path._row]
+    if not math.isfinite(action):
+        warnings.warn(f"discrete_action is not finite: {action}", RuntimeWarning, stacklevel=2)
+    return action
+
+
+def _action_table(x: np.ndarray, t_total: float, potential: Potential, mass: float) -> list[float]:
+    """Midpoint actions of every row of the (n_paths, N + 1) matrix x.
+
+    Each term is (0.5*m)*((b - a)/dt)^2 - c*(0.5*(a + b))^2, times dt, over
+    adjacent positions a, b, and each row is summed pairwise by numpy; c = V(1)
+    is taken once from Potential.energy (V is c*x^2, as _slice_operator uses
+    it).  The arithmetic runs in place on whole-matrix arrays, element by
+    element in the same order as on a single row, and numpy sums each
+    contiguous row as it sums a lone one, so every entry equals the rule
+    applied to that row alone.
+    """
+    _require_positive("mass", mass)
+    dt = t_total / (x.shape[1] - 1)
     c = float(potential.energy(1.0, mass))
-    a, b = x[:-1], x[1:]
-    terms = b - a
-    terms /= dt
-    terms *= terms
-    terms *= 0.5 * mass
-    if c:  # a free path subtracts nothing (c*mid^2 could be 0*inf)
-        mid = a + b
-        mid *= 0.5
-        mid *= mid
-        mid *= c
-        terms -= mid
-    terms *= dt
-    return float(terms.sum())
+    a, b = x[:, :-1], x[:, 1:]
+    # one row's overflow must not warn for the others: discrete_action warns per path
+    with np.errstate(all="ignore"):
+        terms = b - a
+        terms /= dt
+        terms *= terms
+        terms *= 0.5 * mass
+        if c:  # a free path subtracts nothing (c*mid^2 could be 0*inf)
+            mid = a + b
+            mid *= 0.5
+            mid *= mid
+            mid *= c
+            terms -= mid
+        terms *= dt
+        return terms.sum(axis=1).tolist()
 
 
 def _slice_kernel(spec: PropagatorSpec, tau: complex, xp, xq):
@@ -357,8 +435,11 @@ def sample_paths(
     the bridge is pinned to zero at both ends, and jitter_scale multiplies
     the whole bridge, so positions[0] == u and positions[-1] == v exactly.
     The inputs and the finiteness of the whole (n_paths, n_slices + 1)
-    matrix are checked once; the matrix is then made read-only and each
-    path is a view of one of its rows.
+    matrix are checked once; finite inputs whose arithmetic overflows end
+    at that check with "path positions must be finite", not in a numpy
+    warning.  The matrix is then made read-only and each path is a view of
+    one of its rows; the paths share one batch, so discrete_action computes
+    the actions of all of them in one array pass per (potential, mass).
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
@@ -369,15 +450,18 @@ def sample_paths(
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
     dt = t / n_slices
-    base = np.linspace(u, v, n_slices + 1)
     z = rng.normals_for_seeds(rng.trial_seeds(seed, n_paths), n_slices)
-    walk = np.cumsum(z * math.sqrt(dt), axis=1)
-    frac = np.arange(1, n_slices + 1) / n_slices
-    bridge = walk - frac[None, :] * walk[:, -1:]
-    paths = np.repeat(base[None, :], n_paths, axis=0)
-    paths[:, 1:] += jitter_scale * bridge
-    paths[:, -1] = v  # bridge end is 0 by construction; pin exactly anyway
+    with np.errstate(over="ignore", invalid="ignore"):
+        base = np.linspace(u, v, n_slices + 1)
+        z *= math.sqrt(dt)
+        bridge = np.cumsum(z, axis=1, out=z)
+        frac = np.arange(1, n_slices + 1) / n_slices
+        bridge -= frac[None, :] * bridge[:, -1:]
+        bridge *= jitter_scale
+        paths = np.repeat(base[None, :], n_paths, axis=0)
+        paths[:, 1:] += bridge
+        paths[:, -1] = v  # bridge end is 0 by construction; pin exactly anyway
     if not np.isfinite(paths).all():
         raise ValueError("path positions must be finite")
     paths.flags.writeable = False
-    return [PathSample._checked_row(row, t) for row in paths]
+    return PathSample._rows(_PathBatch(paths, t))

@@ -458,3 +458,11 @@ def test_single_trial_merge_row_has_empty_stderr(clock_cfg, simulated_source, ca
     assert code == 0
     setting_a, setting_b, mean, stderr, n, exact, p_agree = out.splitlines()[1].split(",")
     assert (setting_a, setting_b, stderr, n, exact) == ("i0", "i1", "", "1", "false")
+
+
+@pytest.mark.parametrize("omega", ["nan", "inf"])
+def test_propagate_refuses_a_non_finite_omega(capsys, omega):
+    assert cli.main(["propagate", "--kind", "harmonic", "--omega", omega]) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "harmonic potential needs a finite omega > 0" in captured.err

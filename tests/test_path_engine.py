@@ -1,4 +1,6 @@
 import math
+import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -406,3 +408,121 @@ def test_sample_paths_names_a_non_finite_input(name, bad):
 def test_path_sample_needs_a_finite_positive_duration(bad):
     with pytest.raises(ValueError, match=r"^t_total must be finite and positive"):
         pe.PathSample([0.0, 1.0], bad)
+
+
+# -- one action table per batch --------------------------------------------------------
+
+
+@settings(max_examples=100, deadline=None)
+@given(u=st.floats(-5.0, 5.0), v=st.floats(-5.0, 5.0), t=st.floats(0.01, 10.0),
+       n_slices=st.one_of(st.integers(1, 70), st.integers(120, 300)),
+       n_paths=st.integers(1, 20), jitter=st.floats(0.0, 3.0), seed=st.integers(-2**70, 2**70),
+       keys=st.lists(st.tuples(st.one_of(st.just(pe.FREE),
+                                         st.floats(0.01, 10.0).map(pe.harmonic)),
+                               st.floats(0.05, 20.0)), min_size=2, max_size=2),
+       calls=st.lists(st.tuples(st.integers(0, 1), st.integers(0, 10**6), st.booleans()),
+                      min_size=1, max_size=40))
+def test_interleaved_keys_on_batch_rows_and_lone_paths_match_the_per_row_rule(
+        u, v, t, n_slices, n_paths, jitter, seed, keys, calls):
+    rows = pe.sample_paths(u, v, t, n_slices, n_paths, jitter, seed)
+    lone = [pe.PathSample(p.positions, t) for p in rows]
+    for key, pick, alone in calls:
+        potential, mass = keys[key]
+        path = (lone if alone else rows)[pick % n_paths]
+        want = reference_action(np.array(path.positions), t, potential, mass)
+        assert pe.discrete_action(path, potential, mass) == want
+
+
+def test_a_batch_builds_one_table_per_key(monkeypatch):
+    built = []
+    real = pe._action_table
+
+    def counting(x, t_total, potential, mass):
+        built.append((potential, mass))
+        return real(x, t_total, potential, mass)
+
+    monkeypatch.setattr(pe, "_action_table", counting)
+    paths = pe.sample_paths(0.0, 1.0, 1.0, 8, 1000, 0.5, seed=3)
+    h = pe.harmonic(2.0)
+    actions = [pe.discrete_action(p, h, 1.5) for p in paths]
+    assert built == [(h, 1.5)]
+    assert [pe.discrete_action(p, pe.harmonic(2.0), 1.5) for p in paths] == actions
+    assert len(built) == 1  # an equal key is the same key
+    pe.discrete_action(paths[0], h, 2.5)
+    pe.discrete_action(paths[1], pe.FREE, 2.5)
+    pe.discrete_action(paths[2], pe.FREE, 2.5)
+    assert built[1:] == [(h, 2.5), (pe.FREE, 2.5)]
+    assert pe.discrete_action(paths[7], h, 1.5) == actions[7]  # only the last table is kept
+    assert len(built) == 4
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [math.nan, -2.0, 0.0, math.inf])
+def test_discrete_action_needs_a_finite_positive_mass(bad):
+    lone = pe.PathSample([0.0, 1.0], 1.0)
+    row = pe.sample_paths(0.0, 1.0, 1.0, 4, 3, 0.5, seed=2)[1]
+    for path in (lone, row):
+        good = pe.discrete_action(path, pe.harmonic(1.0), 1.0)
+        for potential in (pe.FREE, pe.harmonic(1.0)):
+            with pytest.raises(ValueError, match=r"^mass must be finite and positive"):
+                pe.discrete_action(path, potential, bad)
+        assert pe.discrete_action(path, pe.harmonic(1.0), 1.0) == good
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_harmonic_needs_a_finite_positive_omega(bad):
+    with pytest.raises(ValueError, match=r"^harmonic potential needs a finite omega > 0"):
+        pe.harmonic(bad)
+
+
+@pytest.mark.filterwarnings("error")
+def test_path_samples_compare_and_hash_by_value():
+    rows = pe.sample_paths(0.0, 1.0, 1.0, 4, 3, 0.5, seed=2)
+    lone = pe.PathSample(np.array(rows[1].positions), 1)
+    assert lone == rows[1] and hash(lone) == hash(rows[1])
+    assert lone != rows[0]
+    assert lone != pe.PathSample(rows[1].positions, 2.0)
+    assert lone != pe.PathSample(rows[1].positions[:-1], 1.0)
+    assert pe.PathSample([0.0, 1.0], 1.0) != (0.0, 1.0)
+    signed = pe.PathSample([-0.0, 1.0], 1.0)
+    assert signed == pe.PathSample([0.0, 1.0], 1.0)
+    assert hash(signed) == hash(pe.PathSample([0.0, 1.0], 1.0))
+    assert len({*rows, lone, *pe.sample_paths(0.0, 1.0, 1.0, 4, 3, 0.5, seed=2)}) == 3
+
+
+def test_a_pickled_row_leaves_its_batch_behind():
+    row = pe.sample_paths(0.0, 1.0, 1.0, 4, 500, 0.5, seed=2)[7]
+    copy = pickle.loads(pickle.dumps(row))
+    assert copy == row and not copy.positions.flags.writeable
+    assert pe.discrete_action(copy, pe.harmonic(1.0)) == pe.discrete_action(row, pe.harmonic(1.0))
+    assert len(pickle.dumps(row)) < 1000
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("args", [(1e308, -1e308, 1.0, 4, 2, 0.5, 1),
+                                  (0.0, 1.0, 10.0, 4, 2, 1e308, 1)])
+def test_sample_paths_overflow_ends_at_the_finiteness_check(args):
+    with pytest.raises(ValueError, match=r"^path positions must be finite$"):
+        pe.sample_paths(*args)
+
+
+@pytest.mark.parametrize("potential", [pe.FREE, pe.harmonic(1.0)])
+def test_an_overflowing_row_warns_for_itself_alone(potential):
+    paths = pe.sample_paths(0.0, 1.0, 1.0, 4, 20, 1e154, seed=1)
+    overflowing = 0
+    for path in paths:
+        x = np.array(path.positions)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            want = reference_action(x, 1.0, potential, 1.0)
+        if caught:
+            overflowing += 1
+            with pytest.warns(RuntimeWarning, match=r"^discrete_action is not finite"):
+                got = pe.discrete_action(path, potential)
+            assert got == want or (math.isnan(got) and math.isnan(want))
+        else:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert pe.discrete_action(path, potential) == want
+    assert 0 < overflowing < len(paths)
