@@ -90,28 +90,54 @@ def harmonic(omega: float) -> Potential:
     return Potential("harmonic", omega)
 
 
+#: numpy's fixed cost of one _action_table call, in positions of table
+#: arithmetic: a row of N + 1 positions computed alone costs about as much as
+#: N + 1 + _CALL_POSITIONS positions of a whole-batch table (about 11 us
+#: against 0.02 us a position on a 2-vCPU x86 VM, for N from 16 to 1000).
+_CALL_POSITIONS = 512
+
+
 class _PathBatch:
     """A checked, read-only (n_paths, N + 1) position matrix and its last action table.
 
-    actions(potential, mass) computes the midpoint action of every row in one
-    array pass and keeps that table for the last (potential, mass) key only,
-    so a batch holds at most one list of n_paths floats.
+    action(row, potential, mass) computes the row alone while a key is new,
+    and builds the midpoint action of every row in one array pass once the
+    same key has served as many consecutive calls alone as the table costs
+    (rent, from _CALL_POSITIONS).  Rows served alone are paid for at most
+    once more by the table, so over any sequence of calls and keys a call
+    costs at most about twice a lone row, and a loop over the rows with one
+    key pays for one table and its rent.  The batch keeps one (key, served,
+    table) slot, at most one list of n_paths floats; the slot is read once and
+    replaced in one assignment, so threads sharing a batch never pair one
+    key with another key's table.
     """
 
-    __slots__ = ("positions", "t_total", "_key", "_table")
+    __slots__ = ("positions", "t_total", "_rent", "_cache")
 
     def __init__(self, positions: np.ndarray, t_total: float):
+        n_paths, n_positions = positions.shape
         self.positions = positions
         self.t_total = t_total
-        self._key = None
-        self._table = None
+        self._rent = n_paths * n_positions // (n_positions + _CALL_POSITIONS)
+        self._cache = (None, 0, None)
 
-    def actions(self, potential: Potential, mass: float) -> list[float]:
-        key = (potential, mass)
-        if key != self._key:
-            self._table = _action_table(self.positions, self.t_total, potential, mass)
-            self._key = key
-        return self._table
+    def action(self, row: int, potential: Potential, mass: float) -> float:
+        # the types are in the key: equal values of other types (a float32 mass
+        # or omega) round the coefficients differently
+        key = (potential, type(potential.omega), mass, type(mass))
+        cached_key, served, table = self._cache
+        if key != cached_key:
+            served, table = 0, None
+        if table is None:
+            # a key that fails the mass check raises here and is never cached
+            if served < self._rent:
+                action = _action_table(self.positions[row:row + 1], self.t_total,
+                                       potential, mass)[0]
+                self._cache = (key, served + 1, None)
+                return action
+            table = _action_table(self.positions, self.t_total, potential, mass)
+            self._cache = (key, served, table)
+        return table[row]
 
 
 @dataclass(frozen=True, slots=True)
@@ -123,7 +149,7 @@ class PathSample:
     view of it shares memory with) never reach the path; such a path is a
     one-row batch of its own.  sample_paths hands out read-only row views of
     one matrix that it has checked as a whole, all sharing that batch, so
-    discrete_action serves every row from one action table.  Two paths are
+    discrete_action can serve every row from one action table.  Two paths are
     equal when their t_total and positions are equal, whatever batch they
     come from.
     """
@@ -242,15 +268,17 @@ class PropagatorResult:
 def discrete_action(path: PathSample, potential: Potential = FREE, mass: float = 1.0) -> float:
     """Midpoint-rule action: sum of [m/2 * v_k^2 - V(midpoint_k)] * dt.
 
-    The value is looked up in the action table of the path's batch (see
-    _action_table), built on the first call for a (potential, mass) key and
-    rebuilt when the key changes; only the last table is kept.  Each entry is
-    bit-identical to the same rule applied to the path alone.  mass must be
-    finite and positive (ValueError otherwise).  An action that overflows is
-    returned as the rule gives it (inf or nan) with a RuntimeWarning for that
-    path alone, as when each path was computed on its own.
+    Rows of one sample_paths batch share an action table (see _action_table
+    and _PathBatch): a (potential, mass) key computes each row alone until it
+    has served consecutive calls worth one table, then builds the table for
+    every row, and later calls with that key look their row up.  Only the last
+    key is kept.  Every value is bit-identical to the same rule applied to the
+    path alone.  mass must be finite and positive (ValueError otherwise).  An
+    action that overflows is returned as the rule gives it (inf or nan) with a
+    RuntimeWarning for that path alone, as when each path was computed on its
+    own.
     """
-    action = path._batch.actions(potential, mass)[path._row]
+    action = path._batch.action(path._row, potential, mass)
     if not math.isfinite(action):
         warnings.warn(f"discrete_action is not finite: {action}", RuntimeWarning, stacklevel=2)
     return action

@@ -1,5 +1,7 @@
 import math
 import pickle
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -433,27 +435,107 @@ def test_interleaved_keys_on_batch_rows_and_lone_paths_match_the_per_row_rule(
         assert pe.discrete_action(path, potential, mass) == want
 
 
-def test_a_batch_builds_one_table_per_key(monkeypatch):
+def counting_builds(monkeypatch):
+    """Record the rows of every action table built from here on."""
     built = []
     real = pe._action_table
 
     def counting(x, t_total, potential, mass):
-        built.append((potential, mass))
+        built.append(((potential, mass), x.shape[0]))
         return real(x, t_total, potential, mass)
 
     monkeypatch.setattr(pe, "_action_table", counting)
+    return built
+
+
+def test_a_batch_builds_one_table_per_key(monkeypatch):
+    built = counting_builds(monkeypatch)
     paths = pe.sample_paths(0.0, 1.0, 1.0, 8, 1000, 0.5, seed=3)
+    rent = 1000 * 9 // (9 + pe._CALL_POSITIONS)
+    assert rent == 17
     h = pe.harmonic(2.0)
     actions = [pe.discrete_action(p, h, 1.5) for p in paths]
-    assert built == [(h, 1.5)]
+    # the first calls serve their own rows, then one table serves the rest
+    assert built == [((h, 1.5), 1)] * rent + [((h, 1.5), 1000)]
+    del built[:]
     assert [pe.discrete_action(p, pe.harmonic(2.0), 1.5) for p in paths] == actions
-    assert len(built) == 1  # an equal key is the same key
+    assert built == []  # an equal key is the same key
     pe.discrete_action(paths[0], h, 2.5)
-    pe.discrete_action(paths[1], pe.FREE, 2.5)
-    pe.discrete_action(paths[2], pe.FREE, 2.5)
-    assert built[1:] == [(h, 2.5), (pe.FREE, 2.5)]
+    for p in paths[:rent + 1]:
+        pe.discrete_action(p, pe.FREE, 2.5)
+    assert built == [((h, 2.5), 1)] + [((pe.FREE, 2.5), 1)] * rent + [((pe.FREE, 2.5), 1000)]
+    del built[:]
     assert pe.discrete_action(paths[7], h, 1.5) == actions[7]  # only the last table is kept
-    assert len(built) == 4
+    assert built == [((h, 1.5), 1)]
+
+
+def test_a_lone_path_builds_its_one_row_table_at_once(monkeypatch):
+    built = counting_builds(monkeypatch)
+    path = pe.PathSample(np.linspace(0.0, 1.0, 1001), 1.0)
+    h = pe.harmonic(2.0)
+    assert [pe.discrete_action(path, h) for _ in range(5)] == [pe.discrete_action(path, h)] * 5
+    assert built == [((h, 1.0), 1)]
+
+
+@pytest.mark.parametrize("n_slices", [8, 1000])
+@pytest.mark.parametrize("period", [1, 2, 5, 16, 17, 18, 60, 400])
+def test_switching_keys_costs_at_most_a_lone_row_and_one_call_per_call(
+        monkeypatch, n_slices, period):
+    built = counting_builds(monkeypatch)
+    n_paths = 400
+    paths = pe.sample_paths(0.0, 1.0, 1.0, n_slices, n_paths, 0.5, seed=3)
+    keys = [(pe.FREE, 1.5), (pe.harmonic(2.0), 1.5)]
+    calls = 0
+    for _ in range(3):
+        for i, p in enumerate(paths):
+            potential, mass = keys[i // period % 2]
+            x = np.array(p.positions)
+            assert pe.discrete_action(p, potential, mass) == reference_action(
+                x, 1.0, potential, mass)
+            calls += 1
+    positions = sum(rows for _, rows in built) * (n_slices + 1)
+    assert positions < calls * (2 * (n_slices + 1) + pe._CALL_POSITIONS)
+
+
+@pytest.mark.filterwarnings("error")
+def test_equal_masses_and_omegas_of_other_types_keep_their_own_rounding():
+    paths = pe.sample_paths(0.0, 1.0, 1.0, 8, 4, 0.5, seed=3)
+    keys = [(pe.harmonic(1.1), 1.0), (pe.harmonic(1.1), np.float32(1.0)),
+            (pe.harmonic(1.0), 1.1), (pe.harmonic(np.float32(1.0)), 1.1)]
+    want = {i: [reference_action(np.array(p.positions), 1.0, *key) for p in paths]
+            for i, key in enumerate(keys)}
+    assert want[0] != want[1] and want[2] != want[3]  # the types do round differently
+    for order in (range(4), range(3, -1, -1)):
+        for i in order:  # each key twice: a row of its own, then the whole table
+            assert [pe.discrete_action(p, *keys[i]) for p in paths] == want[i]
+            assert [pe.discrete_action(p, *keys[i]) for p in paths] == want[i]
+
+
+def test_threads_alternating_keys_on_one_batch_get_their_own_actions():
+    paths = pe.sample_paths(0.0, 1.0, 1.0, 64, 200, 0.5, seed=5)
+    keys = [(pe.FREE, 1.0), (pe.harmonic(3.0), 2.0)]
+    want = [[reference_action(np.array(p.positions), 1.0, *key) for p in paths] for key in keys]
+    wrong = []
+
+    def worker(k):
+        for _ in range(20):
+            got = [pe.discrete_action(p, *keys[k]) for p in paths]
+            if got != want[k]:
+                wrong.append(k)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in (0, 1)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert wrong == []
+    for k in (1, 0, 1):  # whatever the threads left in the slot pairs a key with its own table
+        assert [pe.discrete_action(p, *keys[k]) for p in paths] == want[k]
 
 
 @pytest.mark.filterwarnings("error")
