@@ -10,7 +10,8 @@ Four pillars:
   they are compared against;
 * ``path_engine`` / ``interferometer`` -- discrete actions, time-sliced
   propagators, phasor resultants, and a two-sided interferometer whose
-  outcomes come from per-side path interference;
+  outcomes come from per-side path interference, tabulated by
+  ``correlation_scan`` and, for single-path sides, ``degenerate_exact_scan``;
 * ``harness`` -- a three-process wire protocol that enforces no-signaling
   by isolation and makes it auditable from logs.
 """
@@ -40,24 +41,15 @@ from .hv_models import (
     LhvModel,
     MerminModel,
     Setting,
-    enumerate_lambda,
-    outcome_A,
-    outcome_B,
-    sample_lambda,
     threshold_sign,
 )
 from .interferometer import (
     ScanRow,
     SideConfig,
-    SourceLambda,
     SourceSpreads,
-    TrialRecord,
     UNDETERMINED,
     correlation_scan,
     degenerate_exact_scan,
-    detector_outcome,
-    run_trial,
-    side_phases,
 )
 from .oracle import chsh_quantum, mermin_agreement_prob, rt_coincidence_prob, singlet_E
 from .path_engine import (

@@ -203,9 +203,6 @@ class LhvModel:
     lambda_kind: str = "finite"  # "finite" or "circle"
 
     # -- hidden variable -------------------------------------------------
-    def sample_lambda(self, seed: int):
-        return self.sample_lambdas(seed, 1)[0]
-
     def sample_lambdas(self, seed: int, n: int) -> np.ndarray:
         """Vectorized draw; trial i uses the stream of seed + i."""
         raise NotImplementedError
@@ -393,25 +390,3 @@ class ClockModel(LhvModel):
             raise ValueError(f"hidden variable {text!r} is not a finite angle")
         return lam
 
-
-# ---------------------------------------------------------------------------
-# Operation-style wrappers (thin aliases over the model methods).
-
-def sample_lambda(model: LhvModel, seed: int):
-    """One draw of the hidden variable; deterministic for fixed seed."""
-    return model.sample_lambda(seed)
-
-
-def outcome_A(model: LhvModel, lam, setting: Setting) -> int:
-    """Side A's outcome, a function of (lam, setting_a) only."""
-    return model.outcome_a(lam, setting)
-
-
-def outcome_B(model: LhvModel, lam, setting: Setting) -> int:
-    """Side B's outcome, a function of (lam, setting_b) only."""
-    return model.outcome_b(lam, setting)
-
-
-def enumerate_lambda(model: LhvModel, n_grid: int = DEFAULT_QUADRATURE_N):
-    """Atoms and probabilities (finite) or circle quadrature grid."""
-    return model.enumerate_lambda(n_grid)

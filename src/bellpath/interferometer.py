@@ -8,11 +8,12 @@ the resultant's angle.  An opaque barrier is the physical picture: all
 interference is local to a side, and the only thing the sides share is the
 source draw.
 
-Locality is structural.  The phase computation for one side consumes that
-side's config, the shared source draw, and a side-tagged random stream;
-no function in this module takes the remote side's configuration or
-setting.  Changing side B's phase shifter therefore cannot change side A's
-outcome for a fixed seed, bit for bit.
+Locality is structural.  ``_phasor_parts``, the one place a side's path
+sum is computed, consumes that side's config, the shared source draw, and
+a side-tagged random stream; it never sees the remote side's configuration
+or setting.  ``_run_batch``, and through it ``correlation_scan``, builds
+every trial from it, so changing side B's phase shifter cannot change side
+A's outcome for a fixed seed, bit for bit.
 
 Phases:  phi = k_wave * (L + geometry_sign*dx0 + jitter) + delta,
 with delta (the externally set phase shifter) applied to the configured
@@ -46,7 +47,7 @@ from .hv_models import (
     wrap_angle,
 )
 from .oracle import rt_coincidence_prob
-from .path_engine import DEGENERATE_R, Resultant
+from .path_engine import DEGENERATE_R
 
 #: Outcome value standing for "the resultant angle is undefined".
 UNDETERMINED = 0
@@ -63,16 +64,10 @@ class SourceSpreads:
     sigma_dx: float = 0.0
 
     def __post_init__(self):
-        if self.sigma_dt < 0 or self.sigma_dx < 0:
-            raise ValueError("spreads must be nonnegative")
-
-
-@dataclass(frozen=True)
-class SourceLambda:
-    """One shared source draw carried by both daughters."""
-
-    dt0: float
-    dx0: float
+        # written so that NaN fails the test too
+        for name, value in (("sigma_dt", self.sigma_dt), ("sigma_dx", self.sigma_dx)):
+            if not 0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -98,14 +93,19 @@ class SideConfig:
     def __post_init__(self):
         if len(self.arm_lengths) < 1:
             raise ValueError("need at least one arm")
-        if any(length <= 0 for length in self.arm_lengths):
-            raise ValueError("arm lengths must be positive")
-        if self.k_wave <= 0:
-            raise ValueError("k_wave must be positive")
+        # each range test is written so that NaN fails it too
+        if not all(0 < length < math.inf for length in self.arm_lengths):
+            raise ValueError(f"arm_lengths must be finite and positive, got {self.arm_lengths!r}")
+        if not 0 < self.k_wave < math.inf:
+            raise ValueError(f"k_wave must be finite and positive, got {self.k_wave!r}")
         if self.n_ensemble < 1:
             raise ValueError("n_ensemble must be >= 1")
-        if self.sigma_path < 0:
-            raise ValueError("sigma_path must be nonnegative")
+        if not 0 <= self.sigma_path < math.inf:
+            raise ValueError(f"sigma_path must be finite and nonnegative, got {self.sigma_path!r}")
+        for name, value in (("phase_shifter", self.phase_shifter),
+                            ("geometry_sign", self.geometry_sign)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if not 0 <= self.shifted_arm < len(self.arm_lengths):
             raise ValueError("shifted_arm out of range")
         object.__setattr__(self, "arm_lengths", tuple(float(x) for x in self.arm_lengths))
@@ -122,64 +122,10 @@ class SideConfig:
         )
 
 
-@dataclass(frozen=True)
-class SideResultant:
-    side: str
-    resultant: Resultant
-
-
-@dataclass(frozen=True)
-class TrialRecord:
-    trial: int
-    delta_a: float
-    delta_b: float
-    outcome_a: int
-    outcome_b: int
-    lam: SourceLambda
-    r_a: float
-    theta_a: float
-    r_b: float
-    theta_b: float
-    seed: int
-
-
-def sample_source(spreads: SourceSpreads, seed: int) -> SourceLambda:
-    z = rng.normals_for_seeds(rng.trial_seeds(seed, 1) ^ _LAMBDA_TAG, 2)[0]
-    return SourceLambda(spreads.sigma_dt * z[0], spreads.sigma_dx * z[1])
-
-
 def _jitters(cfg: SideConfig, side: str, seed: int, n: int) -> np.ndarray:
     """Per-trial length jitter matrix (n, n_paths); side-local stream."""
     seeds = rng.trial_seeds(seed, n) ^ _SIDE_TAG[side]
     return cfg.sigma_path * rng.normals_for_seeds(seeds, cfg.n_paths)
-
-
-def side_phases(cfg: SideConfig, lam: SourceLambda, seed: int, side: str = "A") -> np.ndarray:
-    """Phases of every path replica on one side for one trial.
-
-    The entry for arm m, replica e sits at index m*n_ensemble + e.  Only
-    this side's configuration, the shared source draw, and the side-tagged
-    jitter stream enter; congruent replicas (zero jitter) get identical
-    phases.
-    """
-    jitter = _jitters(cfg, side, seed, 1)[0]
-    lengths = np.repeat(np.asarray(cfg.arm_lengths), cfg.n_ensemble)
-    phases = cfg.k_wave * (lengths + cfg.geometry_sign * lam.dx0 + jitter)
-    shifted = slice(cfg.shifted_arm * cfg.n_ensemble, (cfg.shifted_arm + 1) * cfg.n_ensemble)
-    phases[shifted] += cfg.phase_shifter
-    return phases
-
-
-def detector_outcome(sr) -> int:
-    """Threshold rule on the resultant angle: +1 on [0, pi), -1 on [pi, 2pi).
-
-    A degenerate resultant (r below 1e-12) yields UNDETERMINED (0); it is
-    reported, never resolved by a coin flip.
-    """
-    res = sr.resultant if isinstance(sr, SideResultant) else sr
-    if res.degenerate:
-        return UNDETERMINED
-    return int(threshold_sign(res.theta))
 
 
 def _phasor_parts(cfg: SideConfig, side: str, dx0: np.ndarray, seed: int, n: int):
@@ -190,7 +136,11 @@ def _phasor_parts(cfg: SideConfig, side: str, dx0: np.ndarray, seed: int, n: int
     """
     jitter = _jitters(cfg, side, seed, n)
     lengths = np.repeat(np.asarray(cfg.arm_lengths), cfg.n_ensemble)
-    base = cfg.k_wave * (lengths[None, :] + cfg.geometry_sign * dx0[:, None] + jitter)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        base = cfg.k_wave * (lengths[None, :] + cfg.geometry_sign * dx0[:, None] + jitter)
+    if not np.isfinite(base).all():
+        raise ValueError(f"path phases must be finite, but k_wave * (L + geometry_sign*dx0 "
+                         f"+ jitter) overflowed on side {side}")
     phasors = np.exp(1j * base)
     lo = cfg.shifted_arm * cfg.n_ensemble
     hi = lo + cfg.n_ensemble
@@ -208,6 +158,7 @@ def _outcomes_from_sum(total: np.ndarray):
 
 
 def _run_batch(cfg_a: SideConfig, cfg_b: SideConfig, spreads: SourceSpreads, n: int, seed: int):
+    """n two-sided trials; trial i is a pure function of (configs, spreads, seed + i)."""
     lam_seeds = rng.trial_seeds(seed, n) ^ _LAMBDA_TAG
     z = rng.normals_for_seeds(lam_seeds, 2)
     dt0 = spreads.sigma_dt * z[:, 0]
@@ -227,24 +178,6 @@ def _run_batch(cfg_a: SideConfig, cfg_b: SideConfig, spreads: SourceSpreads, n: 
     }
 
 
-def run_trial(cfg_a: SideConfig, cfg_b: SideConfig, spreads: SourceSpreads, seed: int, trial: int = 0) -> TrialRecord:
-    """One two-sided trial; a pure function of (configs, spreads, seed+trial)."""
-    batch = _run_batch(cfg_a, cfg_b, spreads, 1, seed + trial)
-    return TrialRecord(
-        trial=trial,
-        delta_a=cfg_a.phase_shifter,
-        delta_b=cfg_b.phase_shifter,
-        outcome_a=int(batch["outcome_a"][0]),
-        outcome_b=int(batch["outcome_b"][0]),
-        lam=SourceLambda(float(batch["dt0"][0]), float(batch["dx0"][0])),
-        r_a=float(batch["r_a"][0]),
-        theta_a=float(batch["theta_a"][0]),
-        r_b=float(batch["r_b"][0]),
-        theta_b=float(batch["theta_b"][0]),
-        seed=seed + trial,
-    )
-
-
 @dataclass(frozen=True)
 class ScanRow:
     delta_a: float
@@ -255,6 +188,13 @@ class ScanRow:
     p_undetermined: float
     quantum_fringe: float
     n_trials: int
+
+
+def _wrapped_grid(phase_grid) -> list[float]:
+    grid = [float(d) for d in phase_grid]
+    if not all(math.isfinite(d) for d in grid):
+        raise ValueError(f"phase_grid must be finite, got {grid!r}")
+    return [float(wrap_angle(d)) for d in grid]
 
 
 def correlation_scan(
@@ -273,7 +213,7 @@ def correlation_scan(
     closed-form coincidence prediction, reported for comparison; no claim
     is made that the empirical surface matches it.
     """
-    grid = [float(wrap_angle(d)) for d in phase_grid]
+    grid = _wrapped_grid(phase_grid)
     if not grid:
         raise ValueError("phase_grid must be non-empty")
     if n_per_point < 1:
@@ -337,8 +277,8 @@ def degenerate_exact_scan(
         raise ValueError("n_grid must be >= 1")
     coupling_a = cfg_a.k_wave * cfg_a.geometry_sign
     coupling_b = cfg_b.k_wave * cfg_b.geometry_sign
-    # written so that a NaN coupling fails the test too
-    if not (coupling_a != 0.0
+    # written so that a NaN or overflowed coupling fails the test too
+    if not (0.0 < abs(coupling_a) < math.inf
             and abs(abs(coupling_a) - abs(coupling_b)) <= 1e-12 * abs(coupling_a)):
         raise ValueError(f"exact scan requires |k*geom_sign| equal and nonzero on both sides, "
                          f"got {abs(coupling_a)!r} and {abs(coupling_b)!r}")
@@ -346,7 +286,9 @@ def degenerate_exact_scan(
     clock = ClockModel(ALIGNED if s > 0.0 else ANTI_ALIGNED)
     # only the settings' difference matters, so both path terms go to A's side
     offset = cfg_a.k_wave * cfg_a.arm_lengths[0] - s * cfg_b.k_wave * cfg_b.arm_lengths[0]
-    grid = [float(wrap_angle(d)) for d in phase_grid]
+    if not math.isfinite(offset):
+        raise ValueError(f"path phases must be finite, got k_A*L_A - s*k_B*L_B = {offset!r}")
+    grid = _wrapped_grid(phase_grid)
     da, db = (x.ravel() for x in np.meshgrid(grid, grid, indexing="ij"))
     e = clock.exact_correlation(da + offset, s * db)
     return [ScanRow(a, b, float(ei), 0.0, (1.0 + float(ei)) / 2.0, 0.0,

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import rng
-
 SQRT2 = float(np.sqrt(2.0))
 TSIRELSON_BOUND = 2.0 * SQRT2
 
@@ -59,15 +57,3 @@ def chsh_quantum(a: float, a_prime: float, b: float, b_prime: float) -> float:
         - singlet_E(a, b_prime)
     )
 
-
-def chsh_quantum_scan(n: int, seed: int) -> float:
-    """Max |S| over n random setting quadruples (never exceeds 2*sqrt(2))."""
-    u = rng.uniforms_for_seeds(rng.trial_seeds(seed, n), 4) * (2.0 * np.pi)
-    a, ap, b, bp = u[:, 0], u[:, 1], u[:, 2], u[:, 3]
-    s = (
-        -np.cos(a - b)
-        - np.cos(ap - b)
-        - np.cos(ap - bp)
-        + np.cos(a - bp)
-    )
-    return float(np.max(np.abs(s)))

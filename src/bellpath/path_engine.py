@@ -74,8 +74,13 @@ class Potential:
     def __post_init__(self):
         if self.kind not in ("free", "harmonic"):
             raise ValueError(f"unknown potential {self.kind!r}")
-        if self.kind == "harmonic" and not (math.isfinite(self.omega) and self.omega > 0):
-            raise ValueError(f"harmonic potential needs a finite omega > 0, got {self.omega}")
+        if self.kind == "harmonic":
+            # energy() squares omega in its own type; NaN fails omega > 0
+            with np.errstate(over="ignore"):
+                square = self.omega * self.omega
+            if not (self.omega > 0 and math.isfinite(square)):
+                raise ValueError(f"harmonic potential needs a finite omega > 0 "
+                                 f"with a finite square, got {self.omega}")
 
     def energy(self, x, mass: float):
         if self.kind == "free":

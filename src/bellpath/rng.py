@@ -106,10 +106,6 @@ def normals_for_seeds(seeds, n: int) -> np.ndarray:
     return z[:, :n]
 
 
-def normals(seed: int, n: int) -> np.ndarray:
-    return normals_for_seeds([seed], n)[0]
-
-
 def trial_seeds(base_seed: int, n: int, offset: int = 0) -> np.ndarray:
     """Per-trial seeds base+offset .. base+offset+n-1 (mod 2**64).
 

@@ -195,11 +195,11 @@ def test_criterion_7_interferometer_locality():
         )
         spreads = itf.SourceSpreads(float(g.uniform(0, 1)), float(g.uniform(0, 2)))
         seed = int(g.integers(1 << 40))
-        base = itf.run_trial(cfg_a, cfg_b, spreads, seed)
-        moved = itf.run_trial(
-            cfg_a, cfg_b.replace_shifter(float(g.uniform(0.0, TWO_PI))), spreads, seed)
-        assert base.outcome_a == moved.outcome_a, f"locality broke at config {trial}"
-        assert base.r_a == moved.r_a and base.theta_a == moved.theta_a
+        base = itf._run_batch(cfg_a, cfg_b, spreads, 1, seed)
+        moved = itf._run_batch(
+            cfg_a, cfg_b.replace_shifter(float(g.uniform(0.0, TWO_PI))), spreads, 1, seed)
+        assert base["outcome_a"][0] == moved["outcome_a"][0], f"locality broke at config {trial}"
+        assert base["r_a"][0] == moved["r_a"][0] and base["theta_a"][0] == moved["theta_a"][0]
 
     # degenerate single-path configuration reproduces the clock tables exactly
     cfg = itf.SideConfig(arm_lengths=(1.0,), k_wave=1.0)

@@ -460,9 +460,30 @@ def test_single_trial_merge_row_has_empty_stderr(clock_cfg, simulated_source, ca
     assert (setting_a, setting_b, stderr, n, exact) == ("i0", "i1", "", "1", "false")
 
 
-@pytest.mark.parametrize("omega", ["nan", "inf"])
+@pytest.mark.parametrize("omega", ["nan", "inf", "1e200"])
 def test_propagate_refuses_a_non_finite_omega(capsys, omega):
     assert cli.main(["propagate", "--kind", "harmonic", "--omega", omega]) == cli.EXIT_CONFIG
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "harmonic potential needs a finite omega > 0" in captured.err
+
+
+@pytest.mark.parametrize("flags, field", [
+    (["--spread-dx", "nan"], "sigma_dx"),
+    (["--spread-dt", "inf"], "sigma_dt"),
+    (["--k", "nan"], "k_wave"),
+    (["--k-b", "inf"], "k_wave"),
+    (["--arms", "nan,1.0"], "arm_lengths"),
+    (["--geom-sign", "nan"], "geometry_sign"),
+    (["--sigma-path", "inf"], "sigma_path"),
+    (["--settings", "nan,1"], "phase_grid"),
+    (["--exact", "--arms", "1.0", "--k", "1.0", "--settings", "0,inf"], "phase_grid"),
+    # finite inputs whose path phases overflow
+    (["--k", "1e200", "--geom-sign", "1e200"], "path phases"),
+    (["--exact", "--arms", "1e200", "--k", "1e200", "--settings", "0"], "path phases"),
+])
+def test_rt_refuses_non_finite_inputs(capsys, flags, field):
+    assert cli.main(["rt", "--n-per-point", "10", *flags]) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(rf"error: {field} must be finite.*\n", captured.err)

@@ -112,10 +112,10 @@ def test_wire_message_rejects_bad_shapes():
 
 def test_lambda_text_round_trip_is_exact():
     clock = ClockModel()
-    lam = clock.sample_lambda(123)
+    lam = clock.sample_lambdas(123, 1)[0]
     assert clock.lambda_from_text(clock.lambda_text(lam)) == lam
     mermin = MerminModel.uniform()
-    k = mermin.sample_lambda(5)
+    k = mermin.sample_lambdas(5, 1)[0]
     assert mermin.lambda_from_text(mermin.lambda_text(k)) == k
 
 

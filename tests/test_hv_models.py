@@ -18,10 +18,6 @@ from bellpath.hv_models import (
     Setting,
     TWO_PI,
     _scalar_sign,
-    enumerate_lambda,
-    outcome_A,
-    outcome_B,
-    sample_lambda,
     threshold_sign,
 )
 
@@ -147,12 +143,12 @@ def test_mermin_agreement_enumeration():
 def test_point_mass_sampling_is_constant():
     model = MerminModel.point_mass("RRG")
     for seed in (0, 1, 999):
-        assert model.instruction_set(sample_lambda(model, seed)).text == "RRG"
+        assert model.instruction_set(model.sample_lambdas(seed, 1)[0]).text == "RRG"
 
 
 def test_clock_sample_in_range():
     model = ClockModel()
-    theta = sample_lambda(model, 42)
+    theta = model.sample_lambdas(42, 1)[0]
     assert 0.0 <= theta < TWO_PI
 
 
@@ -200,22 +196,22 @@ def test_bad_probability_table_rejected():
 
 def test_clock_outcome_examples():
     model = ClockModel()
-    assert outcome_A(model, math.pi / 2, Setting.index(0)) == 1
-    assert outcome_A(model, math.pi / 2, Setting.index(1)) == -1
+    assert model.outcome_a(math.pi / 2, Setting.index(0)) == 1
+    assert model.outcome_a(math.pi / 2, Setting.index(1)) == -1
 
 
 def test_mermin_outcome_examples():
     model = MerminModel.uniform()
     lam = model.lambda_from_text("RRG")
-    assert outcome_A(model, lam, Setting.index(2)) == -1  # G -> -1
-    assert outcome_B(model, lam, Setting.index(0)) == 1  # R -> +1, aligned default
+    assert model.outcome_a(lam, Setting.index(2)) == -1  # G -> -1
+    assert model.outcome_b(lam, Setting.index(0)) == 1  # R -> +1, aligned default
 
 
 def test_b_convention():
     anti = ClockModel(b_convention=ANTI_ALIGNED)
     aligned = ClockModel(b_convention=ALIGNED)
-    assert outcome_B(anti, math.pi / 2, Setting.index(0)) == -1
-    assert outcome_B(aligned, math.pi / 2, Setting.index(0)) == 1
+    assert anti.outcome_b(math.pi / 2, Setting.index(0)) == -1
+    assert aligned.outcome_b(math.pi / 2, Setting.index(0)) == 1
 
 
 _MODELS = (ClockModel(), ClockModel(ALIGNED), MerminModel.uniform(),
@@ -242,12 +238,12 @@ def test_scalar_outcomes_equal_array_outcomes(model, seed, index, angle):
 def test_setting_kind_mismatch_is_an_error():
     model = MerminModel.uniform()
     with pytest.raises(ValueError):
-        outcome_A(model, 0, Setting.angle(0.3))
+        model.outcome_a(0, Setting.angle(0.3))
 
 
 def test_clock_accepts_angle_settings():
     model = ClockModel()
-    assert outcome_A(model, 0.1, Setting.angle(0.2)) == 1
+    assert model.outcome_a(0.1, Setting.angle(0.2)) == 1
 
 
 # -- locality and determinism -----------------------------------------------------
@@ -255,12 +251,12 @@ def test_clock_accepts_angle_settings():
 
 def test_outcome_a_ignores_whatever_b_does():
     model = ClockModel()
-    lam = sample_lambda(model, 5)
+    lam = model.sample_lambdas(5, 1)[0]
     a = Setting.index(1)
-    before = outcome_A(model, lam, a)
+    before = model.outcome_a(lam, a)
     for b in (Setting.index(0), Setting.index(2), Setting.angle(2.2)):
-        outcome_B(model, lam, b)
-        assert outcome_A(model, lam, a) == before
+        model.outcome_b(lam, b)
+        assert model.outcome_a(lam, a) == before
 
 
 def test_outcome_signatures_admit_no_remote_setting():
@@ -281,19 +277,19 @@ def test_outcomes_deterministic_across_calls():
 
 
 def test_enumerate_mermin_uniform():
-    lams, probs = enumerate_lambda(MerminModel.uniform())
+    lams, probs = MerminModel.uniform().enumerate_lambda()
     assert len(lams) == 8
     assert np.allclose(probs, 0.125)
 
 
 def test_enumerate_point_mass_returns_single_atom():
-    lams, probs = enumerate_lambda(MerminModel.point_mass("GRG"))
+    lams, probs = MerminModel.point_mass("GRG").enumerate_lambda()
     assert len(lams) == 1
     assert probs[0] == 1.0
 
 
 def test_enumerate_clock_grid():
-    lams, probs = enumerate_lambda(ClockModel(), n_grid=4)
+    lams, probs = ClockModel().enumerate_lambda(n_grid=4)
     assert np.allclose(lams, [0.0, math.pi / 2, math.pi, 3 * math.pi / 2])
     assert np.allclose(probs, 0.25)
 
@@ -339,7 +335,7 @@ angles = st.floats(0.0, TWO_PI, exclude_max=True)
        n_grid=st.integers(1, 2000).map(lambda k: 6 * k))
 def test_closed_form_lies_within_6_over_n_of_quadrature(a, b, convention, n_grid):
     model = ClockModel(b_convention=convention)
-    thetas, _ = enumerate_lambda(model, n_grid)
+    thetas, _ = model.enumerate_lambda(n_grid)
     prod = model.outcomes_a(thetas, a) * model.outcomes_b(thetas, b)
     quadrature = int(prod.astype(np.int64).sum()) / n_grid
     closed = model.exact_correlation(Setting.angle(a), Setting.angle(b))

@@ -10,7 +10,7 @@ from bellpath import cli
 from bellpath import interferometer as itf
 from bellpath import oracle
 from bellpath.hv_models import ALIGNED, ClockModel, Setting, TWO_PI, wrap_angle
-from bellpath.path_engine import resultant
+from bellpath.path_engine import DEGENERATE_R, resultant
 from bellpath.util import fmt17
 
 
@@ -24,89 +24,98 @@ def single_path_side(delta=0.0, k=1.0, length=1.0, g=1.0):
 
 
 NO_SPREAD = itf.SourceSpreads(0.0, 0.0)
-LAM0 = itf.SourceLambda(0.0, 0.0)
 
 
-# -- side_phases ----------------------------------------------------------------
+def one_trial(cfg_a, cfg_b=None, spreads=NO_SPREAD, seed=3):
+    """The single trial ``seed`` of a batch, as {key: scalar}."""
+    batch = itf._run_batch(cfg_a, cfg_b or cfg_a, spreads, 1, seed)
+    return {key: value[0] for key, value in batch.items()}
+
+
+def reference_phases(cfg, side, dx0, seed):
+    """phi = k*(L + g*dx0 + jitter) + delta; arm m, replica e at m*n_ensemble + e."""
+    jitter = itf._jitters(cfg, side, seed, 1)[0]
+    lengths = np.repeat(cfg.arm_lengths, cfg.n_ensemble)
+    phases = cfg.k_wave * (lengths + cfg.geometry_sign * dx0 + jitter)
+    lo = cfg.shifted_arm * cfg.n_ensemble
+    phases[lo:lo + cfg.n_ensemble] += cfg.phase_shifter
+    return phases
+
+
+# -- one side's path sum ------------------------------------------------------------
 
 
 def test_congruent_paths_add_coherently():
     # two equal arms, no jitter, k*L a multiple of 2pi: both clocks agree
-    phases = itf.side_phases(simple_side(), LAM0, seed=3)
-    res = resultant(phases)
-    assert abs(res.r - 2.0) < 1e-12
+    assert abs(one_trial(simple_side())["r_a"] - 2.0) < 1e-12
 
 
 def test_half_turn_path_difference_cancels():
     cfg = simple_side(arms=(1.0, 1.5), k=TWO_PI)  # k*dL = pi
-    res = resultant(itf.side_phases(cfg, LAM0, seed=3))
-    assert res.degenerate
-    assert itf.detector_outcome(res) == itf.UNDETERMINED
+    trial = one_trial(cfg)
+    assert trial["r_a"] < DEGENERATE_R
+    assert trial["outcome_a"] == itf.UNDETERMINED
 
 
 def test_shifter_on_one_of_two_equal_arms():
-    cfg = simple_side(delta=math.pi / 2)
-    res = resultant(itf.side_phases(cfg, LAM0, seed=3))
-    assert abs(res.r - math.sqrt(2)) < 1e-12
-    assert abs(res.theta - math.pi / 4) < 1e-12
+    trial = one_trial(simple_side(delta=math.pi / 2))
+    assert abs(trial["r_a"] - math.sqrt(2)) < 1e-12
+    assert abs(trial["theta_a"] - math.pi / 4) < 1e-12
 
 
-def test_side_phases_layout_and_jitter_stream():
+def test_jitter_layout_and_side_stream():
     cfg = simple_side(arms=(1.0, 2.0), n_ensemble=3, sigma_path=0.1)
-    phases = itf.side_phases(cfg, LAM0, seed=5)
-    assert phases.shape == (6,)
-    again = itf.side_phases(cfg, LAM0, seed=5)
-    assert np.array_equal(phases, again)
-    other_side = itf.side_phases(cfg, LAM0, seed=5, side="B")
-    assert not np.array_equal(phases, other_side)
+    jitter = itf._jitters(cfg, "A", 5, 4)
+    assert jitter.shape == (4, 6)
+    assert np.array_equal(jitter, itf._jitters(cfg, "A", 5, 4))
+    assert not np.array_equal(jitter, itf._jitters(cfg, "B", 5, 4))
+    # trial i of a batch is the one-trial batch of seed + i
+    assert np.array_equal(jitter[2], itf._jitters(cfg, "A", 7, 1)[0])
 
 
 # -- detector --------------------------------------------------------------------
 
 
 def test_detector_threshold():
-    from bellpath.path_engine import Resultant
+    angles = np.array([math.pi / 4, 3 * math.pi / 2, 0.1])
+    totals = np.append(np.exp(1j * angles), 0.0)
+    out, r, theta = itf._outcomes_from_sum(totals)
+    assert out.tolist() == [1, -1, 1, itf.UNDETERMINED]
+    assert np.allclose(r, [1.0, 1.0, 1.0, 0.0]) and np.allclose(theta[:3], angles)
 
-    assert itf.detector_outcome(Resultant(1.0, math.pi / 4)) == 1
-    assert itf.detector_outcome(Resultant(1.0, 3 * math.pi / 2)) == -1
-    assert itf.detector_outcome(Resultant(0.0, 0.0, degenerate=True)) == itf.UNDETERMINED
-    assert itf.detector_outcome(itf.SideResultant("A", Resultant(1.0, 0.1))) == 1
 
-
-# -- run_trial ----------------------------------------------------------------------
+# -- two-sided trials -------------------------------------------------------------------
 
 
 def test_no_randomness_is_fully_deterministic():
     cfg = simple_side()
-    records = [itf.run_trial(cfg, cfg, NO_SPREAD, seed=0, trial=t) for t in range(5)]
-    assert all(r.outcome_a == records[0].outcome_a for r in records)
-    assert all(r.outcome_a == r.outcome_b for r in records)
+    batch = itf._run_batch(cfg, cfg, NO_SPREAD, 5, seed=0)
+    assert np.all(batch["outcome_a"] == batch["outcome_a"][0])
+    assert np.array_equal(batch["outcome_a"], batch["outcome_b"])
 
 
 def test_changing_remote_shifter_leaves_side_a_bitwise_unchanged():
     cfg_a = simple_side(delta=0.7, arms=(1.0, 1.25), sigma_path=0.05, n_ensemble=2)
     spreads = itf.SourceSpreads(0.1, 0.8)
-    for trial in range(50):
-        base = itf.run_trial(cfg_a, simple_side(delta=0.0), spreads, seed=9, trial=trial)
-        moved = itf.run_trial(cfg_a, simple_side(delta=2.9), spreads, seed=9, trial=trial)
-        assert base.outcome_a == moved.outcome_a
-        assert base.r_a == moved.r_a and base.theta_a == moved.theta_a
-        assert base.lam == moved.lam
-        # and the other direction: side B ignores every change on side A
-        cfg_b = simple_side(delta=1.3, arms=(1.0, 1.1))
-        one = itf.run_trial(cfg_a, cfg_b, spreads, seed=9, trial=trial)
-        two = itf.run_trial(simple_side(delta=0.5, arms=(2.0,)), cfg_b, spreads,
-                            seed=9, trial=trial)
-        assert one.outcome_b == two.outcome_b
-        assert one.r_b == two.r_b and one.theta_b == two.theta_b
+    base = itf._run_batch(cfg_a, simple_side(delta=0.0), spreads, 50, seed=9)
+    moved = itf._run_batch(cfg_a, simple_side(delta=2.9), spreads, 50, seed=9)
+    for key in ("outcome_a", "r_a", "theta_a", "dt0", "dx0"):
+        assert np.array_equal(base[key], moved[key]), key
+    # and the other direction: side B ignores every change on side A
+    cfg_b = simple_side(delta=1.3, arms=(1.0, 1.1))
+    one = itf._run_batch(cfg_a, cfg_b, spreads, 50, seed=9)
+    two = itf._run_batch(simple_side(delta=0.5, arms=(2.0,)), cfg_b, spreads, 50, seed=9)
+    for key in ("outcome_b", "r_b", "theta_b"):
+        assert np.array_equal(one[key], two[key]), key
 
 
-def test_trial_record_is_reproducible():
+def test_trial_batch_is_reproducible():
     cfg_a, cfg_b = simple_side(0.3), simple_side(1.1)
     spreads = itf.SourceSpreads(0.2, 0.5)
-    a = itf.run_trial(cfg_a, cfg_b, spreads, seed=77, trial=4)
-    b = itf.run_trial(cfg_a, cfg_b, spreads, seed=77, trial=4)
-    assert a == b
+    a = itf._run_batch(cfg_a, cfg_b, spreads, 1, seed=81)
+    b = itf._run_batch(cfg_a, cfg_b, spreads, 1, seed=81)
+    assert a.keys() == b.keys()
+    assert all(np.array_equal(a[key], b[key]) for key in a)
 
 
 def test_marginals_are_balanced_with_spread():
@@ -223,9 +232,14 @@ def test_exact_scan_matches_monte_carlo(sign_product):
 
 
 def test_exact_scan_requires_equal_couplings():
-    for g_b in (0.5, 0.0, 2.0, -3.0, math.nan, math.inf):
+    for g_b in (0.5, 0.0, 2.0, -3.0):
         with pytest.raises(ValueError, match="equal and nonzero"):
             itf.degenerate_exact_scan(single_path_side(), single_path_side(g=g_b), [0.0])
+    # k*g overflowing to inf (and inf - inf = NaN) fails the test in either place
+    huge = single_path_side(k=1e200, g=1e200)
+    for cfg_a, cfg_b in ((single_path_side(), huge), (huge, single_path_side()), (huge, huge)):
+        with pytest.raises(ValueError, match="equal and nonzero"):
+            itf.degenerate_exact_scan(cfg_a, cfg_b, [0.0])
     with pytest.raises(ValueError, match="equal and nonzero"):
         itf.degenerate_exact_scan(single_path_side(g=0.0), single_path_side(g=0.0), [0.0])
     with pytest.raises(ValueError, match="n_grid"):
@@ -250,18 +264,16 @@ def test_degenerate_trials_equal_clock_outcomes():
 
 
 def test_run_trial_agrees_with_side_phases_route():
-    # the scalar API (side_phases + resultant) and the batch phasor
-    # decomposition inside run_trial must describe the same resultant
+    # the phase formula summed by path_engine.resultant and the batch phasor
+    # decomposition inside _run_batch must describe the same resultant
     cfg_a = simple_side(delta=0.9, arms=(1.0, 1.4), sigma_path=0.2, n_ensemble=2)
     cfg_b = simple_side(delta=2.1, arms=(0.8,))
-    spreads = itf.SourceSpreads(0.3, 0.7)
-    rec = itf.run_trial(cfg_a, cfg_b, spreads, seed=31, trial=6)
-    res_a = resultant(itf.side_phases(cfg_a, rec.lam, rec.seed, side="A"))
-    res_b = resultant(itf.side_phases(cfg_b, rec.lam, rec.seed, side="B"))
-    assert abs(res_a.r - rec.r_a) < 1e-12
-    assert abs(res_b.r - rec.r_b) < 1e-12
-    d = abs(res_a.theta - rec.theta_a) % TWO_PI
-    assert min(d, TWO_PI - d) < 1e-12
+    trial = one_trial(cfg_a, cfg_b, itf.SourceSpreads(0.3, 0.7), seed=37)
+    for cfg, side in ((cfg_a, "A"), (cfg_b, "B")):
+        res = resultant(reference_phases(cfg, side, trial["dx0"], 37))
+        assert abs(res.r - trial["r_" + side.lower()]) < 1e-12
+        d = abs(res.theta - trial["theta_" + side.lower()]) % TWO_PI
+        assert min(d, TWO_PI - d) < 1e-12
 
 
 def test_global_length_shift_rotates_resultant():
@@ -269,16 +281,16 @@ def test_global_length_shift_rotates_resultant():
     # resultant angle by k*c and leaves its modulus unchanged
     cfg = itf.SideConfig(arm_lengths=(1.0, 1.3), k_wave=3.0, n_ensemble=2,
                          sigma_path=0.1, phase_shifter=0.4)
-    lam = itf.SourceLambda(0.0, 0.7)
-    base = resultant(itf.side_phases(cfg, lam, seed=6))
+    spreads = itf.SourceSpreads(0.0, 0.7)
+    base = one_trial(cfg, spreads=spreads, seed=6)
     for c in (0.25, 1.0, 2.5):
         shifted_cfg = itf.SideConfig(
             arm_lengths=tuple(x + c for x in cfg.arm_lengths), k_wave=cfg.k_wave,
             n_ensemble=cfg.n_ensemble, sigma_path=cfg.sigma_path,
             phase_shifter=cfg.phase_shifter, geometry_sign=cfg.geometry_sign)
-        rot = resultant(itf.side_phases(shifted_cfg, lam, seed=6))
-        assert abs(rot.r - base.r) < 1e-12
-        d = abs((base.theta + cfg.k_wave * c) % TWO_PI - rot.theta) % TWO_PI
+        rot = one_trial(shifted_cfg, spreads=spreads, seed=6)
+        assert abs(rot["r_a"] - base["r_a"]) < 1e-12
+        d = abs((base["theta_a"] + cfg.k_wave * c) % TWO_PI - rot["theta_a"]) % TWO_PI
         assert min(d, TWO_PI - d) < 1e-10
 
 
@@ -286,8 +298,8 @@ def test_global_length_shift_rotates_resultant():
 
 
 def test_side_computation_signatures_have_no_remote_input():
-    params = list(inspect.signature(itf.side_phases).parameters)
-    assert params == ["cfg", "lam", "seed", "side"]
+    params = list(inspect.signature(itf._jitters).parameters)
+    assert params == ["cfg", "side", "seed", "n"]
     params = list(inspect.signature(itf._phasor_parts).parameters)
     assert params == ["cfg", "side", "dx0", "seed", "n"]
 
@@ -303,6 +315,10 @@ def test_side_config_validation():
         itf.SideConfig(arm_lengths=(-1.0,), k_wave=1.0)
     with pytest.raises(ValueError):
         itf.SideConfig(arm_lengths=(1.0,), k_wave=1.0, shifted_arm=1)
+    with pytest.raises(ValueError, match="^phase_shifter must be finite"):
+        itf.SideConfig(arm_lengths=(1.0,), k_wave=1.0, phase_shifter=math.inf)
+    with pytest.raises(ValueError, match="^phase_shifter must be finite"):
+        simple_side().replace_shifter(math.nan)
 
 
 def test_configs_are_frozen():

@@ -1,6 +1,8 @@
 import math
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bellpath import oracle
 
@@ -63,5 +65,11 @@ def test_chsh_quantum_degenerate_settings():
     assert abs(oracle.chsh_quantum(0, 0, 0, 0) - (-2.0)) < 1e-15
 
 
-def test_chsh_random_scan_respects_tsirelson():
-    assert oracle.chsh_quantum_scan(10_000, seed=9) <= TWO_SQRT2 + 1e-9
+_SETTINGS = st.floats(-4.0 * math.pi, 4.0 * math.pi)
+
+
+@settings(max_examples=2000, deadline=None)
+@given(_SETTINGS, _SETTINGS, _SETTINGS, _SETTINGS)
+def test_chsh_random_scan_respects_tsirelson(a, a_prime, b, b_prime):
+    s = oracle.chsh_quantum(a, a_prime, b, b_prime)
+    assert abs(s) <= oracle.TSIRELSON_BOUND + 1e-12
