@@ -46,7 +46,6 @@ from .hv_models import (
 from .interferometer import (
     ScanRow,
     SideConfig,
-    SourceSpreads,
     UNDETERMINED,
     correlation_scan,
     degenerate_exact_scan,

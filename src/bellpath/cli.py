@@ -294,7 +294,6 @@ def _side_config(args, side: str) -> interferometer.SideConfig:
         k_wave=float(pick("k", 2.0 * np.pi)),
         n_ensemble=int(pick("ensemble", 1)),
         sigma_path=float(pick("sigma_path", 0.0)),
-        phase_shifter=0.0,
         geometry_sign=float(pick("geom_sign", 1.0)),
         shifted_arm=int(pick("shifted_arm", 0)),
     )
@@ -310,9 +309,8 @@ def cmd_rt(args) -> int:
     if args.exact:
         rows = interferometer.degenerate_exact_scan(cfg_a, cfg_b, phase_grid, args.grid)
     else:
-        spreads = interferometer.SourceSpreads(args.spread_dt, args.spread_dx)
         rows = interferometer.correlation_scan(cfg_a, cfg_b, phase_grid,
-                                               args.n_per_point, args.seed, spreads)
+                                               args.n_per_point, args.seed, args.spread_dx)
     doc = [{"delta_a": r.delta_a, "delta_b": r.delta_b, "E": r.e_value,
             "stderr": r.stderr, "p_agree": r.p_agree,
             "p_undetermined": r.p_undetermined, "quantum_fringe": r.quantum_fringe,
@@ -491,7 +489,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--phase-points", dest="phase_points", type=int, default=4)
     p.add_argument("--settings", help="explicit comma list of shifter phases")
     p.add_argument("--n-per-point", dest="n_per_point", type=int, default=1000)
-    p.add_argument("--spread-dt", dest="spread_dt", type=float, default=0.0)
     p.add_argument("--spread-dx", dest="spread_dx", type=float, default=1.0)
     p.add_argument("--exact", action="store_true",
                    help="closed-form clock table for single-path, jitter-free sides "

@@ -59,6 +59,18 @@ _SCHEMA_RECEIVED = {
 }
 
 
+def _outcome_fault(payload: dict) -> str | None:
+    """What breaks the outcome payload rule, or None: the keys are exactly
+    sign and setting, and the sign is the integer 1 or -1."""
+    expected = _SCHEMA_RECEIVED["outcome"]
+    if payload.keys() != expected:
+        return f"outcome payload keys {sorted(payload)} != {sorted(expected)}"
+    sign = payload["sign"]
+    if type(sign) is not int or sign not in (1, -1):
+        return f"sign {sign!r}"
+    return None
+
+
 # json.dumps builds a new encoder per call when given separators; one is enough
 _ENCODER = json.JSONEncoder(separators=(",", ":"))
 
@@ -159,9 +171,6 @@ class FixedPolicy:
     def setting(self, trial: int) -> Setting:
         return self.setting_value
 
-    def describe(self) -> str:
-        return f"fixed:{self.setting_value.text}"
-
 
 class RandomPolicy:
     """Per-trial uniform draw from a choice list, seeded wing-locally."""
@@ -175,9 +184,6 @@ class RandomPolicy:
     def setting(self, trial: int) -> Setting:
         u = rng.uniform(self.seed + trial)
         return self.choices[min(int(u * len(self.choices)), len(self.choices) - 1)]
-
-    def describe(self) -> str:
-        return f"random:{','.join(c.text for c in self.choices)}:seed={self.seed}"
 
 
 # -- wing ----------------------------------------------------------------------
@@ -323,6 +329,8 @@ def _run(model: LhvModel, n_trials: int, seed: int, connect) -> RunLog:
                 raise ConnectionError(f"wing {wing} error: {reply.payload.get('message')}")
             if reply.type != mtype or reply.trial != trial or reply.v != PROTOCOL_VERSION:
                 raise ConnectionError(f"wing {wing} broke lockstep: {reply.to_line()}")
+            if mtype == "outcome" and (fault := _outcome_fault(reply.payload)):
+                raise WireError(f"wing {wing} broke the outcome schema: {fault}")
 
     try:
         for wing in WINGS:
@@ -461,8 +469,8 @@ def audit_log(log: RunLog) -> AuditReport:
                 f"{msg.type} payload keys {sorted(msg.payload)} != {sorted(expected)}"))
             continue
         if entry.direction == "<" and msg.type == "outcome":
-            if msg.payload["sign"] not in (1, -1):
-                violations.append(Violation(idx, "schema", f"sign {msg.payload['sign']!r}"))
+            if fault := _outcome_fault(msg.payload):
+                violations.append(Violation(idx, "schema", fault))
             settings_used[msg.wing].add(str(msg.payload["setting"]))
             first = outcome_seen.setdefault(msg.trial, {}).setdefault(msg.wing, msg.payload)
             if first != msg.payload:
@@ -525,34 +533,34 @@ def merge_statistics(log: RunLog) -> list[MergedCell]:
     Uses the same integer tallies as the in-process estimators, so for a
     fixed seed schedule the distributed and in-process results are
     identical, not merely statistically compatible.  Trials missing an
-    outcome (an incomplete run's tail) or holding two different outcomes
-    from one wing are skipped and the cells flagged partial.
+    outcome (an incomplete run's tail), holding one that breaks the wire
+    schema, or two different outcomes from one wing are skipped and the
+    cells flagged partial.
     """
     outcomes: dict[int, dict[str, tuple[int, str]]] = {}
-    contradicted: set[int] = set()
+    skipped: set[int] = set()
     for entry in log.entries:
         msg = entry.message
         if entry.direction == "<" and msg.type == "outcome":
-            got = (int(msg.payload["sign"]), str(msg.payload["setting"]))
+            if _outcome_fault(msg.payload):
+                skipped.add(msg.trial)
+                continue
+            got = (msg.payload["sign"], str(msg.payload["setting"]))
             if outcomes.setdefault(msg.trial, {}).setdefault(msg.wing, got) != got:
-                contradicted.add(msg.trial)
-    partial = log.incomplete
+                skipped.add(msg.trial)
+    partial = log.incomplete or bool(skipped)
     cells: dict[tuple[str, str], list[int]] = {}
-    agrees: dict[tuple[str, str], int] = {}
     for t in sorted(outcomes):
         per_wing = outcomes[t]
-        if t in contradicted or set(per_wing) != {"A", "B"}:
+        if t in skipped or set(per_wing) != {"A", "B"}:
             partial = True
             continue
         (sa, ta), (sb, tb) = per_wing["A"], per_wing["B"]
-        key = (ta, tb)
-        cells.setdefault(key, []).append(sa * sb)
-        agrees[key] = agrees.get(key, 0) + (1 if sa == sb else 0)
+        cells.setdefault((ta, tb), []).append(sa * sb)
     out = []
     for (ta, tb), prods in sorted(cells.items()):
-        n = len(prods)
-        est = _estimate_from_tally(sum(prods), n)
+        n, total = len(prods), sum(prods)
         out.append(MergedCell(Setting.from_text(ta), Setting.from_text(tb),
-                              est, agrees[(ta, tb)] / n, partial))
+                              _estimate_from_tally(total, n), (n + total) // 2 / n, partial))
     return out
 

@@ -281,9 +281,6 @@ class MerminModel(LhvModel):
         support = self.probs > 0.0
         return np.arange(8, dtype=np.int64)[support], self.probs[support].copy()
 
-    def instruction_set(self, lam) -> InstructionSet:
-        return ALL_INSTRUCTION_SETS[int(lam)]
-
     # outcomes --------------------------------------------------------------
     def _setting_indices(self, setting) -> np.ndarray:
         if isinstance(setting, Setting):

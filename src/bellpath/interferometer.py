@@ -1,26 +1,24 @@
 """Two-sided interferometer with a shared source draw and local path sums.
 
-Each trial draws one source fluctuation (an emission-time offset dt0 and a
-transverse offset dx0) that both daughter particles carry away.  Each side
-then builds its own ensemble of path phases from its own configuration
-only, sums the unit phasors, and applies the half-circle threshold rule to
-the resultant's angle.  An opaque barrier is the physical picture: all
+Each trial draws one source fluctuation, a transverse offset dx0, that both
+daughter particles carry away.  Each side then builds its own ensemble of
+path phases from its own configuration and its own phase shifter only,
+sums the unit phasors, and applies the half-circle threshold rule to the
+resultant's angle.  An opaque barrier is the physical picture: all
 interference is local to a side, and the only thing the sides share is the
 source draw.
 
 Locality is structural.  ``_phasor_parts``, the one place a side's path
 sum is computed, consumes that side's config, the shared source draw, and
-a side-tagged random stream; it never sees the remote side's configuration
-or setting.  ``_run_batch``, and through it ``correlation_scan``, builds
-every trial from it, so changing side B's phase shifter cannot change side
-A's outcome for a fixed seed, bit for bit.
+a side-tagged random stream; ``_side_outcomes`` turns its parts into the
+side's outcomes at one shifter phase.  Neither sees the remote side's
+configuration or setting, so changing side B's configuration or phase
+cannot change side A's outcome for a fixed seed, bit for bit.
 
 Phases:  phi = k_wave * (L + geometry_sign*dx0 + jitter) + delta,
-with delta (the externally set phase shifter) applied to the configured
-shifted arm only and jitter drawn per arm replica with scale sigma_path.
-The emission-time offset dt0 is drawn and recorded with every trial but
-does not enter this reduced phase model; only the transverse offset feeds
-the path lengths.
+with delta (the phase shifter, the side's setting) applied to the
+configured shifted arm only and jitter drawn per arm replica with scale
+sigma_path.  The shifter phases are the scan grid; no config stores one.
 
 With one arm per side, one replica, and no jitter, a side's resultant is a
 single phasor and the model reduces exactly to the synchronized-clock
@@ -37,6 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
+from .bell_stats import _estimate_from_tally
 from .hv_models import (
     ALIGNED,
     ANTI_ALIGNED,
@@ -57,36 +56,21 @@ _LAMBDA_TAG = np.uint64(0x5EED0) << np.uint64(40)
 
 
 @dataclass(frozen=True)
-class SourceSpreads:
-    """Gaussian spreads of the source fluctuation (both may be zero)."""
-
-    sigma_dt: float = 0.0
-    sigma_dx: float = 0.0
-
-    def __post_init__(self):
-        # written so that NaN fails the test too
-        for name, value in (("sigma_dt", self.sigma_dt), ("sigma_dx", self.sigma_dx)):
-            if not 0 <= value < math.inf:
-                raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
-
-
-@dataclass(frozen=True)
 class SideConfig:
-    """Geometry and phase configuration of one side.
+    """Geometry of one side.
 
     ``arm_lengths`` are the nominal optical path lengths (one entry is the
     degenerate single-path case), ``n_ensemble`` replicates each arm into a
-    small path ensemble, ``sigma_path`` jitters every replica's length, and
-    ``phase_shifter`` adds delta to the shifted arm only.  ``geometry_sign``
-    is the signed coefficient through which the shared transverse offset
-    enters this side's path lengths.
+    small path ensemble, and ``sigma_path`` jitters every replica's length.
+    The phase shifter sits on arm ``shifted_arm``.  ``geometry_sign`` is the
+    signed coefficient through which the shared transverse offset enters
+    this side's path lengths.
     """
 
     arm_lengths: tuple[float, ...]
     k_wave: float
     n_ensemble: int = 1
     sigma_path: float = 0.0
-    phase_shifter: float = 0.0
     geometry_sign: float = 1.0
     shifted_arm: int = 0
 
@@ -102,24 +86,15 @@ class SideConfig:
             raise ValueError("n_ensemble must be >= 1")
         if not 0 <= self.sigma_path < math.inf:
             raise ValueError(f"sigma_path must be finite and nonnegative, got {self.sigma_path!r}")
-        for name, value in (("phase_shifter", self.phase_shifter),
-                            ("geometry_sign", self.geometry_sign)):
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
+        if not math.isfinite(self.geometry_sign):
+            raise ValueError(f"geometry_sign must be finite, got {self.geometry_sign!r}")
         if not 0 <= self.shifted_arm < len(self.arm_lengths):
             raise ValueError("shifted_arm out of range")
         object.__setattr__(self, "arm_lengths", tuple(float(x) for x in self.arm_lengths))
-        object.__setattr__(self, "phase_shifter", float(wrap_angle(self.phase_shifter)))
 
     @property
     def n_paths(self) -> int:
         return len(self.arm_lengths) * self.n_ensemble
-
-    def replace_shifter(self, delta: float) -> "SideConfig":
-        return SideConfig(
-            self.arm_lengths, self.k_wave, self.n_ensemble, self.sigma_path,
-            delta, self.geometry_sign, self.shifted_arm,
-        )
 
 
 def _jitters(cfg: SideConfig, side: str, seed: int, n: int) -> np.ndarray:
@@ -149,7 +124,9 @@ def _phasor_parts(cfg: SideConfig, side: str, dx0: np.ndarray, seed: int, n: int
     return plain, shifted
 
 
-def _outcomes_from_sum(total: np.ndarray):
+def _side_outcomes(plain: np.ndarray, shifted: np.ndarray, delta: float):
+    """One side's (outcome, r, theta) per trial with its shifter at phase delta."""
+    total = plain + np.exp(1j * delta) * shifted
     r = np.abs(total)
     theta = np.mod(np.angle(total), TWO_PI)
     det = threshold_sign(theta).astype(np.int8)
@@ -157,25 +134,12 @@ def _outcomes_from_sum(total: np.ndarray):
     return out, r, theta
 
 
-def _run_batch(cfg_a: SideConfig, cfg_b: SideConfig, spreads: SourceSpreads, n: int, seed: int):
-    """n two-sided trials; trial i is a pure function of (configs, spreads, seed + i)."""
+def _run_batch(cfg_a: SideConfig, cfg_b: SideConfig, spread_dx: float, n: int, seed: int):
+    """dx0 and both sides' (plain, shifted) parts of n trials, trial i drawn from seed + i."""
     lam_seeds = rng.trial_seeds(seed, n) ^ _LAMBDA_TAG
-    z = rng.normals_for_seeds(lam_seeds, 2)
-    dt0 = spreads.sigma_dt * z[:, 0]
-    dx0 = spreads.sigma_dx * z[:, 1]
-    plain_a, shift_a = _phasor_parts(cfg_a, "A", dx0, seed, n)
-    plain_b, shift_b = _phasor_parts(cfg_b, "B", dx0, seed, n)
-    total_a = plain_a + np.exp(1j * cfg_a.phase_shifter) * shift_a
-    total_b = plain_b + np.exp(1j * cfg_b.phase_shifter) * shift_b
-    out_a, r_a, th_a = _outcomes_from_sum(total_a)
-    out_b, r_b, th_b = _outcomes_from_sum(total_b)
-    return {
-        "dt0": dt0, "dx0": dx0,
-        "outcome_a": out_a, "outcome_b": out_b,
-        "r_a": r_a, "theta_a": th_a, "r_b": r_b, "theta_b": th_b,
-        "plain_a": plain_a, "shift_a": shift_a,
-        "plain_b": plain_b, "shift_b": shift_b,
-    }
+    # second of two normals, as when the first drew an emission time: rt output stays bit-identical
+    dx0 = spread_dx * rng.normals_for_seeds(lam_seeds, 2)[:, 1]
+    return dx0, _phasor_parts(cfg_a, "A", dx0, seed, n), _phasor_parts(cfg_b, "B", dx0, seed, n)
 
 
 @dataclass(frozen=True)
@@ -203,48 +167,46 @@ def correlation_scan(
     phase_grid,
     n_per_point: int,
     seed: int,
-    spreads: SourceSpreads = SourceSpreads(0.0, 1.0),
+    spread_dx: float = 1.0,
 ) -> list[ScanRow]:
     """Sweep both phase shifters over ``phase_grid`` (len(grid)^2 rows).
 
+    ``spread_dx`` is the Gaussian spread of the shared transverse offset.
     One trial ensemble (common random numbers) is reused for every setting
-    cell, so a side's outcome column depends only on its own shifter: the
-    table itself exhibits no-signaling.  The quantum fringe column is the
-    closed-form coincidence prediction, reported for comparison; no claim
-    is made that the empirical surface matches it.
+    cell, and each side's outcome column is computed once per phase of its
+    own shifter: the table itself exhibits no-signaling.  The quantum fringe
+    column is the closed-form coincidence prediction, reported for
+    comparison; no claim is made that the empirical surface matches it.
     """
+    # written so that NaN fails the test too
+    if not 0 <= spread_dx < math.inf:
+        raise ValueError(f"sigma_dx must be finite and nonnegative, got {spread_dx!r}")
     grid = _wrapped_grid(phase_grid)
     if not grid:
         raise ValueError("phase_grid must be non-empty")
     if n_per_point < 1:
         raise ValueError("n_per_point must be >= 1")
-    batch = _run_batch(cfg_a, cfg_b, spreads, n_per_point, seed)
+    _, parts_a, parts_b = _run_batch(cfg_a, cfg_b, spread_dx, n_per_point, seed)
+    columns_b = [_side_outcomes(*parts_b, db)[0] for db in grid]
     rows = []
     for da in grid:
-        total_a = batch["plain_a"] + np.exp(1j * da) * batch["shift_a"]
-        out_a, _, _ = _outcomes_from_sum(total_a)
-        for db in grid:
-            total_b = batch["plain_b"] + np.exp(1j * db) * batch["shift_b"]
-            out_b, _, _ = _outcomes_from_sum(total_b)
-            rows.append(_scan_row(da, db, out_a, out_b))
+        out_a = _side_outcomes(*parts_a, da)[0].astype(np.int64)
+        rows.extend(_scan_row(da, db, out_a, out_b) for db, out_b in zip(grid, columns_b))
     return rows
 
 
 def _scan_row(da: float, db: float, out_a: np.ndarray, out_b: np.ndarray) -> ScanRow:
+    """One cell from the product tally; an undetermined outcome (0) adds no product."""
     n = out_a.size
-    determined = (out_a != UNDETERMINED) & (out_b != UNDETERMINED)
-    n_det = int(determined.sum())
+    prod = out_a * out_b
+    n_det = int(np.count_nonzero(prod))
     p_undet = 1.0 - n_det / n
     if n_det == 0:
         return ScanRow(da, db, None, None, None, p_undet, rt_coincidence_prob(da, db), n)
-    prod = (out_a[determined].astype(np.int64) * out_b[determined]).sum()
-    mean = prod / n_det
-    stderr = None
-    if n_det > 1:
-        var = max(0.0, (1.0 - mean * mean) * n_det / (n_det - 1))
-        stderr = math.sqrt(var / n_det)
-    agree = int((out_a[determined] == out_b[determined]).sum()) / n_det
-    return ScanRow(da, db, float(mean), stderr, agree, p_undet, rt_coincidence_prob(da, db), n)
+    total = int(prod.sum())
+    est = _estimate_from_tally(total, n_det)
+    return ScanRow(da, db, est.mean, est.stderr, (n_det + total) // 2 / n_det, p_undet,
+                   rt_coincidence_prob(da, db), n)
 
 
 # -- degenerate single-path configuration ------------------------------------

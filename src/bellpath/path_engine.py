@@ -208,10 +208,6 @@ class PathSample:
         # a pickled path carries its own positions, not the batch it came from
         return PathSample, (self.positions, self.t_total)
 
-    @property
-    def n_segments(self) -> int:
-        return self.positions.size - 1
-
 
 def _require_positive(name: str, value: float) -> None:
     if not (math.isfinite(value) and value > 0):

@@ -172,34 +172,47 @@ def test_criterion_6_resultant_properties():
     _announce(6, f"resultant permutation invariance and phase equivariance ({checked} lists)")
 
 
+def _random_side(g):
+    n_arms = int(g.integers(1, 4))
+    return itf.SideConfig(
+        arm_lengths=tuple(g.uniform(0.5, 3.0, n_arms)),
+        k_wave=float(g.uniform(0.5, 8.0)),
+        n_ensemble=int(g.integers(1, 4)),
+        sigma_path=float(g.uniform(0.0, 0.3)),
+        geometry_sign=float(g.choice([-1.0, 1.0])),
+        shifted_arm=int(g.integers(0, n_arms)),
+    )
+
+
+def _two_sided_trial(cfg_a, cfg_b, delta_a, delta_b, spread_dx, seed):
+    """dx0 and each side's (plain, shifted, outcome, r, theta) of one trial."""
+    dx0, parts_a, parts_b = itf._run_batch(cfg_a, cfg_b, spread_dx, 1, seed)
+    return (dx0, (*parts_a, *itf._side_outcomes(*parts_a, delta_a)),
+            (*parts_b, *itf._side_outcomes(*parts_b, delta_b)))
+
+
+def _bitwise_equal(want, got):
+    return all(np.array_equal(w, x) for w, x in zip(want, got, strict=True))
+
+
 def test_criterion_7_interferometer_locality():
     g = np.random.default_rng(17)
     for trial in range(1000):
-        n_arms = int(g.integers(1, 4))
-        cfg_a = itf.SideConfig(
-            arm_lengths=tuple(g.uniform(0.5, 3.0, n_arms)),
-            k_wave=float(g.uniform(0.5, 8.0)),
-            n_ensemble=int(g.integers(1, 4)),
-            sigma_path=float(g.uniform(0.0, 0.3)),
-            phase_shifter=float(g.uniform(0.0, TWO_PI)),
-            geometry_sign=float(g.choice([-1.0, 1.0])),
-        )
-        n_arms_b = int(g.integers(1, 4))
-        cfg_b = itf.SideConfig(
-            arm_lengths=tuple(g.uniform(0.5, 3.0, n_arms_b)),
-            k_wave=float(g.uniform(0.5, 8.0)),
-            n_ensemble=int(g.integers(1, 4)),
-            sigma_path=float(g.uniform(0.0, 0.3)),
-            phase_shifter=float(g.uniform(0.0, TWO_PI)),
-            geometry_sign=float(g.choice([-1.0, 1.0])),
-        )
-        spreads = itf.SourceSpreads(float(g.uniform(0, 1)), float(g.uniform(0, 2)))
+        cfg_a, cfg_b = _random_side(g), _random_side(g)
+        delta_a, delta_b = g.uniform(0.0, TWO_PI, 2)
+        spread_dx = float(g.uniform(0, 2))
         seed = int(g.integers(1 << 40))
-        base = itf._run_batch(cfg_a, cfg_b, spreads, 1, seed)
-        moved = itf._run_batch(
-            cfg_a, cfg_b.replace_shifter(float(g.uniform(0.0, TWO_PI))), spreads, 1, seed)
-        assert base["outcome_a"][0] == moved["outcome_a"][0], f"locality broke at config {trial}"
-        assert base["r_a"][0] == moved["r_a"][0] and base["theta_a"][0] == moved["theta_a"][0]
+        dx0, side_a, side_b = _two_sided_trial(cfg_a, cfg_b, delta_a, delta_b, spread_dx, seed)
+        # every field of B's config and B's phase redrawn: A is bitwise unchanged
+        moved_dx0, moved_a, _ = _two_sided_trial(
+            cfg_a, _random_side(g), delta_a, g.uniform(0.0, TWO_PI), spread_dx, seed)
+        assert np.array_equal(dx0, moved_dx0) and _bitwise_equal(side_a, moved_a), \
+            f"locality broke on side A at config {trial}"
+        # and the other direction: every field of A's config and A's phase redrawn
+        moved_dx0, _, moved_b = _two_sided_trial(
+            _random_side(g), cfg_b, g.uniform(0.0, TWO_PI), delta_b, spread_dx, seed)
+        assert np.array_equal(dx0, moved_dx0) and _bitwise_equal(side_b, moved_b), \
+            f"locality broke on side B at config {trial}"
 
     # degenerate single-path configuration reproduces the clock tables exactly
     cfg = itf.SideConfig(arm_lengths=(1.0,), k_wave=1.0)
@@ -238,8 +251,8 @@ def test_criterion_8_distributed_equivalence(tmp_path):
     try:
         log = harness.source_run(model, n, seed, addr_a, addr_b)
     finally:
-        wa.wait(timeout=30)
-        wb.wait(timeout=30)
+        wa.communicate(timeout=30)
+        wb.communicate(timeout=30)
     assert not log.incomplete
 
     report = harness.audit_log(log)

@@ -322,8 +322,8 @@ def run_source(tmp_path, cfg, capsys, *extra):
                          "--seed", "3", "--wing-a", addr_a, "--wing-b", addr_b, *extra])
         return code, capsys.readouterr().out
     finally:
-        wa.wait(timeout=10)
-        wb.wait(timeout=10)
+        wa.communicate(timeout=10)
+        wb.communicate(timeout=10)
 
 
 def test_distributed_cli_run_and_audit(tmp_path, clock_cfg, capsys):
@@ -355,8 +355,8 @@ def test_distributed_cli_wing_crash_gives_incomplete(tmp_path, clock_cfg, capsys
         capsys.readouterr()
         assert code == 3
     finally:
-        wa.wait(timeout=10)
-        wb.wait(timeout=10)
+        wa.communicate(timeout=10)
+        wb.communicate(timeout=10)
     assert cli.main(["audit", str(log_path)]) == 3
     capsys.readouterr()
 
@@ -470,7 +470,7 @@ def test_propagate_refuses_a_non_finite_omega(capsys, omega):
 
 @pytest.mark.parametrize("flags, field", [
     (["--spread-dx", "nan"], "sigma_dx"),
-    (["--spread-dt", "inf"], "sigma_dt"),
+    (["--spread-dx", "-1"], "sigma_dx"),
     (["--k", "nan"], "k_wave"),
     (["--k-b", "inf"], "k_wave"),
     (["--arms", "nan,1.0"], "arm_lengths"),
@@ -481,9 +481,19 @@ def test_propagate_refuses_a_non_finite_omega(capsys, omega):
     # finite inputs whose path phases overflow
     (["--k", "1e200", "--geom-sign", "1e200"], "path phases"),
     (["--exact", "--arms", "1e200", "--k", "1e200", "--settings", "0"], "path phases"),
+    # the spread is checked before the phase grid
+    (["--spread-dx", "nan", "--settings", "nan,1"], "sigma_dx"),
 ])
 def test_rt_refuses_non_finite_inputs(capsys, flags, field):
     assert cli.main(["rt", "--n-per-point", "10", *flags]) == cli.EXIT_CONFIG
     captured = capsys.readouterr()
     assert captured.out == ""
     assert re.fullmatch(rf"error: {field} must be finite.*\n", captured.err)
+
+
+def test_rt_has_no_emission_time_spread(capsys):
+    # the emission-time offset reached no output, so its flag is gone
+    assert cli.main(["rt", "--spread-dt", "1"]) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --spread-dt 1" in captured.err

@@ -354,6 +354,72 @@ def test_wing_error_reply_flags_log_incomplete():
     assert_incomplete_with_clean_prefix(log, model, 9, 31)
 
 
+#: outcome replies that break the wire schema: a sign other than the integer
+#: 1 or -1, a missing key, an extra key
+BAD_OUTCOMES = [
+    {"sign": 0, "setting": "i1"},
+    {"sign": 2, "setting": "i1"},
+    {"sign": True, "setting": "i1"},
+    {"sign": 1.0, "setting": "i1"},
+    {"sign": "1", "setting": "i1"},
+    {"sign": None, "setting": "i1"},
+    {"setting": "i1"},
+    {"sign": 1},
+    {"sign": 1, "setting": "i1", "extra": "i0"},
+]
+
+
+@pytest.mark.parametrize("payload", BAD_OUTCOMES)
+def test_outcome_breaking_the_schema_flags_log_incomplete(payload):
+    model = ClockModel()
+    log = run_with_fault_on_b(model, 20, 31, 9, lambda last, reply: harness.WireMessage(
+        "outcome", reply.trial, "B", payload))
+    assert log.incomplete
+    assert log.entries[-1].message.payload == payload
+    # the run stops at the bad reply, which the audit names at its index
+    report = harness.audit_log(log)
+    assert [(v.index, v.code) for v in report.violations] == [(len(log.entries) - 1, "schema")]
+    sim = harness.simulate_run(model, harness.FixedPolicy(I0), harness.FixedPolicy(I1), 9, 31)
+    cells = harness.merge_statistics(log)
+    assert [c.estimate for c in cells] == [c.estimate for c in harness.merge_statistics(sim)]
+    assert all(c.partial for c in cells)
+
+
+@pytest.mark.parametrize("payload", BAD_OUTCOMES)
+def test_merge_skips_a_hand_edited_outcome_breaking_the_schema(payload, tmp_path):
+    log = clean_log()
+    want = harness.merge_statistics(log)[0]
+    idx = find_entry(log, "<", "outcome", "B", trial=4)
+    a_sign = log.entries[find_entry(log, "<", "outcome", "A", trial=4)].message.payload["sign"]
+    b_sign = log.entries[idx].message.payload["sign"]
+    replace_entry(log, idx, harness.WireMessage("outcome", 4, "B", payload))
+    log.write(tmp_path / "edited.log")
+    back = harness.RunLog.read(tmp_path / "edited.log")
+    assert not back.incomplete
+    assert any(v.index == idx and v.code == "schema" for v in harness.audit_log(back).violations)
+    (cell,) = harness.merge_statistics(back)
+    assert cell.partial
+    assert cell.estimate.n_trials == want.estimate.n_trials - 1
+    assert cell.estimate.sum_products == want.estimate.sum_products - a_sign * b_sign
+    n, total = cell.estimate.n_trials, cell.estimate.sum_products
+    assert cell.p_agree == (n + total) // 2 / n
+
+
+def test_merge_agreement_counts_equal_signs():
+    log = harness.simulate_run(ClockModel(), harness.RandomPolicy([I0, I1, I2], 4),
+                               harness.RandomPolicy([I0, I1, I2], 5), 300, seed=8)
+    signs = {}
+    for e in log.entries:
+        if e.direction == "<" and e.message.type == "outcome":
+            signs.setdefault(e.message.trial, {})[e.message.wing] = (
+                e.message.payload["sign"], e.message.payload["setting"])
+    for cell in harness.merge_statistics(log):
+        pairs = [(w["A"][0], w["B"][0]) for w in signs.values()
+                 if (w["A"][1], w["B"][1]) == (cell.setting_a.text, cell.setting_b.text)]
+        assert cell.estimate.n_trials == len(pairs)
+        assert cell.p_agree == sum(a == b for a, b in pairs) / len(pairs)
+
+
 def test_refused_handshake_flags_log_incomplete():
     model = ClockModel()
     other = ClockModel(b_convention="aligned")

@@ -143,7 +143,7 @@ def test_mermin_agreement_enumeration():
 def test_point_mass_sampling_is_constant():
     model = MerminModel.point_mass("RRG")
     for seed in (0, 1, 999):
-        assert model.instruction_set(model.sample_lambdas(seed, 1)[0]).text == "RRG"
+        assert model.lambda_text(model.sample_lambdas(seed, 1)[0]) == "RRG"
 
 
 def test_clock_sample_in_range():

@@ -14,31 +14,38 @@ from bellpath.path_engine import DEGENERATE_R, resultant
 from bellpath.util import fmt17
 
 
-def simple_side(delta=0.0, arms=(1.0, 1.0), k=TWO_PI, **kw):
-    return itf.SideConfig(arm_lengths=arms, k_wave=k, phase_shifter=delta, **kw)
+def simple_side(arms=(1.0, 1.0), k=TWO_PI, **kw):
+    return itf.SideConfig(arm_lengths=arms, k_wave=k, **kw)
 
 
-def single_path_side(delta=0.0, k=1.0, length=1.0, g=1.0):
-    return itf.SideConfig(arm_lengths=(length,), k_wave=k, phase_shifter=delta,
-                          geometry_sign=g)
+def single_path_side(k=1.0, length=1.0, g=1.0):
+    return itf.SideConfig(arm_lengths=(length,), k_wave=k, geometry_sign=g)
 
 
-NO_SPREAD = itf.SourceSpreads(0.0, 0.0)
+def trials(cfg_a, cfg_b, spread_dx, n, seed, delta_a=0.0, delta_b=0.0):
+    """n two-sided trials with the shifters at (delta_a, delta_b), as {key: array}."""
+    dx0, parts_a, parts_b = itf._run_batch(cfg_a, cfg_b, spread_dx, n, seed)
+    out = {"dx0": dx0}
+    for side, parts, delta in (("a", parts_a, delta_a), ("b", parts_b, delta_b)):
+        out["plain_" + side], out["shift_" + side] = parts
+        out["outcome_" + side], out["r_" + side], out["theta_" + side] = \
+            itf._side_outcomes(*parts, delta)
+    return out
 
 
-def one_trial(cfg_a, cfg_b=None, spreads=NO_SPREAD, seed=3):
+def one_trial(cfg_a, cfg_b=None, spread_dx=0.0, seed=3, delta_a=0.0, delta_b=0.0):
     """The single trial ``seed`` of a batch, as {key: scalar}."""
-    batch = itf._run_batch(cfg_a, cfg_b or cfg_a, spreads, 1, seed)
+    batch = trials(cfg_a, cfg_b or cfg_a, spread_dx, 1, seed, delta_a, delta_b)
     return {key: value[0] for key, value in batch.items()}
 
 
-def reference_phases(cfg, side, dx0, seed):
+def reference_phases(cfg, side, dx0, seed, delta):
     """phi = k*(L + g*dx0 + jitter) + delta; arm m, replica e at m*n_ensemble + e."""
     jitter = itf._jitters(cfg, side, seed, 1)[0]
     lengths = np.repeat(cfg.arm_lengths, cfg.n_ensemble)
     phases = cfg.k_wave * (lengths + cfg.geometry_sign * dx0 + jitter)
     lo = cfg.shifted_arm * cfg.n_ensemble
-    phases[lo:lo + cfg.n_ensemble] += cfg.phase_shifter
+    phases[lo:lo + cfg.n_ensemble] += delta
     return phases
 
 
@@ -58,7 +65,7 @@ def test_half_turn_path_difference_cancels():
 
 
 def test_shifter_on_one_of_two_equal_arms():
-    trial = one_trial(simple_side(delta=math.pi / 2))
+    trial = one_trial(simple_side(), delta_a=math.pi / 2)
     assert abs(trial["r_a"] - math.sqrt(2)) < 1e-12
     assert abs(trial["theta_a"] - math.pi / 4) < 1e-12
 
@@ -79,7 +86,7 @@ def test_jitter_layout_and_side_stream():
 def test_detector_threshold():
     angles = np.array([math.pi / 4, 3 * math.pi / 2, 0.1])
     totals = np.append(np.exp(1j * angles), 0.0)
-    out, r, theta = itf._outcomes_from_sum(totals)
+    out, r, theta = itf._side_outcomes(totals, np.zeros(4), 1.0)
     assert out.tolist() == [1, -1, 1, itf.UNDETERMINED]
     assert np.allclose(r, [1.0, 1.0, 1.0, 0.0]) and np.allclose(theta[:3], angles)
 
@@ -89,38 +96,37 @@ def test_detector_threshold():
 
 def test_no_randomness_is_fully_deterministic():
     cfg = simple_side()
-    batch = itf._run_batch(cfg, cfg, NO_SPREAD, 5, seed=0)
+    batch = trials(cfg, cfg, 0.0, 5, seed=0)
     assert np.all(batch["outcome_a"] == batch["outcome_a"][0])
     assert np.array_equal(batch["outcome_a"], batch["outcome_b"])
 
 
 def test_changing_remote_shifter_leaves_side_a_bitwise_unchanged():
-    cfg_a = simple_side(delta=0.7, arms=(1.0, 1.25), sigma_path=0.05, n_ensemble=2)
-    spreads = itf.SourceSpreads(0.1, 0.8)
-    base = itf._run_batch(cfg_a, simple_side(delta=0.0), spreads, 50, seed=9)
-    moved = itf._run_batch(cfg_a, simple_side(delta=2.9), spreads, 50, seed=9)
-    for key in ("outcome_a", "r_a", "theta_a", "dt0", "dx0"):
+    cfg_a = simple_side(arms=(1.0, 1.25), sigma_path=0.05, n_ensemble=2)
+    base = trials(cfg_a, simple_side(), 0.8, 50, seed=9, delta_a=0.7, delta_b=0.0)
+    moved = trials(cfg_a, simple_side(arms=(1.0, 1.7), k=3.0, sigma_path=0.2, shifted_arm=1),
+                   0.8, 50, seed=9, delta_a=0.7, delta_b=2.9)
+    for key in ("outcome_a", "r_a", "theta_a", "plain_a", "shift_a", "dx0"):
         assert np.array_equal(base[key], moved[key]), key
     # and the other direction: side B ignores every change on side A
-    cfg_b = simple_side(delta=1.3, arms=(1.0, 1.1))
-    one = itf._run_batch(cfg_a, cfg_b, spreads, 50, seed=9)
-    two = itf._run_batch(simple_side(delta=0.5, arms=(2.0,)), cfg_b, spreads, 50, seed=9)
-    for key in ("outcome_b", "r_b", "theta_b"):
+    cfg_b = simple_side(arms=(1.0, 1.1))
+    one = trials(cfg_a, cfg_b, 0.8, 50, seed=9, delta_a=0.7, delta_b=1.3)
+    two = trials(simple_side(arms=(2.0,)), cfg_b, 0.8, 50, seed=9, delta_a=0.5, delta_b=1.3)
+    for key in ("outcome_b", "r_b", "theta_b", "plain_b", "shift_b"):
         assert np.array_equal(one[key], two[key]), key
 
 
 def test_trial_batch_is_reproducible():
-    cfg_a, cfg_b = simple_side(0.3), simple_side(1.1)
-    spreads = itf.SourceSpreads(0.2, 0.5)
-    a = itf._run_batch(cfg_a, cfg_b, spreads, 1, seed=81)
-    b = itf._run_batch(cfg_a, cfg_b, spreads, 1, seed=81)
+    cfg_a, cfg_b = simple_side(), simple_side(arms=(1.0, 1.4))
+    a = trials(cfg_a, cfg_b, 0.5, 1, seed=81, delta_a=0.3, delta_b=1.1)
+    b = trials(cfg_a, cfg_b, 0.5, 1, seed=81, delta_a=0.3, delta_b=1.1)
     assert a.keys() == b.keys()
     assert all(np.array_equal(a[key], b[key]) for key in a)
 
 
 def test_marginals_are_balanced_with_spread():
     cfg = single_path_side(k=1.0)
-    batch = itf._run_batch(cfg, cfg, itf.SourceSpreads(0.0, 50.0), 100_000, seed=12)
+    batch = trials(cfg, cfg, 50.0, 100_000, seed=12)
     for key in ("outcome_a", "outcome_b"):
         out = batch[key]
         frac = np.mean(out == 1)
@@ -148,25 +154,69 @@ def test_scan_is_deterministic():
     assert one == two
 
 
-def test_scan_side_a_column_ignores_delta_b():
-    # common random numbers across cells: the A marginal per delta_a row of
-    # the scan cannot depend on delta_b
-    cfg = simple_side(arms=(1.0, 1.2), sigma_path=0.2, n_ensemble=2)
-    spreads = itf.SourceSpreads(0.1, 0.6)
-    batch = itf._run_batch(cfg, cfg, spreads, 300, seed=8)
-    for da in (0.4, 2.2):
-        totals = []
-        for db in (0.0, 1.0, 5.0):
-            total_a = batch["plain_a"] + np.exp(1j * da) * batch["shift_a"]
-            totals.append(itf._outcomes_from_sum(total_a)[0])
-        assert np.array_equal(totals[0], totals[1])
-        assert np.array_equal(totals[0], totals[2])
+def test_scan_rows_equal_a_per_cell_recomputation():
+    # every cell recomputed from both sides' outcomes at its own (delta_a,
+    # delta_b), with the determined trials counted, agreement counted as
+    # equal signs and the unbiased variance of the +/-1 products; side A's
+    # arms cancel at delta_a = 0, so that row has no determined trial
+    cfg_a = simple_side(arms=(1.0, 1.5))
+    cfg_b = simple_side(arms=(1.0, 1.2), k=5.0, sigma_path=0.3, shifted_arm=1)
+    grid = [0.0, 2.2, 5.0]
+    rows = itf.correlation_scan(cfg_a, cfg_b, grid, 300, seed=8, spread_dx=0.6)
+    assert [(r.delta_a, r.delta_b) for r in rows] == [(a, b) for a in grid for b in grid]
+    for row in rows:
+        cell = trials(cfg_a, cfg_b, 0.6, 300, seed=8, delta_a=row.delta_a, delta_b=row.delta_b)
+        a, b = cell["outcome_a"], cell["outcome_b"]
+        det = (a != itf.UNDETERMINED) & (b != itf.UNDETERMINED)
+        n_det = int(det.sum())
+        assert row.p_undetermined == 1.0 - n_det / 300 and row.n_trials == 300
+        if row.delta_a == 0.0:
+            assert n_det == 0 and (row.e_value, row.stderr, row.p_agree) == (None, None, None)
+            continue
+        assert n_det > 1
+        mean = float((a[det].astype(np.int64) * b[det]).sum() / n_det)
+        var = (1.0 - mean * mean) * n_det / (n_det - 1)
+        assert row.e_value == mean
+        assert row.stderr == math.sqrt(var / n_det)
+        assert row.p_agree == int((a[det] == b[det]).sum()) / n_det
+
+
+def test_scan_row_tallies_only_trials_determined_on_both_sides():
+    out_a = np.array([1, -1, 0, 1, 1], dtype=np.int64)
+    out_b = np.array([1, 1, 1, 0, -1], dtype=np.int8)
+    row = itf._scan_row(0.5, 1.0, out_a, out_b)
+    # trials 0, 1 and 4 are determined, with products 1, -1 and -1
+    assert (row.e_value, row.p_agree, row.p_undetermined, row.n_trials) == (-1 / 3, 1 / 3, 0.4, 5)
+    assert row.stderr == math.sqrt((1.0 - 1 / 9) * 3 / 2 / 3)
+
+
+def test_scan_computes_one_outcome_column_per_side_and_phase(monkeypatch):
+    # A's column once per row and B's once per phase: 2*len(grid) in all
+    calls = []
+
+    def counted(plain, shifted, delta):
+        calls.append(delta)
+        return side_outcomes(plain, shifted, delta)
+
+    side_outcomes = itf._side_outcomes
+    monkeypatch.setattr(itf, "_side_outcomes", counted)
+    grid = [0.1 * k for k in range(8)]
+    rows = itf.correlation_scan(simple_side(arms=(1.0, 1.3)), simple_side(), grid, 50, seed=4)
+    assert len(rows) == 64
+    assert len(calls) == 2 * len(grid)
+    assert sorted(calls) == sorted(grid + grid)
+
+
+@pytest.mark.parametrize("spread_dx", [math.nan, math.inf, -math.inf, -1.0])
+def test_scan_refuses_a_bad_spread_before_the_grid(spread_dx):
+    cfg = simple_side()
+    with pytest.raises(ValueError, match="^sigma_dx must be finite and nonnegative, got"):
+        itf.correlation_scan(cfg, cfg, [math.nan], 10, seed=0, spread_dx=spread_dx)
 
 
 def test_all_zero_phases_symmetric_sides_give_unit_correlation():
     cfg = single_path_side()
-    rows = itf.correlation_scan(cfg, cfg, [0.0], 500, seed=2,
-                                spreads=itf.SourceSpreads(0.0, 5.0))
+    rows = itf.correlation_scan(cfg, cfg, [0.0], 500, seed=2, spread_dx=5.0)
     assert rows[0].e_value == 1.0
     assert rows[0].p_undetermined == 0.0
 
@@ -223,7 +273,7 @@ def test_exact_scan_matches_monte_carlo(sign_product):
         grid = list(g.uniform(0.0, TWO_PI, 3))
         exact = itf.degenerate_exact_scan(cfg_a, cfg_b, grid, 600)
         mc = itf.correlation_scan(cfg_a, cfg_b, grid, 40_000, seed=int(g.integers(1 << 40)),
-                                  spreads=itf.SourceSpreads(0.0, 200.0))
+                                  spread_dx=200.0)
         for e, m in zip(exact, mc):
             assert (e.delta_a, e.delta_b) == (m.delta_a, m.delta_b)
             assert abs(e.e_value - m.e_value) <= 5.0 * m.stderr
@@ -251,11 +301,9 @@ def test_exact_scan_requires_equal_couplings():
 def test_degenerate_trials_equal_clock_outcomes():
     # trial by trial: the single-path interferometer applies the clock rule
     # to theta0 = wrap(k*(L + g*dx0))
-    cfg_a = single_path_side(delta=0.0)
-    cfg_b = single_path_side(delta=Setting.index(1).radians)
-    spreads = itf.SourceSpreads(0.0, 7.0)
+    cfg_a = cfg_b = single_path_side()
     clock = ClockModel(b_convention=ALIGNED)
-    batch = itf._run_batch(cfg_a, cfg_b, spreads, 2000, seed=21)
+    batch = trials(cfg_a, cfg_b, 7.0, 2000, seed=21, delta_b=Setting.index(1).radians)
     theta0 = wrap_angle(cfg_a.k_wave * (cfg_a.arm_lengths[0] + cfg_a.geometry_sign * batch["dx0"]))
     expect_a = clock.outcomes_a(theta0, Setting.angle(0.0))
     expect_b = clock.outcomes_b(theta0, Setting.index(1))
@@ -266,11 +314,11 @@ def test_degenerate_trials_equal_clock_outcomes():
 def test_run_trial_agrees_with_side_phases_route():
     # the phase formula summed by path_engine.resultant and the batch phasor
     # decomposition inside _run_batch must describe the same resultant
-    cfg_a = simple_side(delta=0.9, arms=(1.0, 1.4), sigma_path=0.2, n_ensemble=2)
-    cfg_b = simple_side(delta=2.1, arms=(0.8,))
-    trial = one_trial(cfg_a, cfg_b, itf.SourceSpreads(0.3, 0.7), seed=37)
-    for cfg, side in ((cfg_a, "A"), (cfg_b, "B")):
-        res = resultant(reference_phases(cfg, side, trial["dx0"], 37))
+    cfg_a = simple_side(arms=(1.0, 1.4), sigma_path=0.2, n_ensemble=2)
+    cfg_b = simple_side(arms=(0.8,))
+    trial = one_trial(cfg_a, cfg_b, 0.7, seed=37, delta_a=0.9, delta_b=2.1)
+    for cfg, side, delta in ((cfg_a, "A", 0.9), (cfg_b, "B", 2.1)):
+        res = resultant(reference_phases(cfg, side, trial["dx0"], 37, delta))
         assert abs(res.r - trial["r_" + side.lower()]) < 1e-12
         d = abs(res.theta - trial["theta_" + side.lower()]) % TWO_PI
         assert min(d, TWO_PI - d) < 1e-12
@@ -279,16 +327,11 @@ def test_run_trial_agrees_with_side_phases_route():
 def test_global_length_shift_rotates_resultant():
     # adding a constant to every path length on one side rotates that side's
     # resultant angle by k*c and leaves its modulus unchanged
-    cfg = itf.SideConfig(arm_lengths=(1.0, 1.3), k_wave=3.0, n_ensemble=2,
-                         sigma_path=0.1, phase_shifter=0.4)
-    spreads = itf.SourceSpreads(0.0, 0.7)
-    base = one_trial(cfg, spreads=spreads, seed=6)
+    cfg = itf.SideConfig(arm_lengths=(1.0, 1.3), k_wave=3.0, n_ensemble=2, sigma_path=0.1)
+    base = one_trial(cfg, spread_dx=0.7, seed=6, delta_a=0.4)
     for c in (0.25, 1.0, 2.5):
-        shifted_cfg = itf.SideConfig(
-            arm_lengths=tuple(x + c for x in cfg.arm_lengths), k_wave=cfg.k_wave,
-            n_ensemble=cfg.n_ensemble, sigma_path=cfg.sigma_path,
-            phase_shifter=cfg.phase_shifter, geometry_sign=cfg.geometry_sign)
-        rot = one_trial(shifted_cfg, spreads=spreads, seed=6)
+        shifted_cfg = dataclasses.replace(cfg, arm_lengths=tuple(x + c for x in cfg.arm_lengths))
+        rot = one_trial(shifted_cfg, spread_dx=0.7, seed=6, delta_a=0.4)
         assert abs(rot["r_a"] - base["r_a"]) < 1e-12
         d = abs((base["theta_a"] + cfg.k_wave * c) % TWO_PI - rot["theta_a"]) % TWO_PI
         assert min(d, TWO_PI - d) < 1e-10
@@ -302,6 +345,8 @@ def test_side_computation_signatures_have_no_remote_input():
     assert params == ["cfg", "side", "seed", "n"]
     params = list(inspect.signature(itf._phasor_parts).parameters)
     assert params == ["cfg", "side", "dx0", "seed", "n"]
+    params = list(inspect.signature(itf._side_outcomes).parameters)
+    assert params == ["plain", "shifted", "delta"]
 
 
 def test_side_config_validation():
@@ -315,10 +360,11 @@ def test_side_config_validation():
         itf.SideConfig(arm_lengths=(-1.0,), k_wave=1.0)
     with pytest.raises(ValueError):
         itf.SideConfig(arm_lengths=(1.0,), k_wave=1.0, shifted_arm=1)
-    with pytest.raises(ValueError, match="^phase_shifter must be finite"):
-        itf.SideConfig(arm_lengths=(1.0,), k_wave=1.0, phase_shifter=math.inf)
-    with pytest.raises(ValueError, match="^phase_shifter must be finite"):
-        simple_side().replace_shifter(math.nan)
+    with pytest.raises(ValueError, match="^geometry_sign must be finite"):
+        itf.SideConfig(arm_lengths=(1.0,), k_wave=1.0, geometry_sign=math.nan)
+    # the shifter phase is an argument of the scan, never stored config
+    with pytest.raises(TypeError):
+        itf.SideConfig(arm_lengths=(1.0,), k_wave=1.0, phase_shifter=0.0)
 
 
 def test_configs_are_frozen():
