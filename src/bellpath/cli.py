@@ -7,18 +7,22 @@ byte-identical output files across runs and platforms.
 
 Exit codes: 0 success, 1 configuration error, 2 audit violation,
 3 incomplete run.
+
+Each command imports the array layers it uses (``bell_stats``,
+``interferometer``, ``oracle``, ``path_engine``, ``rng``, numpy) when it
+runs, so ``wing`` on a clock model starts without loading numpy.
 """
 
 from __future__ import annotations
 
 import argparse
 import itertools
+import math
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import bell_stats, harness, interferometer, oracle, path_engine, rng
+from . import harness
 from .config import ConfigError, load_kv, model_from_file
 from .hv_models import (
     ALIGNED,
@@ -33,6 +37,9 @@ from .hv_models import (
     wrap_angle,
 )
 from .util import render
+
+if TYPE_CHECKING:
+    from . import bell_stats, interferometer
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -93,6 +100,8 @@ def _report(args, doc, header: str, rows=None, summary=()) -> None:
 
 def _pair_table(model: LhvModel) -> dict:
     """The model and its exact E and P(A = B) at the nine discrete setting pairs."""
+    from . import bell_stats
+
     pairs = itertools.product([Setting.index(i) for i in range(3)], repeat=2)
     return {"model": model.name, "b_convention": model.b_convention,
             "pairs": [{"setting_a": a.text, "setting_b": b.text,
@@ -102,6 +111,8 @@ def _pair_table(model: LhvModel) -> dict:
 
 
 def cmd_mermin(args) -> int:
+    from . import bell_stats, oracle
+
     if args.model_config or args.model:
         model = _build_model(args)
     else:
@@ -125,6 +136,8 @@ def cmd_mermin(args) -> int:
 
 
 def cmd_clock(args) -> int:
+    from . import bell_stats
+
     if args.model_config or args.model:
         model = _build_model(args)
     else:
@@ -152,11 +165,15 @@ def cmd_clock(args) -> int:
 
 def _classical_bound(result: bell_stats.ChshResult) -> dict:
     """|S| <= 2 within the tolerance the Bell check uses for the same terms."""
+    from . import bell_stats
+
     tol = bell_stats.verdict_tolerance(result.terms)
     return {"tolerance": tol, "classical_bound_ok": abs(result.s_value) <= 2.0 + tol}
 
 
 def cmd_chsh(args) -> int:
+    from . import bell_stats, oracle
+
     if args.oracle:
         a, ap, b, bp = _parse_angles(args.angles or SINGLET_ANGLES)
         s = oracle.chsh_quantum(a, ap, b, bp)
@@ -206,6 +223,10 @@ def _chsh_scan(model: LhvModel, n_random: int, seed: int) -> bell_stats.ChshResu
     S is evaluated for the whole (a, a', b, b') table at once; the first
     quadruple of largest |S| is then rebuilt through ``chsh``.
     """
+    import numpy as np
+
+    from . import bell_stats, rng
+
     index = np.array(list(itertools.product(range(3), repeat=4)))
     if isinstance(model, ClockModel):
         table = np.asarray(SETTING_ANGLES)[index]
@@ -226,6 +247,8 @@ def _chsh_scan(model: LhvModel, n_random: int, seed: int) -> bell_stats.ChshResu
 
 
 def cmd_bell(args) -> int:
+    from . import bell_stats, oracle
+
     if args.oracle:
         a, ap, b, bp = _parse_angles(args.angles or SINGLET_ANGLES)
         es = [oracle.singlet_E(a, b), oracle.singlet_E(a, bp),
@@ -245,6 +268,11 @@ def cmd_bell(args) -> int:
 
 
 def cmd_propagate(args) -> int:
+    import numpy as np
+
+    from . import path_engine
+
+    damping = path_engine.DEFAULT_DAMPING if args.damping is None else args.damping
     xmin, xmax, npts = args.grid.split(",")
     grid = (float(xmin), float(xmax), int(npts))
     potential = path_engine.FREE if args.kind == "free" else path_engine.harmonic(args.omega)
@@ -253,7 +281,7 @@ def cmd_propagate(args) -> int:
         spec = path_engine.PropagatorSpec(
             mass=args.mass, potential=potential, u=args.u, v=args.v, t=args.t,
             n_slices=n_slices, grid=(grid[0], grid[1], n_points),
-            hbar=args.hbar, damping=args.damping)
+            hbar=args.hbar, damping=damping)
         res = path_engine.sliced_propagator(spec)
         if res.eta > path_engine.ETA_WARNING_LEVEL:
             print(f"warning: eta = {res.eta:.3g} exceeds {path_engine.ETA_WARNING_LEVEL} "
@@ -282,6 +310,8 @@ def cmd_propagate(args) -> int:
 
 
 def _side_config(args, side: str) -> interferometer.SideConfig:
+    from . import interferometer
+
     def pick(name, fallback):
         value = getattr(args, f"{name}_b" if side == "B" else name, None)
         if side == "B" and value is None:
@@ -291,7 +321,7 @@ def _side_config(args, side: str) -> interferometer.SideConfig:
     arms = tuple(float(x) for x in str(pick("arms", "1.0,1.0")).split(","))
     return interferometer.SideConfig(
         arm_lengths=arms,
-        k_wave=float(pick("k", 2.0 * np.pi)),
+        k_wave=float(pick("k", 2.0 * math.pi)),
         n_ensemble=int(pick("ensemble", 1)),
         sigma_path=float(pick("sigma_path", 0.0)),
         geometry_sign=float(pick("geom_sign", 1.0)),
@@ -300,12 +330,14 @@ def _side_config(args, side: str) -> interferometer.SideConfig:
 
 
 def cmd_rt(args) -> int:
+    from . import interferometer
+
     cfg_a = _side_config(args, "A")
     cfg_b = _side_config(args, "B")
     if args.settings:
         phase_grid = [float(x) for x in args.settings.split(",")]
     else:
-        phase_grid = [2.0 * np.pi * k / args.phase_points for k in range(args.phase_points)]
+        phase_grid = [2.0 * math.pi * k / args.phase_points for k in range(args.phase_points)]
     if args.exact:
         rows = interferometer.degenerate_exact_scan(cfg_a, cfg_b, phase_grid, args.grid)
     else:
@@ -367,6 +399,8 @@ def cmd_audit(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from . import oracle
+
     if args.what == "singlet":
         doc = {"what": "singlet_E", "a": args.a, "b": args.b,
                "value": oracle.singlet_E(args.a, args.b)}
@@ -468,7 +502,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--t", type=float, default=1.0)
     p.add_argument("--slices", type=int, default=8)
     p.add_argument("--grid", default="-20,20,2048", help="x_min,x_max,n_points")
-    p.add_argument("--damping", type=float, default=path_engine.DEFAULT_DAMPING)
+    p.add_argument("--damping", type=float,
+                   help="anti-alias damping exponent (default: path_engine.DEFAULT_DAMPING)")
     p.add_argument("--convergence", help="comma list of slice counts for an error table")
     p.set_defaults(func=cmd_propagate)
 
@@ -476,7 +511,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     _add_common(p, n_default=0)
     p.add_argument("--arms", default="1.0,1.0")
     p.add_argument("--arms-b", dest="arms_b")
-    p.add_argument("--k", type=float, default=2.0 * np.pi)
+    p.add_argument("--k", type=float, default=2.0 * math.pi)
     p.add_argument("--k-b", dest="k_b", type=float)
     p.add_argument("--ensemble", type=int, default=1)
     p.add_argument("--ensemble-b", dest="ensemble_b", type=int)

@@ -19,8 +19,6 @@ from __future__ import annotations
 
 from pathlib import Path
 
-import numpy as np
-
 from .hv_models import (
     ALIGNED,
     ALL_INSTRUCTION_SETS,
@@ -78,6 +76,8 @@ def model_from_mapping(mapping: dict[str, str]) -> LhvModel:
         return ClockModel(b_convention=convention or ANTI_ALIGNED)
 
     if kind == "mermin":
+        import numpy as np
+
         probs = np.zeros(8)
         for key, value in mapping.items():
             if key in known:

@@ -32,10 +32,13 @@ import socket
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import rng
-from .bell_stats import CorrelationEstimate, _estimate_from_tally
 from .hv_models import LhvModel, Setting
+
+if TYPE_CHECKING:
+    from .bell_stats import CorrelationEstimate
 
 PROTOCOL_VERSION = 1
 WINGS = ("A", "B")
@@ -59,15 +62,35 @@ _SCHEMA_RECEIVED = {
 }
 
 
+@functools.lru_cache(maxsize=256)
+def _parsed_setting(text: str) -> Setting | None:
+    """The Setting whose own text is ``text``, or None.
+
+    A text that does not parse is refused, and so is one that parses to a
+    setting written otherwise (``i+1``, ``a0.50``): merged cells are keyed
+    by the text, so two spellings would split one cell.  A run repeats a
+    few texts, so each is parsed once.
+    """
+    try:
+        setting = Setting.from_text(text)
+    except ValueError:
+        return None
+    return setting if setting.text == text else None
+
+
 def _outcome_fault(payload: dict) -> str | None:
     """What breaks the outcome payload rule, or None: the keys are exactly
-    sign and setting, and the sign is the integer 1 or -1."""
+    sign and setting, the sign is the integer 1 or -1, and the setting is
+    a setting's own text (``Setting.text``)."""
     expected = _SCHEMA_RECEIVED["outcome"]
     if payload.keys() != expected:
         return f"outcome payload keys {sorted(payload)} != {sorted(expected)}"
     sign = payload["sign"]
     if type(sign) is not int or sign not in (1, -1):
         return f"sign {sign!r}"
+    setting = payload["setting"]
+    if type(setting) is not str or _parsed_setting(setting) is None:
+        return f"setting {setting!r}"
     return None
 
 
@@ -545,7 +568,7 @@ def merge_statistics(log: RunLog) -> list[MergedCell]:
             if _outcome_fault(msg.payload):
                 skipped.add(msg.trial)
                 continue
-            got = (msg.payload["sign"], str(msg.payload["setting"]))
+            got = (msg.payload["sign"], msg.payload["setting"])
             if outcomes.setdefault(msg.trial, {}).setdefault(msg.wing, got) != got:
                 skipped.add(msg.trial)
     partial = log.incomplete or bool(skipped)
@@ -557,10 +580,12 @@ def merge_statistics(log: RunLog) -> list[MergedCell]:
             continue
         (sa, ta), (sb, tb) = per_wing["A"], per_wing["B"]
         cells.setdefault((ta, tb), []).append(sa * sb)
+    from .bell_stats import _estimate_from_tally
+
     out = []
     for (ta, tb), prods in sorted(cells.items()):
         n, total = len(prods), sum(prods)
-        out.append(MergedCell(Setting.from_text(ta), Setting.from_text(tb),
+        out.append(MergedCell(_parsed_setting(ta), _parsed_setting(tb),
                               _estimate_from_tally(total, n), (n + total) // 2 / n, partial))
     return out
 

@@ -23,19 +23,26 @@ same rule as side A, ``anti_aligned`` negates it (singlet-like).  The clock
 model defaults to anti_aligned, which makes the probability of agreement at
 differing settings 2/3; the instruction-set model defaults to aligned so
 that identical settings always agree (same color on both sides).
+
+The scalar parts (``Setting``, one-trial outcomes, wire text) run in plain
+Python.  Only the array methods and ``MerminModel``'s constructor import
+numpy, so a clock-model wire wing never loads it.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import rng
 
-TWO_PI = 2.0 * np.pi
+if TYPE_CHECKING:
+    import numpy as np
+
+TWO_PI = 2.0 * math.pi
 
 RED = "R"
 GREEN = "G"
@@ -60,12 +67,21 @@ BOUNDARY_SNAP = 1e-12
 
 
 def wrap_angle(theta):
-    """Normalize an angle (or array) into [0, 2pi)."""
-    w = np.mod(theta, TWO_PI)
+    """Normalize an angle (or array) into [0, 2pi).
+
+    A float takes Python's ``%``, the IEEE operation of ``np.mod`` (see
+    ``_scalar_sign``); anything else goes through numpy.
+    """
+    if isinstance(theta, float):
+        w = theta % TWO_PI
+    else:
+        import numpy as np
+
+        w = np.mod(theta, TWO_PI)
+        if isinstance(w, np.ndarray):
+            return np.where(w >= TWO_PI, w - TWO_PI, w)
     # mod can return 2pi itself when theta is a tiny negative number
-    return np.where(w >= TWO_PI, w - TWO_PI, w) if isinstance(w, np.ndarray) else (
-        w - TWO_PI if w >= TWO_PI else w
-    )
+    return w - TWO_PI if w >= TWO_PI else w
 
 
 def _scalar_sign(theta: float) -> int:
@@ -89,6 +105,8 @@ def threshold_sign(theta):
     Angles exactly 0 or pi map to +1 and -1 respectively (half-open
     intervals, fixed for determinism).  Works elementwise on arrays.
     """
+    import numpy as np
+
     w = np.mod(np.asarray(theta, dtype=np.float64), TWO_PI)
     w = np.where(np.abs(w - TWO_PI) < BOUNDARY_SNAP, 0.0, w)
     w = np.where(np.abs(w - np.pi) < BOUNDARY_SNAP, np.pi, w)
@@ -114,7 +132,7 @@ class Setting:
             object.__setattr__(self, "value", int(self.value))
         elif self.kind == "angle":
             v = float(self.value)
-            if not np.isfinite(v):
+            if not math.isfinite(v):
                 raise ValueError("setting angle must be finite")
             object.__setattr__(self, "value", float(wrap_angle(v)))
         else:
@@ -168,20 +186,24 @@ class InstructionSet:
     def text(self) -> str:
         return "".join(self.colors)
 
-    @property
-    def signs(self) -> np.ndarray:
-        return np.array([COLOR_SIGN[c] for c in self.colors], dtype=np.int8)
-
 
 #: All 8 instruction sets in canonical order (RRR, RRG, ..., GGG).
 ALL_INSTRUCTION_SETS = tuple(
     InstructionSet(c) for c in itertools.product((RED, GREEN), repeat=3)
 )
 
-# sign table: row k = signs of ALL_INSTRUCTION_SETS[k]; the tuple form serves
-# one-trial lookups without numpy
-_SIGN_TABLE = np.stack([s.signs for s in ALL_INSTRUCTION_SETS])
-_SIGN_ROWS = tuple(tuple(int(x) for x in row) for row in _SIGN_TABLE)
+# sign table: row k = signs of ALL_INSTRUCTION_SETS[k]; the tuples serve
+# one-trial lookups, the int8 array of ``_sign_table`` the array methods
+_SIGN_ROWS = tuple(tuple(COLOR_SIGN[c] for c in s.colors) for s in ALL_INSTRUCTION_SETS)
+
+
+@functools.cache
+def _sign_table() -> np.ndarray:
+    import numpy as np
+
+    table = np.array(_SIGN_ROWS, dtype=np.int8)
+    table.flags.writeable = False
+    return table
 
 
 def _check_convention(b_convention: str) -> str:
@@ -246,6 +268,8 @@ class MerminModel(LhvModel):
     lambda_kind = "finite"
 
     def __init__(self, probs, b_convention: str = ALIGNED, name: str = "mermin"):
+        import numpy as np
+
         probs = np.asarray(probs, dtype=np.float64)
         if probs.shape != (8,):
             raise ValueError("mermin model needs 8 probabilities")
@@ -262,43 +286,51 @@ class MerminModel(LhvModel):
 
     @staticmethod
     def uniform(b_convention: str = ALIGNED) -> "MerminModel":
-        return MerminModel(np.full(8, 0.125), b_convention, name="mermin-uniform")
+        return MerminModel([0.125] * 8, b_convention, name="mermin-uniform")
 
     @staticmethod
     def point_mass(colors: str, b_convention: str = ALIGNED) -> "MerminModel":
         k = ALL_INSTRUCTION_SETS.index(InstructionSet.from_text(colors))
-        p = np.zeros(8)
+        p = [0.0] * 8
         p[k] = 1.0
         return MerminModel(p, b_convention, name=f"mermin-{colors}")
 
     # hidden variable ------------------------------------------------------
     def sample_lambdas(self, seed: int, n: int) -> np.ndarray:
+        import numpy as np
+
         u = rng.uniforms_for_seeds(rng.trial_seeds(seed, n), 1)[:, 0]
         idx = np.searchsorted(self._cum, u, side="right")
         return np.minimum(idx, 7).astype(np.int64)  # guard cum-sum rounding
 
     def enumerate_lambda(self, n_grid: int = DEFAULT_QUADRATURE_N):
+        import numpy as np
+
         support = self.probs > 0.0
         return np.arange(8, dtype=np.int64)[support], self.probs[support].copy()
 
     # outcomes --------------------------------------------------------------
-    def _setting_indices(self, setting) -> np.ndarray:
+    def _setting_indices(self, setting):
+        """A Setting's index as an int, or an array of indices as int64."""
         if isinstance(setting, Setting):
             if setting.kind != "index":
                 raise ValueError("the instruction-set model takes discrete settings only")
-            return np.asarray(int(setting.value))
+            return int(setting.value)
+        import numpy as np
+
         idx = np.asarray(setting, dtype=np.int64)
         if np.any((idx < 0) | (idx > 2)):
             raise ValueError("setting index out of range")
         return idx
 
     def outcomes_a(self, lams, setting) -> np.ndarray:
+        import numpy as np
+
         j = self._setting_indices(setting)
-        return _SIGN_TABLE[np.asarray(lams, dtype=np.int64), j]
+        return _sign_table()[np.asarray(lams, dtype=np.int64), j]
 
     def outcomes_b(self, lams, setting) -> np.ndarray:
-        j = self._setting_indices(setting)
-        return _SIGN_TABLE[np.asarray(lams, dtype=np.int64), j] * self._b_flip
+        return self.outcomes_a(lams, setting) * self._b_flip
 
     def _scalar_outcome(self, lam, setting) -> int:
         return _SIGN_ROWS[int(lam)][int(self._setting_indices(setting))]
@@ -344,6 +376,8 @@ class ClockModel(LhvModel):
         Settings within BOUNDARY_SNAP of equal or opposite count as such, as
         the threshold rule does for angles, so they give exactly +/-1.
         """
+        import numpy as np
+
         w = np.mod(np.abs(self._setting_angles(a) - self._setting_angles(b)), TWO_PI)
         d = np.minimum(w, TWO_PI - w)
         d = np.where(d < BOUNDARY_SNAP, 0.0, np.where(np.pi - d < BOUNDARY_SNAP, np.pi, d))
@@ -352,21 +386,26 @@ class ClockModel(LhvModel):
     def enumerate_lambda(self, n_grid: int = DEFAULT_QUADRATURE_N):
         if n_grid < 1:
             raise ValueError("n_grid must be >= 1")
+        import numpy as np
+
         thetas = TWO_PI * np.arange(n_grid, dtype=np.float64) / n_grid
         return thetas, np.full(n_grid, 1.0 / n_grid)
 
     def _setting_angles(self, setting) -> np.ndarray:
+        import numpy as np
+
         if isinstance(setting, Setting):
             return np.asarray(setting.radians)
         return np.asarray(setting, dtype=np.float64)
 
     def outcomes_a(self, lams, setting) -> np.ndarray:
+        import numpy as np
+
         delta = self._setting_angles(setting)
         return threshold_sign(np.asarray(lams, dtype=np.float64) + delta)
 
     def outcomes_b(self, lams, setting) -> np.ndarray:
-        delta = self._setting_angles(setting)
-        return threshold_sign(np.asarray(lams, dtype=np.float64) + delta) * self._b_flip
+        return self.outcomes_a(lams, setting) * self._b_flip
 
     def _scalar_outcome(self, lam, setting: Setting) -> int:
         return _scalar_sign(float(lam) + setting.radians)

@@ -15,31 +15,38 @@ Seed 0 is valid.
 ``uniform`` is the scalar form of the stream: the first draw of one seed,
 computed in plain Python integers masked to 64 bits.  It gives the same bits
 as ``uniforms(seed, 1)[0]`` and costs a few operations instead of a numpy
-round-trip, which matters on the per-trial path of a wire run.
+round-trip, which matters on the per-trial path of a wire run.  The
+module imports numpy only inside the array functions, so a process that
+draws scalars alone (a wire wing) never loads it.
 """
 
 from __future__ import annotations
 
 import operator
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
-# SplitMix64 constants: Python ints for the scalar path, uint64 for arrays
+# SplitMix64 constants as Python ints; the array functions wrap them in uint64
 _GOLDEN_I, _MIX_A_I, _MIX_B_I = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
-_GOLDEN, _MIX_A, _MIX_B = np.uint64(_GOLDEN_I), np.uint64(_MIX_A_I), np.uint64(_MIX_B_I)
 _MASK64 = (1 << 64) - 1
 
 # 2**-53: maps the top 53 bits of a u64 to [0, 1)
-_INV53 = float(np.ldexp(1.0, -53))
+_INV53 = 2.0 ** -53
 
 
 def _finalize(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * _MIX_A
-    z = (z ^ (z >> np.uint64(27))) * _MIX_B
+    import numpy as np
+
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX_A_I)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX_B_I)
     return z ^ (z >> np.uint64(31))
 
 
 def _as_u64(seed) -> np.ndarray:
+    import numpy as np
+
     # Accept python ints (possibly negative or > 2**64) and arrays alike.
     arr = np.asarray(seed)
     if arr.dtype.kind in "iu":
@@ -49,22 +56,28 @@ def _as_u64(seed) -> np.ndarray:
 
 def mix64(seed) -> np.ndarray:
     """SplitMix64 finalizer of ``seed`` (elementwise for arrays)."""
+    import numpy as np
+
     with np.errstate(over="ignore"):
-        return _finalize(_as_u64(seed) + _GOLDEN)
+        return _finalize(_as_u64(seed) + np.uint64(_GOLDEN_I))
 
 
 def u64_stream(seed: int, n: int) -> np.ndarray:
     """First ``n`` raw 64-bit outputs of the stream for one seed."""
     if n < 0:
         raise ValueError("n must be >= 0")
+    import numpy as np
+
     with np.errstate(over="ignore"):
         state0 = mix64(np.uint64(seed % (1 << 64)))
-        steps = (np.arange(1, n + 1, dtype=np.uint64)) * _GOLDEN
+        steps = (np.arange(1, n + 1, dtype=np.uint64)) * np.uint64(_GOLDEN_I)
         return _finalize(state0 + steps)
 
 
 def uniforms(seed: int, n: int) -> np.ndarray:
     """n uniform doubles in [0, 1) from the stream of ``seed``."""
+    import numpy as np
+
     return (u64_stream(seed, n) >> np.uint64(11)).astype(np.float64) * _INV53
 
 
@@ -82,9 +95,11 @@ def uniform(seed: int) -> float:
 
 def uniforms_for_seeds(seeds, n: int) -> np.ndarray:
     """Matrix of uniforms, row k holding the first n draws of seeds[k]."""
+    import numpy as np
+
     with np.errstate(over="ignore"):
         s0 = mix64(_as_u64(seeds)).reshape(-1, 1)
-        steps = (np.arange(1, n + 1, dtype=np.uint64)) * _GOLDEN
+        steps = (np.arange(1, n + 1, dtype=np.uint64)) * np.uint64(_GOLDEN_I)
         u = _finalize(s0 + steps.reshape(1, -1))
     return (u >> np.uint64(11)).astype(np.float64) * _INV53
 
@@ -95,6 +110,8 @@ def normals_for_seeds(seeds, n: int) -> np.ndarray:
     Box-Muller on consecutive uniform pairs; u1 is kept away from 0 so the
     log never overflows.
     """
+    import numpy as np
+
     m = (n + 1) // 2
     u = uniforms_for_seeds(seeds, 2 * m)
     u1 = np.maximum(u[:, 0::2], _INV53)
@@ -112,6 +129,8 @@ def trial_seeds(base_seed: int, n: int, offset: int = 0) -> np.ndarray:
     This is the one seed schedule used everywhere: trial i of a run is a pure
     function of base_seed + i regardless of how trials are sharded.
     """
+    import numpy as np
+
     with np.errstate(over="ignore"):
         base = np.uint64((base_seed + offset) % (1 << 64))
         return base + np.arange(n, dtype=np.uint64)

@@ -1,12 +1,13 @@
 import dataclasses
 import re
 import threading
+import types
 from datetime import datetime, timedelta, timezone
 
 import pytest
 
 from bellpath import bell_stats as bs
-from bellpath import harness
+from bellpath import cli, harness
 from bellpath.hv_models import ClockModel, MerminModel, Setting
 
 I0, I1, I2 = Setting.index(0), Setting.index(1), Setting.index(2)
@@ -355,8 +356,16 @@ def test_wing_error_reply_flags_log_incomplete():
 
 
 #: outcome replies that break the wire schema: a sign other than the integer
-#: 1 or -1, a missing key, an extra key
+#: 1 or -1, a setting other than a Setting's own text (one that does not
+#: parse, or another spelling of a setting), a missing key, an extra key
 BAD_OUTCOMES = [
+    {"sign": 1, "setting": "x"},
+    {"sign": 1, "setting": 5},
+    {"sign": 1, "setting": "i3"},
+    {"sign": -1, "setting": "anan"},
+    {"sign": -1, "setting": "a1e400"},
+    {"sign": 1, "setting": "i+1"},
+    {"sign": 1, "setting": "a0.50"},
     {"sign": 0, "setting": "i1"},
     {"sign": 2, "setting": "i1"},
     {"sign": True, "setting": "i1"},
@@ -403,6 +412,35 @@ def test_merge_skips_a_hand_edited_outcome_breaking_the_schema(payload, tmp_path
     assert cell.estimate.sum_products == want.estimate.sum_products - a_sign * b_sign
     n, total = cell.estimate.n_trials, cell.estimate.sum_products
     assert cell.p_agree == (n + total) // 2 / n
+
+
+class SettingTextAfter:
+    """Measures at i1, but from trial ``trial`` on reports ``text`` as its setting."""
+
+    def __init__(self, trial, text):
+        self.trial, self.text = trial, text
+
+    def setting(self, trial):
+        if trial < self.trial:
+            return I1
+        return types.SimpleNamespace(radians=I1.radians, text=self.text)
+
+
+@pytest.mark.parametrize("text", ["x", 5, "i3", "anan", "a1e400", "i+1"])
+def test_source_command_stops_at_an_unusable_outcome_setting(text, tmp_path, capsys):
+    cfg = tmp_path / "clock.cfg"
+    cfg.write_text("model=clock\nb_convention=anti_aligned\n")
+    addr_a = start_wing("A", ClockModel(), harness.FixedPolicy(I0))
+    addr_b = start_wing("B", ClockModel(), SettingTextAfter(7, text))
+    log_path = tmp_path / "bad.log"
+    code = cli.main(["source", "--model-config", str(cfg), "--n", "20", "--seed", "3",
+                     "--wing-a", "%s:%d" % addr_a, "--wing-b", "%s:%d" % addr_b,
+                     "--log", str(log_path)])
+    header, row = capsys.readouterr().out.splitlines()
+    assert code == 3
+    assert row.startswith("i0,i1,") and row.split(",")[4] == "7"
+    assert cli.main(["audit", str(log_path)]) == 2
+    assert f"[schema] setting {text!r}" in capsys.readouterr().out
 
 
 def test_merge_agreement_counts_equal_signs():

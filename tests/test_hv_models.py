@@ -65,8 +65,9 @@ def test_setting_index_maps_to_angles():
 def test_setting_rejects_bad_values():
     with pytest.raises(ValueError):
         Setting.index(3)
-    with pytest.raises(ValueError):
-        Setting.angle(float("nan"))
+    for x in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            Setting.angle(x)
     with pytest.raises(ValueError):
         Setting("weird", 0)
 
@@ -110,6 +111,25 @@ def test_scalar_threshold_equals_array_rule(theta):
     assert got == threshold_sign(np.array([theta]))[0]
 
 
+# -- the numpy-free scalar routes against numpy -----------------------------------
+
+
+def test_two_pi_is_numpys_double():
+    assert TWO_PI == 2.0 * np.pi
+
+
+def _np_wrap(x: float) -> float:
+    """Reference: np.mod into [0, 2pi), a result of 2pi itself taken to 0."""
+    w = np.mod(np.float64(x), 2.0 * np.pi)
+    return float(w - 2.0 * np.pi if w >= 2.0 * np.pi else w)
+
+
+@settings(max_examples=2000, deadline=None)
+@given(st.one_of(_ANGLES, st.integers(-10**6, 10**6).map(lambda k: k * (2.0 * np.pi))))
+def test_setting_angle_wraps_like_np_mod(x):
+    assert Setting.angle(x).value.hex() == _np_wrap(x).hex()
+
+
 # -- instruction sets -----------------------------------------------------------
 
 
@@ -117,7 +137,10 @@ def test_instruction_set_catalog():
     assert len(ALL_INSTRUCTION_SETS) == 8
     assert ALL_INSTRUCTION_SETS[0].text == "RRR"
     assert ALL_INSTRUCTION_SETS[-1].text == "GGG"
-    assert list(InstructionSet.from_text("RRG").signs) == [1, 1, -1]
+    rrg = MerminModel.point_mass("RRG")
+    lam = rrg.lambda_from_text("RRG")
+    assert [rrg.outcome_a(lam, Setting.index(j)) for j in range(3)] == [1, 1, -1]
+    assert rrg.outcomes_a(np.full(3, lam), np.arange(3)).tolist() == [1, 1, -1]
     with pytest.raises(ValueError):
         InstructionSet(("R", "G"))
     with pytest.raises(ValueError):

@@ -75,6 +75,10 @@ def test_scalar_uniform_is_the_first_draw_of_the_stream(seed):
     assert rng.uniform(seed).hex() == float(rng.uniforms(int(seed), 1)[0]).hex()
 
 
+def test_scalar_constant_is_numpys_double():
+    assert rng._INV53 == float(np.ldexp(1.0, -53))
+
+
 def test_float_seeds_are_refused():
     for seed in (1.0, np.float64(2.0)):
         with pytest.raises(TypeError):
