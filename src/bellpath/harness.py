@@ -9,10 +9,17 @@ a remote wing's setting toward a wing, so no-signaling holds by
 construction; the audit makes that checkable from the log alone.
 
 Wire format: one JSON object per line with exactly the fields
-``type, v, trial, wing, payload`` and protocol version v=1 everywhere.
+``type, v, trial, wing, payload`` and protocol version v=2 everywhere.
 Message types are hello, lambda, outcome, done, error.  Real-valued hidden
 variables travel as decimal text with 17 significant digits (exact
 round-trip); instruction sets as 3-character strings.
+
+Trials run in windows of ``WINDOW`` (named in the source's hello): the
+source writes the lambda lines of a whole window to each wing at once, then
+reads the outcomes in trial order, and sends no lambda of the next window
+before every outcome of this one has arrived.  A wing answers each line in
+turn, whatever the window, and writes the replies to all the lines it holds
+at once.
 
 ``simulate_run`` runs the same source loop against the same wing protocol,
 with the wings called in process instead of over sockets.
@@ -21,12 +28,15 @@ The source's log records every message with an ISO-8601 timestamp and a
 direction marker (``>`` sent, ``<`` received).  Merged statistics are
 computed from the log after the run, the way a real experiment would, and
 reproduce the in-process estimators bit for bit under the same seed
-schedule.
+schedule.  ``audit_log`` also reads logs of protocol v1, which ran one
+trial at a time.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
+import itertools
 import json
 import socket
 import time
@@ -40,8 +50,21 @@ from .hv_models import LhvModel, Setting
 if TYPE_CHECKING:
     from .bell_stats import CorrelationEstimate
 
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 WINGS = ("A", "B")
+
+#: Trials the source keeps in flight to each wing.  The source writes a
+#: window's lambda lines to both wings before it reads a reply, and each wing
+#: writes its replies before the source reads them, so a window must fit in
+#: the socket buffers: WINDOW times the longest lambda line (under 120 bytes,
+#: about 5 KB for a clock angle at any trial number below 10**15; outcome lines
+#: are as short) stays far below a loopback socket buffer (over 200 KB on
+#: Linux).  A pinned protocol constant, not a setting: the audit reads it from
+#: the source's hello.
+WINDOW = 64
+
+#: Bytes asked of the socket per read; a whole window of lines fits in one.
+_RECV_BYTES = 1 << 16
 
 #: Seconds the source waits to connect to a wing and for each of its replies;
 #: a wing that stays silent longer ends the run with the log flagged incomplete.
@@ -51,7 +74,7 @@ _FIELDS = ("type", "v", "trial", "wing", "payload")
 
 # payload key sets per (direction, type); direction is the source's view
 _SCHEMA_SENT = {
-    "hello": {"role", "model", "b_convention", "n_trials"},
+    "hello": {"role", "model", "b_convention", "n_trials", "window"},
     "lambda": {"lambda"},
     "done": set(),
 }
@@ -60,6 +83,9 @@ _SCHEMA_RECEIVED = {
     "outcome": {"sign", "setting"},
     "error": {"message"},
 }
+# a v1 source ran one trial at a time and named no window
+_SCHEMA_SENT_V1 = dict(_SCHEMA_SENT, hello=_SCHEMA_SENT["hello"] - {"window"})
+_AUDITED_VERSIONS = (1, 2)
 
 
 @functools.lru_cache(maxsize=256)
@@ -130,6 +156,29 @@ class WireMessage:
                 raise WireError(f"{key} must be an integer, got {obj[key]!r}")
         return WireMessage(obj["type"], obj["trial"], str(obj["wing"]), obj["payload"], obj["v"])
 
+    @staticmethod
+    def from_bytes(raw: bytes) -> "WireMessage":
+        """The message of one wire line as read from a socket, newline removed."""
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise WireError(f"not UTF-8: {raw[:80]!r}") from exc
+        return WireMessage.from_line(line)
+
+
+def _wire_bytes(lines: list[str]) -> bytes:
+    """The bytes of some wire lines, each ended by a newline, for one write."""
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def _wire_lines(sock: socket.socket):
+    """Per read from ``sock``, the list of wire lines it completed, until the
+    peer closes."""
+    tail = b""
+    while chunk := sock.recv(_RECV_BYTES):
+        *lines, tail = (tail + chunk).split(b"\n")
+        yield lines
+
 
 @dataclass(frozen=True)
 class LogEntry:
@@ -168,7 +217,7 @@ class RunLog:
         meta: dict = {}
         entries: list[LogEntry] = []
         incomplete = False
-        for raw in Path(path).read_text(encoding="utf-8").splitlines():
+        for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
             if not raw.strip():
                 continue
             if raw.startswith("#"):
@@ -178,8 +227,13 @@ class RunLog:
                 else:
                     meta[key] = value
                 continue
-            ts, direction, line = raw.split(" ", 2)
-            entries.append(LogEntry(ts, direction, WireMessage.from_line(line)))
+            parts = raw.split(" ", 2)
+            try:
+                if len(parts) != 3:
+                    raise WireError(f"not 'timestamp direction message': {raw[:80]!r}")
+                entries.append(LogEntry(parts[0], parts[1], WireMessage.from_line(parts[2])))
+            except WireError as exc:
+                raise WireError(f"{path} line {lineno}: {exc}") from None
         return RunLog(meta, entries, incomplete)
 
 
@@ -253,8 +307,10 @@ def wing_serve(
     """Serve one run: answer lambda messages with outcomes until done.
 
     Binds host:port (port 0 picks a free one) and reports the bound
-    endpoint through ``announce`` before accepting.  ``quit_after`` drops
-    the connection abruptly after that many outcomes, for crash testing.
+    endpoint through ``announce`` before accepting.  Each read answers every
+    complete line it brought, in order, and writes those replies at once.
+    ``quit_after`` drops the connection abruptly after that many outcomes,
+    for crash testing.
     """
     if wing_id not in WINGS:
         raise ValueError(f"wing_id must be one of {WINGS}")
@@ -264,45 +320,56 @@ def wing_serve(
             announce(f"WING {wing_id} LISTENING {bound[0]} {bound[1]}")
         conn, _ = srv.accept()
     served = 0
-    with conn, conn.makefile("r", encoding="utf-8", newline="\n") as rfile, \
-            conn.makefile("w", encoding="utf-8", newline="\n") as wfile:
-        for line in rfile:
-            try:
-                msg = WireMessage.from_line(line.rstrip("\n"))
-            except WireError as exc:
-                reply, serving = WireMessage("error", 0, wing_id, {"message": str(exc)}), True
-            else:
-                reply, serving = _wing_reply(wing_id, model, policy, msg)
-            if reply is not None:
-                wfile.write(reply.to_line() + "\n")
-                wfile.flush()
-                if reply.type == "outcome":
-                    served += 1
-                    if quit_after is not None and served >= quit_after:
-                        conn.shutdown(socket.SHUT_RDWR)  # simulated crash
-                        break
-            if not serving:
+    with conn:
+        for lines in _wire_lines(conn):
+            replies, serving, crashed = [], True, False
+            for raw in lines:
+                try:
+                    msg = WireMessage.from_bytes(raw)
+                except WireError as exc:
+                    reply, serving = WireMessage("error", 0, wing_id, {"message": str(exc)}), True
+                else:
+                    reply, serving = _wing_reply(wing_id, model, policy, msg)
+                if reply is not None:
+                    replies.append(reply.to_line())
+                    if reply.type == "outcome":
+                        served += 1
+                        crashed = quit_after is not None and served >= quit_after
+                if crashed or not serving:
+                    break
+            if replies:
+                conn.sendall(_wire_bytes(replies))
+            if crashed:
+                conn.shutdown(socket.SHUT_RDWR)  # simulated crash
+            if crashed or not serving:
                 break
 
 
 # -- source --------------------------------------------------------------------
 
 class _WingLink:
+    """A wing over a socket: sent lines queue until ``flush`` writes them at
+    once, and each read may bring several replies."""
+
     def __init__(self, wing: str, endpoint: tuple[str, int]):
         self.wing = wing
         self.sock = socket.create_connection(endpoint, timeout=WING_TIMEOUT_S)
-        self.rfile = self.sock.makefile("r", encoding="utf-8", newline="\n")
-        self.wfile = self.sock.makefile("w", encoding="utf-8", newline="\n")
+        self.queued: list[str] = []
+        self.lines = itertools.chain.from_iterable(_wire_lines(self.sock))
 
     def send(self, msg: WireMessage):
-        self.wfile.write(msg.to_line() + "\n")
-        self.wfile.flush()
+        self.queued.append(msg.to_line())
+
+    def flush(self):
+        if self.queued:
+            self.sock.sendall(_wire_bytes(self.queued))
+            self.queued = []
 
     def recv(self) -> WireMessage:
-        line = self.rfile.readline()
-        if not line:
+        raw = next(self.lines, None)
+        if raw is None:
             raise ConnectionError(f"wing {self.wing} disconnected")
-        return WireMessage.from_line(line.rstrip("\n"))
+        return WireMessage.from_bytes(raw)
 
     def close(self):
         try:
@@ -312,20 +379,25 @@ class _WingLink:
 
 
 class _LocalLink:
-    """A wing in process: each message goes straight to ``_wing_reply``."""
+    """A wing in process: each message goes straight to ``_wing_reply``, and
+    its reply queues until the source reads it."""
 
     def __init__(self, wing: str, model: LhvModel, policy):
         self.wing, self.model, self.policy = wing, model, policy
-        self.reply = None
+        self.replies: collections.deque[WireMessage] = collections.deque()
 
     def send(self, msg: WireMessage):
-        self.reply, _ = _wing_reply(self.wing, self.model, self.policy, msg)
+        reply, _ = _wing_reply(self.wing, self.model, self.policy, msg)
+        if reply is not None:
+            self.replies.append(reply)
+
+    def flush(self):
+        pass
 
     def recv(self) -> WireMessage:
-        reply, self.reply = self.reply, None
-        if reply is None:
+        if not self.replies:
             raise ConnectionError(f"wing {self.wing} sent no reply")
-        return reply
+        return self.replies.popleft()
 
     def close(self):
         pass
@@ -344,6 +416,10 @@ def _run(model: LhvModel, n_trials: int, seed: int, connect) -> RunLog:
             link.send(msg)
             log.append(">", msg)
 
+    def flush_all():
+        for link in links.values():
+            link.flush()
+
     def recv_all(mtype: str, trial: int):
         for wing, link in links.items():
             reply = link.recv()
@@ -359,12 +435,20 @@ def _run(model: LhvModel, n_trials: int, seed: int, connect) -> RunLog:
         for wing in WINGS:
             links[wing] = connect(wing)
         send_all("hello", 0, {"role": "source", "model": model.name,
-                              "b_convention": model.b_convention, "n_trials": n_trials})
+                              "b_convention": model.b_convention, "n_trials": n_trials,
+                              "window": WINDOW})
+        flush_all()
         recv_all("hello", 0)
-        for t, lam in enumerate(model.sample_lambdas(seed, n_trials)):
-            send_all("lambda", t, {"lambda": model.lambda_text(lam)})
-            recv_all("outcome", t)
+        lams = model.sample_lambdas(seed, n_trials).tolist()
+        for start in range(0, n_trials, WINDOW):
+            window = range(start, min(start + WINDOW, n_trials))
+            for t in window:
+                send_all("lambda", t, {"lambda": model.lambda_text(lams[t])})
+            flush_all()
+            for t in window:
+                recv_all("outcome", t)
         send_all("done", n_trials, {})
+        flush_all()
     except (ConnectionError, OSError, WireError):
         log.incomplete = True
     finally:
@@ -383,10 +467,12 @@ def source_run(
     """Coordinate one distributed run and return its message log.
 
     Trial t's hidden variable comes from the stream of seed + t, the same
-    schedule the in-process estimators use.  Trials run in lockstep: both
-    outcomes of trial t are logged before trial t+1 starts.  A wing failure
-    aborts the run and flags the log incomplete; the completed prefix is
-    still auditable and mergeable.
+    schedule the in-process estimators use.  Trials run in windows of
+    ``WINDOW``: each window's lambdas go to a wing in one write, and both
+    outcomes of every trial of a window are logged before the next window
+    starts.  A wing failure, or a reply that is not a wire line, aborts the
+    run and flags the log incomplete; the completed prefix is still
+    auditable and mergeable.
     """
     endpoints = {"A": endpoint_a, "B": endpoint_b}
     return _run(model, n_trials, seed, lambda wing: _WingLink(wing, endpoints[wing]))
@@ -459,12 +545,16 @@ def _payload_leaves(payload) -> list:
 def audit_log(log: RunLog) -> AuditReport:
     """Check a run log for any sign of cross-wing setting flow.
 
-    Three layers: (1) schema, every message has exactly the protocol fields
-    and the payload keys its (direction, type) allows; (2) the genetic
+    Three layers: (1) schema, every message carries the log's protocol
+    version (its first message's, 1 or 2) and has exactly the protocol
+    fields and the payload keys its (direction, type) allows, and in a v2 log
+    both source hellos name one positive integer window W; (2) the genetic
     hypothesis, identical lambda text to both wings per trial, dense trial
-    ids, outcomes before the next trial's lambdas, at most one outcome per
-    trial and wing (an identical repeat is allowed); (3) content, no payload
-    value delivered to a wing equals a setting the other wing reported.
+    ids, both outcomes of every trial of a window of W before any lambda of
+    the next window (W = 1 in a v1 log: each trial's outcomes before the next
+    trial's lambdas), at most one outcome per trial and wing (an identical
+    repeat is allowed); (3) content, no payload value delivered to a wing
+    equals a setting the other wing reported.
     """
     violations: list[Violation] = []
     lam_text: dict[int, dict[str, tuple[int, str]]] = {}
@@ -472,15 +562,21 @@ def audit_log(log: RunLog) -> AuditReport:
     settings_used: dict[str, set[str]] = {"A": set(), "B": set()}
     max_lambda_trial = {"A": -1, "B": -1}
     n_trials_seen = 0
+    version = log.entries[0].message.v if log.entries else PROTOCOL_VERSION
+    sent_schema = _SCHEMA_SENT_V1 if version == 1 else _SCHEMA_SENT
+    # the window both hellos agree on; until then, or in a v1 log, one trial
+    hello_windows: dict[str, int] = {}
+    window = 1
+    complete_windows: set[int] = set()  # windows with both outcomes of every trial
 
     for idx, entry in enumerate(log.entries):
         msg = entry.message
-        if msg.v != PROTOCOL_VERSION:
+        if msg.v != version or msg.v not in _AUDITED_VERSIONS:
             violations.append(Violation(idx, "schema", f"protocol version {msg.v}"))
         if msg.wing not in WINGS:
             violations.append(Violation(idx, "schema", f"unknown wing {msg.wing!r}"))
             continue
-        schema = _SCHEMA_SENT if entry.direction == ">" else _SCHEMA_RECEIVED
+        schema = sent_schema if entry.direction == ">" else _SCHEMA_RECEIVED
         if msg.type not in schema:
             violations.append(Violation(
                 idx, "flow", f"{msg.type!r} message may not travel direction {entry.direction!r}"))
@@ -491,6 +587,19 @@ def audit_log(log: RunLog) -> AuditReport:
                 idx, "schema",
                 f"{msg.type} payload keys {sorted(msg.payload)} != {sorted(expected)}"))
             continue
+        if entry.direction == ">" and msg.type == "hello" and "window" in expected:
+            w, agreed = msg.payload["window"], set(hello_windows.values())
+            if type(w) is not int or w < 1:
+                violations.append(Violation(
+                    idx, "schema", f"hello window {w!r} is not a positive integer"))
+            elif agreed and w not in agreed:
+                violations.append(Violation(
+                    idx, "schema", f"hello window {w} differs from the other hello's {agreed.pop()}"))
+            else:
+                hello_windows[msg.wing] = w
+                if len(hello_windows) == len(WINGS) and w != window:
+                    window = w
+                    complete_windows.clear()
         if entry.direction == "<" and msg.type == "outcome":
             if fault := _outcome_fault(msg.payload):
                 violations.append(Violation(idx, "schema", fault))
@@ -508,11 +617,16 @@ def audit_log(log: RunLog) -> AuditReport:
                     f"wing {msg.wing} lambda trial {t} after {max_lambda_trial[msg.wing]}"))
             max_lambda_trial[msg.wing] = max(max_lambda_trial[msg.wing], t)
             lam_text.setdefault(t, {})[msg.wing] = (idx, msg.payload["lambda"])
-            if t > 0:
-                if set(outcome_seen.get(t - 1, ())) != {"A", "B"}:
+            previous = t // window - 1
+            if previous >= 0 and previous not in complete_windows:
+                trials = range(previous * window, (previous + 1) * window)
+                missing = next((s for s in trials if len(outcome_seen.get(s, ())) != 2), None)
+                if missing is None:
+                    complete_windows.add(previous)
+                else:
                     violations.append(Violation(
                         idx, "lockstep",
-                        f"trial {t} lambda before both outcomes of trial {t - 1}"))
+                        f"trial {t} lambda before both outcomes of trial {missing}"))
             n_trials_seen = max(n_trials_seen, t + 1)
 
     for t, per_wing in sorted(lam_text.items()):

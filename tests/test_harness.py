@@ -1,16 +1,25 @@
 import dataclasses
+import json
+import math
 import re
+import socket
 import threading
 import types
 from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bellpath import bell_stats as bs
 from bellpath import cli, harness
 from bellpath.hv_models import ClockModel, MerminModel, Setting
 
 I0, I1, I2 = Setting.index(0), Setting.index(1), Setting.index(2)
+W = harness.WINDOW
+#: v1 run logs written by the v1 harness, with the audit text it gave each
+V1_LOGS = Path(__file__).parent / "data" / "v1_logs"
 
 
 def start_wing(wing_id, model, policy, quit_after=None):
@@ -47,19 +56,20 @@ def test_wire_message_round_trip():
 # versions must read them unchanged
 _GOLDEN_LINES = [
     (harness.WireMessage("hello", 0, "A", {"role": "source", "model": "clock",
-                                           "b_convention": "anti_aligned", "n_trials": 3}),
-     '{"type":"hello","v":1,"trial":0,"wing":"A","payload":{"role":"source","model":"clock",'
-     '"b_convention":"anti_aligned","n_trials":3}}'),
+                                           "b_convention": "anti_aligned", "n_trials": 3,
+                                           "window": 64}),
+     '{"type":"hello","v":2,"trial":0,"wing":"A","payload":{"role":"source","model":"clock",'
+     '"b_convention":"anti_aligned","n_trials":3,"window":64}}'),
     (harness.WireMessage("hello", 0, "B", {"role": "wing"}),
-     '{"type":"hello","v":1,"trial":0,"wing":"B","payload":{"role":"wing"}}'),
+     '{"type":"hello","v":2,"trial":0,"wing":"B","payload":{"role":"wing"}}'),
     (harness.WireMessage("lambda", 41, "B", {"lambda": "4.1215426508012845"}),
-     '{"type":"lambda","v":1,"trial":41,"wing":"B","payload":{"lambda":"4.1215426508012845"}}'),
+     '{"type":"lambda","v":2,"trial":41,"wing":"B","payload":{"lambda":"4.1215426508012845"}}'),
     (harness.WireMessage("outcome", 41, "A", {"sign": -1, "setting": "a0.5"}),
-     '{"type":"outcome","v":1,"trial":41,"wing":"A","payload":{"sign":-1,"setting":"a0.5"}}'),
+     '{"type":"outcome","v":2,"trial":41,"wing":"A","payload":{"sign":-1,"setting":"a0.5"}}'),
     (harness.WireMessage("done", 1000, "A", {}),
-     '{"type":"done","v":1,"trial":1000,"wing":"A","payload":{}}'),
+     '{"type":"done","v":2,"trial":1000,"wing":"A","payload":{}}'),
     (harness.WireMessage("error", 7, "B", {"message": "bad \"λ\" payload"}),
-     '{"type":"error","v":1,"trial":7,"wing":"B","payload":{"message":"bad \\"\\u03bb\\" payload"}}'),
+     '{"type":"error","v":2,"trial":7,"wing":"B","payload":{"message":"bad \\"\\u03bb\\" payload"}}'),
 ]
 
 
@@ -215,7 +225,6 @@ def test_distributed_random_policies_match_simulation():
 
 
 def test_silent_wing_times_out(monkeypatch):
-    import socket
     import time
 
     # a wing that accepts the connection and never answers
@@ -231,9 +240,7 @@ def test_silent_wing_times_out(monkeypatch):
 
 
 def test_wing_survives_unknown_message_type():
-    import json
-    import socket
-
+    V = harness.PROTOCOL_VERSION
     model = ClockModel()
     host, port = start_wing("A", model, harness.FixedPolicy(I0))
     with socket.create_connection((host, port), timeout=10) as sock:
@@ -251,15 +258,15 @@ def test_wing_survives_unknown_message_type():
         assert harness.WireMessage.from_line(rfile.readline().strip()).type == "hello"
         # unknown types and malformed messages draw an error reply, but the
         # connection stays up
-        for bad in ({"type": "poke", "v": 1, "trial": 0, "wing": "A", "payload": {}},
-                    {"type": "lambda", "v": 1, "trial": 0, "wing": "A", "payload": {}},
-                    {"type": "lambda", "v": 1, "trial": 0, "wing": "A",
+        for bad in ({"type": "poke", "v": V, "trial": 0, "wing": "A", "payload": {}},
+                    {"type": "lambda", "v": V, "trial": 0, "wing": "A", "payload": {}},
+                    {"type": "lambda", "v": V, "trial": 0, "wing": "A",
                      "payload": {"lambda": "half past"}},
-                    {"type": "lambda", "v": 1, "trial": 0, "wing": "A",
+                    {"type": "lambda", "v": V, "trial": 0, "wing": "A",
                      "payload": {"lambda": None}},
-                    *({"type": "lambda", "v": 1, "trial": 0, "wing": "A",
+                    *({"type": "lambda", "v": V, "trial": 0, "wing": "A",
                        "payload": {"lambda": text}} for text in ("nan", "inf", "-inf", "1e400")),
-                    {"type": "lambda", "v": 1, "trial": "zero", "wing": "A",
+                    {"type": "lambda", "v": V, "trial": "zero", "wing": "A",
                      "payload": {"lambda": "0.25"}}):
             send(bad)
             reply = harness.WireMessage.from_line(rfile.readline().strip())
@@ -269,6 +276,61 @@ def test_wing_survives_unknown_message_type():
         outcome = harness.WireMessage.from_line(rfile.readline().strip())
         assert outcome.type == "outcome"
         send(json.loads(harness.WireMessage("done", 1, "A", {}).to_line()))
+
+
+def test_wing_answers_undecodable_bytes_with_an_error():
+    host, port = start_wing("A", ClockModel(), harness.FixedPolicy(I0))
+    hello = harness.WireMessage("hello", 0, "A", {
+        "role": "source", "model": "clock", "b_convention": "anti_aligned", "n_trials": 0,
+        "window": W})
+    with socket.create_connection((host, port), timeout=10) as sock:
+        sock.sendall(b"\xff\xfe garbage\n")
+        sock.sendall(hello.to_line().encode() + b"\n")
+        rfile = sock.makefile("rb")
+        first, second = (harness.WireMessage.from_bytes(rfile.readline().rstrip(b"\n"))
+                         for _ in range(2))
+        sock.sendall(harness.WireMessage("done", 0, "A", {}).to_line().encode() + b"\n")
+    assert first.type == "error" and "not UTF-8" in first.payload["message"]
+    assert second == harness.WireMessage("hello", 0, "A", {"role": "wing"})
+
+
+def fake_wing(reply: bytes):
+    """A wing that answers the first line it reads with ``reply`` and hangs up."""
+    srv = socket.create_server(("127.0.0.1", 0))
+
+    def serve():
+        with srv:
+            conn, _ = srv.accept()
+            with conn, conn.makefile("rb") as rfile:
+                rfile.readline()
+                conn.sendall(reply)
+
+    threading.Thread(target=serve, daemon=True).start()
+    return srv.getsockname()[:2]
+
+
+def test_undecodable_reply_flags_log_incomplete():
+    model = ClockModel()
+    addr_a = start_wing("A", model, harness.FixedPolicy(I0))
+    log = harness.source_run(model, 10, 3, addr_a, fake_wing(b"\xff\xfe\n"))
+    assert log.incomplete
+    assert [(e.direction, e.message.type, e.message.wing) for e in log.entries] == \
+        [(">", "hello", "A"), (">", "hello", "B"), ("<", "hello", "A")]
+    assert harness.audit_log(log).ok
+
+
+@pytest.mark.parametrize("line, fault", [
+    ("nospaces", "not 'timestamp direction message': 'nospaces'"),
+    ("2023-11-14T22:13:20.999999+00:00 > {oops", "not JSON: '{oops'"),
+])
+def test_audit_names_a_malformed_log_line(line, fault, tmp_path, capsys):
+    path = tmp_path / "bad.log"
+    clean_log().write(path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines.insert(8, line)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert cli.main(["audit", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {path} line 9: {fault}\n"
 
 
 def test_single_trial_merge_has_no_stderr():
@@ -285,6 +347,10 @@ def test_wing_crash_yields_auditable_prefix():
     addr_b = start_wing("B", model, harness.FixedPolicy(I1), quit_after=40)
     log = harness.source_run(model, 100, seed=23, endpoint_a=addr_a, endpoint_b=addr_b)
     assert log.incomplete
+    # wing B drops the connection in the middle of window 0
+    assert 40 < W
+    assert [e.message.trial for e in log.entries if e.message.type == "lambda"] == \
+        [t for t in range(W) for _ in "AB"]
     report = harness.audit_log(log)
     assert report.ok  # the completed prefix carries no violation
     cells = harness.merge_statistics(log)
@@ -299,20 +365,22 @@ def test_wing_crash_yields_auditable_prefix():
 
 
 class FaultyLink:
-    """An in-process wing whose reply to one lambda trial is replaced."""
+    """An in-process wing whose outcome for one trial is replaced."""
 
     def __init__(self, wing, model, policy, trial, fault):
         self.inner = harness._LocalLink(wing, model, policy)
         self.trial, self.fault = trial, fault
-        self.sent = self.last = None
+        self.last = None
 
     def send(self, msg):
-        self.sent = msg
         self.inner.send(msg)
+
+    def flush(self):
+        self.inner.flush()
 
     def recv(self):
         reply = self.inner.recv()
-        if self.sent.type == "lambda" and self.sent.trial == self.trial:
+        if reply.type == "outcome" and reply.trial == self.trial:
             reply = self.fault(self.last, reply)
         self.last = reply
         return reply
@@ -343,7 +411,7 @@ def test_duplicate_trial_reply_flags_log_incomplete():
     model = ClockModel()
     # wing B answers trial 6 by repeating its outcome for trial 5
     log = run_with_fault_on_b(model, 20, 31, 6, lambda last, reply: last)
-    assert log.entries[-1].message == log.entries[-5].message
+    assert log.entries[-1].message == log.entries[find_entry(log, "<", "outcome", "B", 5)].message
     assert_incomplete_with_clean_prefix(log, model, 6, 31)
 
 
@@ -534,7 +602,7 @@ def test_audit_flags_wrong_protocol_version():
     log = clean_log()
     idx = find_entry(log, ">", "lambda", "A", trial=1)
     old = log.entries[idx].message
-    replace_entry(log, idx, harness.WireMessage("lambda", 1, "A", old.payload, v=2))
+    replace_entry(log, idx, harness.WireMessage("lambda", 1, "A", old.payload, v=1))
     report = harness.audit_log(log)
     assert any(v.index == idx and v.code == "schema" for v in report.violations)
 
@@ -570,3 +638,180 @@ def test_audit_report_text_lists_indices():
     text = harness.audit_log(log).text()
     assert f"entry {idx}" in text
     assert "lambda_mismatch" in text
+
+
+# -- windows of trials -------------------------------------------------------------------
+
+
+def window_log(n=2 * W + 10, seed=12):
+    return harness.simulate_run(ClockModel(), harness.RandomPolicy([I0, I1, I2], 4),
+                                harness.RandomPolicy([I0, I1, I2], 5), n, seed)
+
+
+def test_messages_of_a_window_travel_together():
+    n = W + 3
+    log = window_log(n)
+    want = [(">", "hello", 0)] * 2 + [("<", "hello", 0)] * 2
+    for window in (range(W), range(W, n)):
+        want += [(">", "lambda", t) for t in window for _ in "AB"]
+        want += [("<", "outcome", t) for t in window for _ in "AB"]
+    want += [(">", "done", n)] * 2
+    assert [(e.direction, e.message.type, e.message.trial) for e in log.entries] == want
+    assert [e.message.wing for e in log.entries] == ["A", "B"] * (len(want) // 2)
+    assert log.meta["v"] == 2 and {e.message.v for e in log.entries} == {2}
+    assert [e.message.payload["window"] for e in log.entries[:2]] == [W, W]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 3 * W + 5), st.integers(0, 2**40), st.integers(0, 2**40))
+@example(0, 1, 2)
+@example(1, 3, 4)
+@example(W - 1, 5, 6)
+@example(W, 7, 8)
+@example(W + 1, 9, 10)
+@example(3 * W + 5, 11, 12)
+def test_windowed_runs_audit_clean(n, seed, policy_seed):
+    log = harness.simulate_run(ClockModel(), harness.RandomPolicy([I0, I1, I2], policy_seed),
+                               harness.RandomPolicy([I0, I1, I2], policy_seed + 1), n, seed)
+    report = harness.audit_log(log)
+    assert report.ok and report.n_trials_seen == n and not report.incomplete
+
+
+@pytest.mark.parametrize("w", [0, 1])
+def test_lambda_of_the_next_window_before_an_outcome_is_flagged(w):
+    base = window_log()
+    last = max(i for i, e in enumerate(base.entries)
+               if e.direction == "<" and e.message.trial // W == w)
+    early = [i for i, e in enumerate(base.entries)
+             if e.message.type == "lambda" and e.message.trial // W == w + 1]
+    assert len(early) == (2 * W if w == 0 else 20)
+    for i in early:
+        log = dataclasses.replace(base, entries=list(base.entries))
+        log.entries.insert(last, log.entries.pop(i))
+        codes = [(v.index, v.code) for v in harness.audit_log(log).violations]
+        assert (last, "lockstep") in codes
+
+
+def test_audit_holds_the_log_to_the_window_its_hellos_name():
+    def with_window(window):
+        log = window_log()
+        for idx in (0, 1):
+            old = log.entries[idx].message
+            replace_entry(log, idx, harness.WireMessage(
+                "hello", 0, old.wing, dict(old.payload, window=window)))
+        return harness.audit_log(log)
+
+    assert with_window(2 * W).ok
+    for window in (1, W // 2):
+        report = with_window(window)
+        assert report.violations and {v.code for v in report.violations} == {"lockstep"}
+
+
+@pytest.mark.parametrize("window_a, window_b, flagged", [
+    (None, None, "AB"), (None, W, "A"), (W, None, "B"), (0, 0, "AB"), ("64", "64", "AB"),
+    (W, "64", "B"), (-1, W, "A"), (True, True, "AB"), (1.5, 1.5, "AB"), (W, 32, "B"),
+    (32, W, "B"),
+])
+def test_bad_hello_window_is_a_schema_violation(window_a, window_b, flagged):
+    log = window_log()
+    hellos = {}
+    for wing, window in (("A", window_a), ("B", window_b)):
+        idx = hellos[wing] = find_entry(log, ">", "hello", wing)
+        payload = {k: v for k, v in log.entries[idx].message.payload.items() if k != "window"}
+        if window is not None:
+            payload["window"] = window
+        replace_entry(log, idx, harness.WireMessage("hello", 0, wing, payload))
+    report = harness.audit_log(log)
+    assert {v.index for v in report.violations if v.code == "schema"} == \
+        {hellos[wing] for wing in flagged}
+
+
+def test_mixed_protocol_versions_are_flagged():
+    log = window_log()
+    idx = find_entry(log, "<", "outcome", "B", trial=W + 2)
+    old = log.entries[idx].message
+    replace_entry(log, idx, harness.WireMessage("outcome", old.trial, "B", old.payload, v=1))
+    assert [(v.index, v.code) for v in harness.audit_log(log).violations] == [(idx, "schema")]
+    # the first message names the log's version, which must be 1 or 2
+    log = window_log(3)
+    log.entries[:] = [harness.LogEntry(e.timestamp, e.direction,
+                                       dataclasses.replace(e.message, v=3)) for e in log.entries]
+    report = harness.audit_log(log)
+    assert [(v.index, v.code) for v in report.violations] == \
+        [(i, "schema") for i in range(len(log.entries))]
+
+
+V1_TEXTS = json.loads((V1_LOGS / "audit_texts.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("name", sorted(V1_TEXTS))
+def test_v1_logs_audit_as_they_did_under_v1(name):
+    log = harness.RunLog.read(V1_LOGS / f"{name}.log")
+    assert log.meta["v"] == "1"
+    assert harness.audit_log(log).text() == V1_TEXTS[name]
+
+
+class CountingSocket:
+    """A socket that counts the writes and reads made through it."""
+
+    def __init__(self, sock):
+        self.sock, self.writes, self.reads = sock, 0, 0
+
+    def sendall(self, data):
+        self.writes += 1
+        return self.sock.sendall(data)
+
+    def send(self, data):
+        self.writes += 1
+        return self.sock.send(data)
+
+    def recv(self, size):
+        self.reads += 1
+        return self.sock.recv(size)
+
+    def __getattr__(self, name):
+        return getattr(self.sock, name)
+
+
+def test_source_writes_each_window_to_a_wing_at_once(monkeypatch):
+    model = ClockModel()
+    endpoints = {"A": start_wing("A", model, harness.RandomPolicy([I0, I1], 1)),
+                 "B": start_wing("B", model, harness.RandomPolicy([I1, I2], 2))}
+    socks, decoded = {}, []
+    connect, from_bytes = socket.create_connection, harness.WireMessage.from_bytes
+
+    def counting_connect(endpoint, *args, **kwargs):
+        wing = "A" if endpoint == endpoints["A"] else "B"
+        socks[wing] = CountingSocket(connect(endpoint, *args, **kwargs))
+        return socks[wing]
+
+    def counting_from_bytes(raw):
+        msg = from_bytes(raw)
+        if threading.current_thread() is threading.main_thread():  # the source, not a wing
+            decoded.append(msg)
+        return msg
+
+    monkeypatch.setattr(harness.socket, "create_connection", counting_connect)
+    monkeypatch.setattr(harness.WireMessage, "from_bytes", staticmethod(counting_from_bytes))
+    n = 200
+    log = harness.source_run(model, n, 8, endpoints["A"], endpoints["B"])
+    assert not log.incomplete and harness.audit_log(log).ok
+    received = [e.message for e in log.entries if e.direction == "<"]
+    assert decoded == received and len(received) == 2 * (n + 1)
+    for sock in socks.values():
+        # hello, one write per window, done
+        assert sock.writes <= math.ceil(n / W) + 2
+        assert sock.reads <= n + 1
+
+
+def test_a_window_of_lines_stays_far_below_the_socket_buffers():
+    trial = 10**15 - 1  # a trial number beyond any run
+    clock, mermin = ClockModel(), MerminModel.uniform()
+    lambdas = [clock.lambda_text(math.ulp(0.0)), clock.lambda_text(math.nextafter(2 * math.pi, 0)),
+               *(mermin.lambda_text(k) for k in range(8))]
+    assert max(map(len, lambdas)) == len("4.9406564584124654e-324")
+    lines = [harness.WireMessage("lambda", trial, "A", {"lambda": text}) for text in lambdas]
+    lines.append(harness.WireMessage("outcome", trial, "A", {
+        "sign": -1, "setting": Setting.angle(-math.ulp(0.0)).text}))
+    longest = max(len(msg.to_line()) + 1 for msg in lines)
+    assert W * longest < 16 * 1024
