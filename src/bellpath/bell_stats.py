@@ -41,6 +41,11 @@ from .hv_models import DEFAULT_QUADRATURE_N, LhvModel, Setting
 #: s_value = terms[0] + terms[1] + terms[2] - terms[3].
 CHSH_TERM_LABELS = ("E(a,b)", "E(a',b)", "E(a',b')", "E(a,b')")
 
+#: Trials the Monte Carlo estimators evaluate at once.  Trial i draws from
+#: seed + i alone, so the block size changes no value; it bounds memory at
+#: O(BLOCK) and keeps a block's arrays in cache.
+BLOCK = 1 << 14
+
 #: Tolerance separating numerical noise from a genuine violation when all
 #: inputs are exact; Monte Carlo inputs use 3x the combined standard error.
 EXACT_TOLERANCE = 1e-9
@@ -128,15 +133,22 @@ class BellCheck:
     tolerance: float
 
 
-def _draws(model: LhvModel, n: int, seed: int) -> np.ndarray:
+def _tally(model: LhvModel, n: int, seed: int, settings) -> int:
+    """Sum of the +/-1 products A*B over trials seed .. seed + n - 1.
+
+    Trials are evaluated BLOCK at a time.  ``settings(block_seed, k)``
+    gives a block's (a, b), Settings or per-trial arrays.  Trial i draws
+    from seed + i alone, so the tally equals the whole-array one.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
-    return model.sample_lambdas(seed, n)
-
-
-def _tally(model: LhvModel, lams: np.ndarray, a, b) -> int:
-    """Sum of the +/-1 products A*B over the draws; settings may be per-draw arrays."""
-    return int((model.outcomes_a(lams, a) * model.outcomes_b(lams, b)).sum(dtype=np.int64))
+    total = 0
+    for start in range(0, n, BLOCK):
+        k = min(BLOCK, n - start)
+        lams = model.sample_lambdas(seed + start, k)
+        a, b = settings(seed + start, k)
+        total += int((model.outcomes_a(lams, a) * model.outcomes_b(lams, b)).sum(dtype=np.int64))
+    return total
 
 
 def _estimate_from_tally(total: int, n: int) -> CorrelationEstimate:
@@ -152,7 +164,7 @@ def _estimate_from_tally(total: int, n: int) -> CorrelationEstimate:
 
 def estimate_E(model: LhvModel, a: Setting, b: Setting, n: int, seed: int) -> CorrelationEstimate:
     """Monte Carlo correlation over n hidden-variable draws."""
-    return _estimate_from_tally(_tally(model, _draws(model, n, seed), a, b), n)
+    return _estimate_from_tally(_tally(model, n, seed, lambda s, k: (a, b)), n)
 
 
 def exact_E(model: LhvModel, a: Setting, b: Setting, n_grid: int = DEFAULT_QUADRATURE_N) -> CorrelationEstimate:
@@ -274,7 +286,7 @@ def _prob_from_count(count: int, n: int) -> ProbabilityEstimate:
 
 def agreement_prob(model: LhvModel, a: Setting, b: Setting, n: int, seed: int) -> ProbabilityEstimate:
     """Monte Carlo P(A = B) at one setting pair."""
-    return _prob_from_count((n + _tally(model, _draws(model, n, seed), a, b)) // 2, n)
+    return _prob_from_count((n + _tally(model, n, seed, lambda s, k: (a, b))) // 2, n)
 
 
 def exact_agreement_prob(model: LhvModel, a: Setting, b: Setting, n_grid: int = DEFAULT_QUADRATURE_N) -> ProbabilityEstimate:
@@ -305,14 +317,17 @@ def overall_agreement(model: LhvModel, n: int, seed: int) -> ProbabilityEstimate
     from dedicated streams tagged off the base seed, so the run is
     reproducible and shard-stable.
     """
-    lams = _draws(model, n, seed)
-    seeds = rng.trial_seeds(seed, n)
-    ua = rng.uniforms_for_seeds(seeds ^ np.uint64(0xA11CE), 1)[:, 0]
-    ub = rng.uniforms_for_seeds(seeds ^ np.uint64(0xB0B0B0), 1)[:, 0]
-    sa = np.minimum((ua * 3).astype(np.int64), 2)
-    sb = np.minimum((ub * 3).astype(np.int64), 2)
-    if model.lambda_kind == "circle":
-        angles = np.asarray([Setting.index(k).radians for k in range(3)])
-        sa, sb = angles[sa], angles[sb]
-    return _prob_from_count((n + _tally(model, lams, sa, sb)) // 2, n)
+    angles = np.asarray([Setting.index(k).radians for k in range(3)])
+
+    def settings(block_seed: int, k: int):
+        seeds = rng.trial_seeds(block_seed, k)
+        ua = rng.uniforms_for_seeds(seeds ^ np.uint64(0xA11CE), 1)[:, 0]
+        ub = rng.uniforms_for_seeds(seeds ^ np.uint64(0xB0B0B0), 1)[:, 0]
+        sa = np.minimum((ua * 3).astype(np.int64), 2)
+        sb = np.minimum((ub * 3).astype(np.int64), 2)
+        if model.lambda_kind == "circle":
+            return angles[sa], angles[sb]
+        return sa, sb
+
+    return _prob_from_count((n + _tally(model, n, seed, settings)) // 2, n)
 

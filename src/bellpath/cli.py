@@ -196,7 +196,7 @@ def cmd_chsh(args) -> int:
     if args.exact:
         result = bell_stats.chsh(model, *settings, exact=True, n_grid=args.grid)
     else:
-        result = bell_stats.chsh(model, *settings, n=args.n or 100_000, seed=args.seed)
+        result = bell_stats.chsh(model, *settings, n=args.n, seed=args.seed)
     terms = [{"label": label, "mean": t.mean, "stderr": t.stderr, "n": t.n_trials,
               "exact": t.exact}
              for label, t in zip(bell_stats.CHSH_TERM_LABELS, result.terms)]
@@ -424,7 +424,9 @@ def cmd_oracle(args) -> int:
 
 def _add_common(p, n_default=0):
     p.add_argument("--seed", type=int, default=0, help="base seed; every result is a pure function of it")
-    p.add_argument("--n", type=int, default=n_default, help="Monte Carlo trials (0 = exact only)")
+    p.add_argument("--n", type=int, default=n_default,
+                   help="Monte Carlo trials (0 = exact only)" if n_default == 0 else
+                   f"Monte Carlo trials (default {n_default})")
     p.add_argument("--out", help="write output to this file instead of stdout")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--config", help="key=value file of flag defaults; explicit flags win")
@@ -470,7 +472,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.set_defaults(func=cmd_clock)
 
     p = sub.add_parser("chsh", help="CHSH quantity S and its classical |S| <= 2 bound")
-    _add_common(p)
+    _add_common(p, n_default=100_000)
     _add_model_args(p)
     p.add_argument("--oracle", action="store_true", help="quantum singlet prediction instead of a model")
     p.add_argument("--angles", help="a,a',b,b' in radians")

@@ -104,13 +104,30 @@ def threshold_sign(theta):
 
     Angles exactly 0 or pi map to +1 and -1 respectively (half-open
     intervals, fixed for determinism).  Works elementwise on arrays.
+
+    An input whose values all lie in [0, 4pi) -- every Monte Carlo call,
+    a phase in [0, 2pi) plus a setting angle in [0, 2pi) -- is reduced
+    as w = x - 2pi*(x >= 2pi).  That is exact (x - 2pi by Sterbenz's
+    lemma on [2pi, 4pi)), as fmod is, so w equals ``np.mod(x, 2pi)`` bit
+    for bit (up to the sign of a zero, which signs +1 either way).  Any
+    other input -- negative, 4pi or more, NaN or infinite, or empty --
+    is reduced by ``np.mod``.
     """
     import numpy as np
 
-    w = np.mod(np.asarray(theta, dtype=np.float64), TWO_PI)
-    w = np.where(np.abs(w - TWO_PI) < BOUNDARY_SNAP, 0.0, w)
-    w = np.where(np.abs(w - np.pi) < BOUNDARY_SNAP, np.pi, w)
-    out = np.where(w < np.pi, np.int8(1), np.int8(-1))
+    x = np.asarray(theta, dtype=np.float64)
+    if x.size and 0.0 <= x.min() and x.max() < 2.0 * TWO_PI:
+        w = x - TWO_PI * (x >= TWO_PI)
+    else:
+        w = np.mod(x, TWO_PI)
+    # snap onto the boundary first: near 2pi counts as 0 (+1), near pi as pi (-1)
+    near_zero = np.abs(w - TWO_PI) < BOUNDARY_SNAP
+    near_pi = np.abs(w - np.pi) < BOUNDARY_SNAP
+    plus = ((w < np.pi) & ~near_pi) | near_zero
+    # +1/-1 from the bool in place; np.where with int8 scalars is many times slower
+    out = plus.astype(np.int8)
+    out *= 2
+    out -= 1
     return out if out.ndim else np.int8(out)
 
 
@@ -300,8 +317,13 @@ class MerminModel(LhvModel):
         import numpy as np
 
         u = rng.uniforms_for_seeds(rng.trial_seeds(seed, n), 1)[:, 0]
-        idx = np.searchsorted(self._cum, u, side="right")
-        return np.minimum(idx, 7).astype(np.int64)  # guard cum-sum rounding
+        # the count of table entries <= u: searchsorted(side="right") on
+        # the non-decreasing table, without its per-element binary search
+        idx = np.zeros(len(u), dtype=np.uint8)
+        for c in self._cum:
+            idx += u >= c
+        np.minimum(idx, 7, out=idx)  # guard cum-sum rounding
+        return idx.astype(np.int64)
 
     def enumerate_lambda(self, n_grid: int = DEFAULT_QUADRATURE_N):
         import numpy as np

@@ -10,7 +10,9 @@ Streams are generated with SplitMix64: the per-trial seed is passed through
 the SplitMix64 finalizer once, and successive outputs are finalizer values of
 states stepped by the golden-ratio increment.  Everything is integer mixing
 plus IEEE-754 double arithmetic, so results are identical across platforms.
-Seed 0 is valid.
+Seed 0 is valid.  The array finalizer works in place: it updates the fresh
+state array it is given, with one scratch buffer, instead of allocating a
+temporary per step.
 
 ``uniform`` is the scalar form of the stream: the first draw of one seed,
 computed in plain Python integers masked to 64 bits.  It gives the same bits
@@ -36,12 +38,23 @@ _MASK64 = (1 << 64) - 1
 _INV53 = 2.0 ** -53
 
 
-def _finalize(z: np.ndarray) -> np.ndarray:
+def _finalize(z) -> np.ndarray:
+    """SplitMix64 finalizer of a fresh uint64 array, updated in place.
+
+    A 0-d input (a numpy scalar) is finalized in a 0-d copy and comes
+    back as a numpy scalar.
+    """
     import numpy as np
 
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX_A_I)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX_B_I)
-    return z ^ (z >> np.uint64(31))
+    z = np.asarray(z)
+    t = np.empty_like(z)
+    for shift, mul in ((30, _MIX_A_I), (27, _MIX_B_I)):
+        np.right_shift(z, np.uint64(shift), out=t)
+        z ^= t
+        z *= np.uint64(mul)
+    np.right_shift(z, np.uint64(31), out=t)
+    z ^= t
+    return z if z.ndim else z[()]
 
 
 def _as_u64(seed) -> np.ndarray:
@@ -74,11 +87,22 @@ def u64_stream(seed: int, n: int) -> np.ndarray:
         return _finalize(state0 + steps)
 
 
-def uniforms(seed: int, n: int) -> np.ndarray:
-    """n uniform doubles in [0, 1) from the stream of ``seed``."""
+def _to_unit(u: np.ndarray) -> np.ndarray:
+    """Doubles in [0, 1) from the top 53 bits of a fresh uint64 array.
+
+    The shift is done in place, and the multiply converts each value to
+    double inside the ufunc: the same IEEE result as ``astype`` then
+    multiply, without the extra copy.
+    """
     import numpy as np
 
-    return (u64_stream(seed, n) >> np.uint64(11)).astype(np.float64) * _INV53
+    u >>= np.uint64(11)
+    return np.multiply(u, _INV53)
+
+
+def uniforms(seed: int, n: int) -> np.ndarray:
+    """n uniform doubles in [0, 1) from the stream of ``seed``."""
+    return _to_unit(u64_stream(seed, n))
 
 
 def _finalize_int(z: int) -> int:
@@ -101,7 +125,7 @@ def uniforms_for_seeds(seeds, n: int) -> np.ndarray:
         s0 = mix64(_as_u64(seeds)).reshape(-1, 1)
         steps = (np.arange(1, n + 1, dtype=np.uint64)) * np.uint64(_GOLDEN_I)
         u = _finalize(s0 + steps.reshape(1, -1))
-    return (u >> np.uint64(11)).astype(np.float64) * _INV53
+    return _to_unit(u)
 
 
 def normals_for_seeds(seeds, n: int) -> np.ndarray:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bellpath import bell_stats as bs
-from bellpath import oracle
+from bellpath import oracle, rng
 from bellpath.hv_models import ALIGNED, ANTI_ALIGNED, ClockModel, MerminModel, Setting, TWO_PI
 
 I0, I1, I2 = Setting.index(0), Setting.index(1), Setting.index(2)
@@ -249,3 +249,91 @@ def test_overall_agreement_clock_runs():
     exact = bs.exact_overall_agreement(model)
     assert abs(est.value - exact) < 5 * est.stderr
 
+
+
+# -- blocks -------------------------------------------------------------------------------
+
+_RANDOM_PROBS = np.random.default_rng(15).dirichlet(np.ones(8))
+_BLOCK_CASES = {
+    "clock-aligned-index": (ClockModel(ALIGNED), I0, I2),
+    "clock-aligned-angle": (ClockModel(ALIGNED), Setting.angle(3.0), Setting.angle(1e-3)),
+    "clock-anti-index": (ClockModel(ANTI_ALIGNED), I1, I0),
+    "clock-anti-angle": (ClockModel(ANTI_ALIGNED), Setting.angle(0.4), Setting.angle(5.9)),
+    "mermin-random": (MerminModel(_RANDOM_PROBS / _RANDOM_PROBS.sum()), I1, I2),
+}
+_BLOCK_NS = (1, bs.BLOCK - 1, bs.BLOCK, bs.BLOCK + 1, 3 * bs.BLOCK + 7)
+# 2**64 - 3 wraps the seed schedule inside the first block
+_BLOCK_SEEDS = (0, 2**64 - 3, int(np.random.default_rng(16).integers(1 << 62)))
+
+
+def _whole_array_tally(model, n, seed, a, b) -> int:
+    lams = model.sample_lambdas(seed, n)
+    return int((model.outcomes_a(lams, a) * model.outcomes_b(lams, b)).sum(dtype=np.int64))
+
+
+def _whole_array_random_settings(model, n, seed):
+    """The per-trial settings of ``overall_agreement``, drawn for all n trials at once."""
+    seeds = rng.trial_seeds(seed, n)
+    sa, sb = (np.minimum((rng.uniforms_for_seeds(seeds ^ np.uint64(tag), 1)[:, 0] * 3)
+                         .astype(np.int64), 2) for tag in (0xA11CE, 0xB0B0B0))
+    if model.lambda_kind == "circle":
+        angles = np.asarray([Setting.index(k).radians for k in range(3)])
+        return angles[sa], angles[sb]
+    return sa, sb
+
+
+@pytest.mark.parametrize("case", sorted(_BLOCK_CASES))
+@pytest.mark.parametrize("n", _BLOCK_NS)
+@pytest.mark.parametrize("seed", _BLOCK_SEEDS)
+def test_block_tallies_equal_whole_array_tallies(case, n, seed):
+    model, a, b = _BLOCK_CASES[case]
+    total = _whole_array_tally(model, n, seed, a, b)
+    assert bs.estimate_E(model, a, b, n, seed).sum_products == total
+    assert bs.agreement_prob(model, a, b, n, seed).count == (n + total) // 2
+    sa, sb = _whole_array_random_settings(model, n, seed)
+    overall = _whole_array_tally(model, n, seed, sa, sb)
+    assert bs.overall_agreement(model, n, seed).count == (n + overall) // 2
+
+
+@pytest.mark.parametrize("seed", _BLOCK_SEEDS)
+def test_shard_split_inside_a_block_merges_exactly(seed):
+    model, a, b = _BLOCK_CASES["clock-anti-angle"]
+    n, split = 3 * bs.BLOCK + 7, bs.BLOCK + 5
+    shards = [bs.estimate_E(model, a, b, split, seed),
+              bs.estimate_E(model, a, b, n - split, seed + split)]
+    assert bs.merge_estimates(shards) == bs.estimate_E(model, a, b, n, seed)
+
+
+@pytest.mark.parametrize("n", [0, -3])
+@pytest.mark.parametrize("estimator", [
+    lambda model, n: bs.estimate_E(model, I0, I1, n, 1),
+    lambda model, n: bs.agreement_prob(model, I0, I1, n, 1),
+    lambda model, n: bs.overall_agreement(model, n, 1),
+], ids=["estimate_E", "agreement_prob", "overall_agreement"])
+def test_estimators_refuse_fewer_than_one_trial(estimator, n):
+    for model in (ClockModel(), MerminModel.uniform()):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            estimator(model, n)
+
+
+#: Peak traced allocation allowed to one 2 000 000-trial estimate.  Whole
+#: arrays of that length take 16 MB each; blocks of BLOCK trials need well
+#: under 1 MB.
+_MC_PEAK_BYTES = 4 * 2**20
+
+
+def test_monte_carlo_memory_is_bounded_by_the_block():
+    import tracemalloc
+
+    model = ClockModel()
+    a, b = Setting.angle(0.4), Setting.angle(5.9)
+    bs.estimate_E(model, a, b, 10, 3)  # first-call imports and caches
+    for run in (lambda: bs.estimate_E(model, a, b, 2_000_000, 3),
+                lambda: bs.overall_agreement(model, 2_000_000, 3)):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < _MC_PEAK_BYTES

@@ -258,6 +258,21 @@ def test_config_file_defaults_and_override(tmp_path, capsys):
     assert out == out2
 
 
+@pytest.mark.parametrize("n", ["0", "-5"])
+def test_chsh_refuses_fewer_than_one_monte_carlo_trial(capsys, n):
+    assert cli.main(["chsh", "--model", "clock", "--indices", "0,1,2,0", "--n", n]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: n must be >= 1\n"
+
+
+def test_chsh_monte_carlo_defaults_to_100000_trials(capsys):
+    code, out = run_cli(capsys, "chsh", "--model", "clock", "--indices", "0,1,2,0",
+                        "--format", "json")
+    assert code == 0
+    assert [t["n"] for t in json.loads(out)["terms"]] == [100_000] * 4
+
+
 def test_config_file_sets_boolean_flags(tmp_path, capsys):
     argv = ["chsh", "--indices", "0,1,2,0", "--n", "200"]
     _, want_exact = run_cli(capsys, "chsh", "--model", "clock", *argv[1:], "--exact")

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bellpath import config
+from bellpath import config, rng
 from bellpath.hv_models import (
     ALIGNED,
     ALL_INSTRUCTION_SETS,
@@ -111,6 +111,42 @@ def test_scalar_threshold_equals_array_rule(theta):
     assert got == threshold_sign(np.array([theta]))[0]
 
 
+def _mod_rule_sign(theta):
+    """The np.mod and three-``where`` form of the threshold rule, kept as a reference."""
+    w = np.mod(np.asarray(theta, dtype=np.float64), TWO_PI)
+    w = np.where(np.abs(w - TWO_PI) < BOUNDARY_SNAP, 0.0, w)
+    w = np.where(np.abs(w - np.pi) < BOUNDARY_SNAP, np.pi, w)
+    out = np.where(w < np.pi, np.int8(1), np.int8(-1))
+    return out if out.ndim else np.int8(out)
+
+
+_EDGE_ANGLES = [
+    0.0, -0.0, math.pi + 1e-13, math.pi - 1e-13, np.nextafter(TWO_PI, 0.0), TWO_PI,
+    3 * math.pi + 5e-13, 3 * math.pi - 5e-13, np.nextafter(2 * TWO_PI, 0.0), 2 * TWO_PI,
+    -1e-300, -1e-13, -math.pi, -TWO_PI, -7.5, math.nan, math.inf, -math.inf,
+]
+_UNIFORM_DRAWS = np.random.default_rng(21)
+
+
+# np.mod warns on +/-inf, in the reference and in threshold_sign alike
+@pytest.mark.filterwarnings("ignore:invalid value encountered in remainder:RuntimeWarning")
+@pytest.mark.parametrize("theta", [
+    *[np.array([x]) for x in _EDGE_ANGLES],
+    np.array(_EDGE_ANGLES),
+    np.array([0.5, TWO_PI + 1.0, 2 * TWO_PI]),  # one value past [0, 4pi) sends all to np.mod
+    np.array([], dtype=np.float64),
+    np.float64(3 * math.pi + 5e-13),
+    np.array(-0.0),
+    _UNIFORM_DRAWS.uniform(-50.0, 50.0, 100_000),
+    _UNIFORM_DRAWS.uniform(0.0, 2 * TWO_PI, 100_000),
+], ids=lambda t: repr(float(t.flat[0])) if np.size(t) == 1 else f"shape{np.shape(t)}")
+def test_threshold_sign_matches_the_mod_rule(theta):
+    got, want = threshold_sign(theta), _mod_rule_sign(theta)
+    assert type(got) is type(want) and got.dtype == want.dtype == np.int8
+    assert np.shape(got) == np.shape(want)
+    assert np.array_equal(got, want)
+
+
 # -- the numpy-free scalar routes against numpy -----------------------------------
 
 
@@ -173,6 +209,20 @@ def test_clock_sample_in_range():
     model = ClockModel()
     theta = model.sample_lambdas(42, 1)[0]
     assert 0.0 <= theta < TWO_PI
+
+
+@pytest.mark.parametrize("probs", [
+    [0.125] * 8,
+    [0.0, 0.3, 0.0, 0.0, 0.2, 0.5, 0.0, 0.0],  # repeated table entries
+    [0.0] * 7 + [1.0],
+    list(np.random.default_rng(22).dirichlet(np.ones(8))),
+])
+def test_mermin_sampler_is_searchsorted_right(probs):
+    model = MerminModel(np.asarray(probs) / np.sum(probs))
+    lams = model.sample_lambdas(2**64 - 9, 50_000)
+    u = rng.uniforms_for_seeds(rng.trial_seeds(2**64 - 9, 50_000), 1)[:, 0]
+    want = np.minimum(np.searchsorted(np.cumsum(model.probs), u, side="right"), 7)
+    assert lams.dtype == np.int64 and np.array_equal(lams, want)
 
 
 def test_uniform_frequencies():
