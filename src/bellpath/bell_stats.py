@@ -17,13 +17,13 @@ trials were partitioned.  For +/-1 outcomes the agreement count is
 and the exact agreement of the clock model is (1 + E)/2.
 
 The circle models' exact results report ``n_grid`` as their n; it reaches
-no value.  ``enumerate_lambda(n_grid)`` keeps the circle grid as a
-quadrature oracle for tests.
+no value.
 
-The CHSH quantity is assembled as S = E(a,b) + E(a',b) + E(a',b') - E(a,b'),
-the combination bounded by 2 for any local hidden-variable model, while the
-quantum singlet reaches |S| = 2*sqrt(2) at (0, pi/2, pi/4, 3pi/4).  The
-two-setting Bell check evaluates |E(a,b) - E(a,b')| against both branches of
+The CHSH quantity is assembled as S = E(a,b) + E(a',b) + E(a',b') - E(a,b')
+(``chsh_pairs``, ``chsh_s``), the combination bounded by 2 for any local
+hidden-variable model, while the quantum singlet reaches |S| = 2*sqrt(2) at
+(0, pi/2, pi/4, 3pi/4).  The two-setting Bell check takes the same four
+terms and evaluates |E(a,b) - E(a,b')| against both branches of
 2 +/- [E(a',b') + E(a',b)].
 """
 
@@ -38,7 +38,6 @@ from . import rng
 from .hv_models import DEFAULT_QUADRATURE_N, LhvModel, Setting
 
 #: Human-readable labels of the four CHSH terms, in storage order.
-#: s_value = terms[0] + terms[1] + terms[2] - terms[3].
 CHSH_TERM_LABELS = ("E(a,b)", "E(a',b)", "E(a',b')", "E(a,b')")
 
 #: Trials the Monte Carlo estimators evaluate at once.  Trial i draws from
@@ -49,6 +48,17 @@ BLOCK = 1 << 14
 #: Tolerance separating numerical noise from a genuine violation when all
 #: inputs are exact; Monte Carlo inputs use 3x the combined standard error.
 EXACT_TOLERANCE = 1e-9
+
+
+def chsh_pairs(a, a_prime, b, b_prime):
+    """The four setting pairs of S in the storage order of ``CHSH_TERM_LABELS``."""
+    return ((a, b), (a_prime, b), (a_prime, b_prime), (a, b_prime))
+
+
+def chsh_s(terms):
+    """S = terms[0] + terms[1] + terms[2] - terms[3], of scalars or arrays."""
+    t0, t1, t2, t3 = terms
+    return t0 + t1 + t2 - t3
 
 
 @dataclass(frozen=True)
@@ -103,7 +113,7 @@ class ChshResult:
     """Four correlations and their signed sum.
 
     ``terms`` holds (E(a,b), E(a',b), E(a',b'), E(a,b')) and s_value is
-    terms[0] + terms[1] + terms[2] - terms[3].
+    their ``chsh_s``.
     """
 
     s_value: float
@@ -111,9 +121,7 @@ class ChshResult:
     settings: tuple[Setting, Setting, Setting, Setting]  # (a, a', b, b')
 
     def __post_init__(self):
-        t = self.terms
-        assembled = t[0].mean + t[1].mean + t[2].mean - t[3].mean
-        if abs(assembled - self.s_value) > 1e-12:
+        if abs(chsh_s([t.mean for t in self.terms]) - self.s_value) > 1e-12:
             raise ValueError("s_value does not equal the signed sum of its terms")
 
 
@@ -212,7 +220,7 @@ def chsh(
     order of ``CHSH_TERM_LABELS``, so results are bit-reproducible.  Exact
     terms of a circle model report n_grid as their n.
     """
-    pairs = ((a, b), (a_prime, b), (a_prime, b_prime), (a, b_prime))
+    pairs = chsh_pairs(a, a_prime, b, b_prime)
     if exact:
         terms = tuple(exact_E(model, sa, sb, n_grid) for sa, sb in pairs)
     else:
@@ -221,8 +229,7 @@ def chsh(
         terms = tuple(
             estimate_E(model, sa, sb, n, seed + k) for k, (sa, sb) in enumerate(pairs)
         )
-    s = terms[0].mean + terms[1].mean + terms[2].mean - terms[3].mean
-    return ChshResult(s, terms, (a, a_prime, b, b_prime))
+    return ChshResult(chsh_s([t.mean for t in terms]), terms, (a, a_prime, b, b_prime))
 
 
 def verdict_tolerance(estimates) -> float:
@@ -233,43 +240,17 @@ def verdict_tolerance(estimates) -> float:
     return 3.0 * math.sqrt(sum((e.stderr or 0.0) ** 2 for e in estimates))
 
 
-def bell_check(
-    e_ab: CorrelationEstimate,
-    e_ab_prime: CorrelationEstimate,
-    e_aprime_bprime: CorrelationEstimate,
-    e_aprime_b: CorrelationEstimate,
-    tolerance: float | None = None,
-) -> BellCheck:
-    """Evaluate the two-setting Bell inequality on four correlations."""
-    lhs = abs(e_ab.mean - e_ab_prime.mean)
-    tail = e_aprime_bprime.mean + e_aprime_b.mean
+def bell_check(terms) -> BellCheck:
+    """Evaluate the two-setting Bell inequality on the four CHSH terms
+    (E(a,b), E(a',b), E(a',b'), E(a,b')) of ``ChshResult.terms``."""
+    t0, t1, t2, t3 = terms
+    lhs = abs(t0.mean - t3.mean)
+    tail = t2.mean + t1.mean
     rhs_plus = 2.0 + tail
     rhs_minus = 2.0 - tail
-    if tolerance is None:
-        tolerance = verdict_tolerance((e_ab, e_ab_prime, e_aprime_bprime, e_aprime_b))
+    tolerance = verdict_tolerance(terms)
     satisfied = lhs <= min(rhs_plus, rhs_minus) + tolerance
     return BellCheck(lhs, rhs_plus, rhs_minus, satisfied, tolerance)
-
-
-def bell_check_from_model(
-    model: LhvModel,
-    a: Setting,
-    a_prime: Setting,
-    b: Setting,
-    b_prime: Setting,
-    exact: bool = True,
-    n: int | None = None,
-    seed: int | None = None,
-) -> BellCheck:
-    if exact:
-        es = [exact_E(model, sa, sb) for sa, sb in
-              ((a, b), (a, b_prime), (a_prime, b_prime), (a_prime, b))]
-    else:
-        if n is None or seed is None:
-            raise ValueError("Monte Carlo Bell check needs n and seed")
-        es = [estimate_E(model, sa, sb, n, seed + k) for k, (sa, sb) in
-              enumerate(((a, b), (a, b_prime), (a_prime, b_prime), (a_prime, b)))]
-    return bell_check(*es)
 
 
 # -- agreement ---------------------------------------------------------------

@@ -71,10 +71,10 @@ def _build_model(args) -> LhvModel:
     raise ConfigError(f"cannot build a model from {name!r}; use --model or --model-config")
 
 
-def _parse_angles(text: str, n: int = 4) -> list[float]:
+def _parse_angles(text: str) -> list[float]:
     parts = [float(x) for x in text.split(",")]
-    if len(parts) != n:
-        raise ConfigError(f"expected {n} comma-separated angles, got {len(parts)}")
+    if len(parts) != 4:
+        raise ConfigError(f"expected 4 comma-separated angles, got {len(parts)}")
     return parts
 
 
@@ -208,9 +208,8 @@ def cmd_chsh(args) -> int:
         "abs_s": abs(result.s_value),
         **_classical_bound(result),
     }
-    a, ap, b, bp = result.settings
     rows = [{"setting_a": sa.text, "setting_b": sb.text, **term}
-            for (sa, sb), term in zip(((a, b), (ap, b), (ap, bp), (a, bp)), terms)]
+            for (sa, sb), term in zip(bell_stats.chsh_pairs(*result.settings), terms)]
     _report(args, doc, "setting_a,setting_b,mean,stderr,n,exact", rows,
             ("s_value", "tolerance", "classical_bound_ok"))
     return EXIT_OK
@@ -238,8 +237,7 @@ def _chsh_scan(model: LhvModel, n_random: int, seed: int) -> bell_stats.ChshResu
         e = np.array([[bell_stats.exact_E(model, Setting.index(i), Setting.index(j)).mean
                        for j in range(3)] for i in range(3)])
         table, corr = index, lambda x, y: e[x, y]
-    a, ap, b, bp = table.T
-    s = corr(a, b) + corr(ap, b) + corr(ap, bp) - corr(a, bp)
+    s = bell_stats.chsh_s([corr(x, y) for x, y in bell_stats.chsh_pairs(*table.T)])
     k = int(np.argmax(np.abs(s)))  # the first of equal |S|, in scan order
     quad = ([Setting.index(i) for i in index[k]] if k < len(index)
             else [Setting.angle(x) for x in table[k]])
@@ -250,16 +248,14 @@ def cmd_bell(args) -> int:
     from . import bell_stats, oracle
 
     if args.oracle:
-        a, ap, b, bp = _parse_angles(args.angles or SINGLET_ANGLES)
-        es = [oracle.singlet_E(a, b), oracle.singlet_E(a, bp),
-              oracle.singlet_E(ap, bp), oracle.singlet_E(ap, b)]
-        check = bell_stats.bell_check(*[
-            bell_stats.CorrelationEstimate(e, 0.0, 1, exact=True) for e in es])
+        pairs = bell_stats.chsh_pairs(*_parse_angles(args.angles or SINGLET_ANGLES))
+        check = bell_stats.bell_check([
+            bell_stats.CorrelationEstimate(oracle.singlet_E(a, b), 0.0, 1, exact=True)
+            for a, b in pairs])
     else:
-        model = _build_model(args)
-        settings = _settings_from_args(args)
-        check = bell_stats.bell_check_from_model(model, *settings, exact=not args.n,
-                                                 n=args.n or None, seed=args.seed)
+        result = bell_stats.chsh(_build_model(args), *_settings_from_args(args), n=args.n,
+                                 seed=args.seed, exact=not args.n)
+        check = bell_stats.bell_check(result.terms)
     doc = {"lhs": check.lhs, "rhs_plus": check.rhs_plus, "rhs_minus": check.rhs_minus,
            "tolerance": check.tolerance, "satisfied": check.satisfied,
            "verdict": "satisfied" if check.satisfied else "violated"}
@@ -422,14 +418,22 @@ def cmd_oracle(args) -> int:
 
 # -- parser ------------------------------------------------------------------------
 
-def _add_common(p, n_default=0):
-    p.add_argument("--seed", type=int, default=0, help="base seed; every result is a pure function of it")
-    p.add_argument("--n", type=int, default=n_default,
-                   help="Monte Carlo trials (0 = exact only)" if n_default == 0 else
-                   f"Monte Carlo trials (default {n_default})")
+def _add_common(p):
     p.add_argument("--out", help="write output to this file instead of stdout")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--config", help="key=value file of flag defaults; explicit flags win")
+
+
+def _add_seed(p):
+    p.add_argument("--seed", type=int, default=0, help="base seed; every result is a pure function of it")
+
+
+def _add_trials(p, n_default=0):
+    """--seed and --n, for the commands that draw Monte Carlo trials."""
+    _add_seed(p)
+    p.add_argument("--n", type=int, default=n_default,
+                   help="Monte Carlo trials (0 = exact only)" if n_default == 0 else
+                   f"Monte Carlo trials (default {n_default})")
 
 
 def _add_model_args(p):
@@ -462,17 +466,20 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
     p = sub.add_parser("mermin", help="instruction-set agreement table and the 5/9 bound")
     _add_common(p)
+    _add_trials(p)
     _add_model_args(p)
     p.set_defaults(func=cmd_mermin)
 
     p = sub.add_parser("clock", help="clock-model agreement table; 2/3 vs 1/3 by convention")
     _add_common(p)
+    _add_trials(p)
     _add_model_args(p)
     _add_grid(p)
     p.set_defaults(func=cmd_clock)
 
     p = sub.add_parser("chsh", help="CHSH quantity S and its classical |S| <= 2 bound")
-    _add_common(p, n_default=100_000)
+    _add_common(p)
+    _add_trials(p, n_default=100_000)
     _add_model_args(p)
     p.add_argument("--oracle", action="store_true", help="quantum singlet prediction instead of a model")
     p.add_argument("--angles", help="a,a',b,b' in radians")
@@ -486,11 +493,11 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
     p = sub.add_parser("bell", help="two-setting Bell inequality |E(a,b)-E(a,b')| <= 2 +/- [E(a',b')+E(a',b)]")
     _add_common(p)
+    _add_trials(p)
     _add_model_args(p)
     p.add_argument("--oracle", action="store_true")
     p.add_argument("--angles", help="a,a',b,b' in radians")
     p.add_argument("--indices", help="four discrete setting indices")
-    _add_grid(p)
     p.set_defaults(func=cmd_bell)
 
     p = sub.add_parser("propagate", help="time-sliced propagator vs the closed-form oracle")
@@ -510,7 +517,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.set_defaults(func=cmd_propagate)
 
     p = sub.add_parser("rt", help="two-sided interferometer scan with the coincidence-fringe column")
-    _add_common(p, n_default=0)
+    _add_common(p)
+    _add_seed(p)
     p.add_argument("--arms", default="1.0,1.0")
     p.add_argument("--arms-b", dest="arms_b")
     p.add_argument("--k", type=float, default=2.0 * math.pi)
@@ -547,7 +555,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.set_defaults(func=cmd_wing)
 
     p = sub.add_parser("source", help="coordinate a distributed run and merge its log")
-    _add_common(p, n_default=1000)
+    _add_common(p)
+    _add_trials(p, n_default=1000)
     p.add_argument("--model-config", required=True)
     p.add_argument("--wing-a", dest="wing_a", required=True, help="host:port")
     p.add_argument("--wing-b", dest="wing_b", required=True, help="host:port")

@@ -54,8 +54,8 @@ ANTI_ALIGNED = "anti_aligned"
 #: Angles of the three discrete settings (index 0, 1, 2).
 SETTING_ANGLES = (0.0, TWO_PI / 3.0, 2.0 * TWO_PI / 3.0)
 
-#: Default size of the circle grid of ``enumerate_lambda``.  The exact clock
-#: statistics are closed forms; there this number is only the reported n.
+#: The n that exact clock-model results report.  Their statistics are closed
+#: forms, so this number reaches no value.
 DEFAULT_QUADRATURE_N = 10_000
 
 # Angles within this distance of the 0/pi detector boundaries are snapped
@@ -223,32 +223,27 @@ def _sign_table() -> np.ndarray:
     return table
 
 
-def _check_convention(b_convention: str) -> str:
-    if b_convention not in (ALIGNED, ANTI_ALIGNED):
-        raise ValueError(f"b_convention must be {ALIGNED!r} or {ANTI_ALIGNED!r}, got {b_convention!r}")
-    return b_convention
-
-
 class LhvModel:
     """Base class for local hidden-variable models.
 
-    Subclasses implement sampling, enumeration and the two one-sided outcome
-    functions.  Models are immutable after construction and safe to share
-    across workers; sampling is a pure function of (model, seed).
+    Subclasses implement sampling and side A's outcome rule; side B's rule
+    is side A's, negated for the anti-aligned convention.  Models are
+    immutable after construction and safe to share across workers; sampling
+    is a pure function of (model, seed).
     """
 
-    name: str = "lhv"
-    b_convention: str = ALIGNED
     lambda_kind: str = "finite"  # "finite" or "circle"
+
+    def __init__(self, b_convention: str, name: str):
+        if b_convention not in (ALIGNED, ANTI_ALIGNED):
+            raise ValueError(f"b_convention must be {ALIGNED!r} or {ANTI_ALIGNED!r}, got {b_convention!r}")
+        self.name = name
+        self.b_convention = b_convention
+        self._b_flip = -1 if b_convention == ANTI_ALIGNED else 1
 
     # -- hidden variable -------------------------------------------------
     def sample_lambdas(self, seed: int, n: int) -> np.ndarray:
         """Vectorized draw; trial i uses the stream of seed + i."""
-        raise NotImplementedError
-
-    def enumerate_lambda(self, n_grid: int = DEFAULT_QUADRATURE_N):
-        """All atoms with exact probabilities (finite case) or an n_grid
-        point uniform circle grid with weight 1/n_grid each."""
         raise NotImplementedError
 
     # -- outcomes ---------------------------------------------------------
@@ -257,7 +252,7 @@ class LhvModel:
         raise NotImplementedError
 
     def outcomes_b(self, lams: np.ndarray, setting) -> np.ndarray:
-        raise NotImplementedError
+        return self.outcomes_a(lams, setting) * self._b_flip
 
     def outcome_a(self, lam, setting: Setting) -> int:
         """One trial of ``outcomes_a``, as a Python int."""
@@ -265,7 +260,7 @@ class LhvModel:
 
     def outcome_b(self, lam, setting: Setting) -> int:
         """One trial of ``outcomes_b``, as a Python int."""
-        raise NotImplementedError
+        return self.outcome_a(lam, setting) * self._b_flip
 
     # -- wire serialization ----------------------------------------------
     def lambda_text(self, lam) -> str:
@@ -282,9 +277,8 @@ class MerminModel(LhvModel):
     hidden variable is represented internally as the atom index 0..7.
     """
 
-    lambda_kind = "finite"
-
     def __init__(self, probs, b_convention: str = ALIGNED, name: str = "mermin"):
+        super().__init__(b_convention, name)
         import numpy as np
 
         probs = np.asarray(probs, dtype=np.float64)
@@ -296,10 +290,7 @@ class MerminModel(LhvModel):
             raise ValueError(f"probability table sums to {probs.sum()!r}, not 1")
         self.probs = probs
         self.probs.flags.writeable = False
-        self.name = name
-        self.b_convention = _check_convention(b_convention)
         self._cum = np.cumsum(probs)
-        self._b_flip = -1 if self.b_convention == ANTI_ALIGNED else 1
 
     @staticmethod
     def uniform(b_convention: str = ALIGNED) -> "MerminModel":
@@ -325,7 +316,8 @@ class MerminModel(LhvModel):
         np.minimum(idx, 7, out=idx)  # guard cum-sum rounding
         return idx.astype(np.int64)
 
-    def enumerate_lambda(self, n_grid: int = DEFAULT_QUADRATURE_N):
+    def enumerate_lambda(self):
+        """The atoms of positive probability and their probabilities."""
         import numpy as np
 
         support = self.probs > 0.0
@@ -351,17 +343,8 @@ class MerminModel(LhvModel):
         j = self._setting_indices(setting)
         return _sign_table()[np.asarray(lams, dtype=np.int64), j]
 
-    def outcomes_b(self, lams, setting) -> np.ndarray:
-        return self.outcomes_a(lams, setting) * self._b_flip
-
-    def _scalar_outcome(self, lam, setting) -> int:
-        return _SIGN_ROWS[int(lam)][int(self._setting_indices(setting))]
-
     def outcome_a(self, lam, setting: Setting) -> int:
-        return self._scalar_outcome(lam, setting)
-
-    def outcome_b(self, lam, setting: Setting) -> int:
-        return self._scalar_outcome(lam, setting) * self._b_flip
+        return _SIGN_ROWS[int(lam)][int(self._setting_indices(setting))]
 
     # wire -------------------------------------------------------------------
     def lambda_text(self, lam) -> str:
@@ -381,9 +364,7 @@ class ClockModel(LhvModel):
     lambda_kind = "circle"
 
     def __init__(self, b_convention: str = ANTI_ALIGNED, name: str = "clock"):
-        self.name = name
-        self.b_convention = _check_convention(b_convention)
-        self._b_flip = -1 if self.b_convention == ANTI_ALIGNED else 1
+        super().__init__(b_convention, name)
 
     def sample_lambdas(self, seed: int, n: int) -> np.ndarray:
         u = rng.uniforms_for_seeds(rng.trial_seeds(seed, n), 1)[:, 0]
@@ -405,14 +386,6 @@ class ClockModel(LhvModel):
         d = np.where(d < BOUNDARY_SNAP, 0.0, np.where(np.pi - d < BOUNDARY_SNAP, np.pi, d))
         return self._b_flip * (1.0 - 2.0 * d / np.pi)
 
-    def enumerate_lambda(self, n_grid: int = DEFAULT_QUADRATURE_N):
-        if n_grid < 1:
-            raise ValueError("n_grid must be >= 1")
-        import numpy as np
-
-        thetas = TWO_PI * np.arange(n_grid, dtype=np.float64) / n_grid
-        return thetas, np.full(n_grid, 1.0 / n_grid)
-
     def _setting_angles(self, setting) -> np.ndarray:
         import numpy as np
 
@@ -426,17 +399,8 @@ class ClockModel(LhvModel):
         delta = self._setting_angles(setting)
         return threshold_sign(np.asarray(lams, dtype=np.float64) + delta)
 
-    def outcomes_b(self, lams, setting) -> np.ndarray:
-        return self.outcomes_a(lams, setting) * self._b_flip
-
-    def _scalar_outcome(self, lam, setting: Setting) -> int:
-        return _scalar_sign(float(lam) + setting.radians)
-
     def outcome_a(self, lam, setting: Setting) -> int:
-        return self._scalar_outcome(lam, setting)
-
-    def outcome_b(self, lam, setting: Setting) -> int:
-        return self._scalar_outcome(lam, setting) * self._b_flip
+        return _scalar_sign(float(lam) + setting.radians)
 
     # wire -------------------------------------------------------------------
     def lambda_text(self, lam) -> str:

@@ -147,8 +147,8 @@ def normals_for_seeds(seeds, n: int) -> np.ndarray:
     return z[:, :n]
 
 
-def trial_seeds(base_seed: int, n: int, offset: int = 0) -> np.ndarray:
-    """Per-trial seeds base+offset .. base+offset+n-1 (mod 2**64).
+def trial_seeds(base_seed: int, n: int) -> np.ndarray:
+    """Per-trial seeds base .. base+n-1 (mod 2**64).
 
     This is the one seed schedule used everywhere: trial i of a run is a pure
     function of base_seed + i regardless of how trials are sharded.
@@ -156,5 +156,5 @@ def trial_seeds(base_seed: int, n: int, offset: int = 0) -> np.ndarray:
     import numpy as np
 
     with np.errstate(over="ignore"):
-        base = np.uint64((base_seed + offset) % (1 << 64))
+        base = np.uint64(base_seed % (1 << 64))
         return base + np.arange(n, dtype=np.uint64)

@@ -91,8 +91,8 @@ def test_criterion_3_chsh_classical_bound():
                              + table[(iap, ibp)] - table[(ia, ibp)])
                         worst = max(worst, abs(s))
                         check = bs.bell_check(
-                            *[bs.CorrelationEstimate(table[k], 0.0, 1, exact=True)
-                              for k in ((ia, ib), (ia, ibp), (iap, ibp), (iap, ib))])
+                            [bs.CorrelationEstimate(table[k], 0.0, 1, exact=True)
+                             for k in ((ia, ib), (iap, ib), (iap, ibp), (ia, ibp))])
                         assert check.satisfied
     assert worst <= 2.0 + 1e-9, f"discrete scan reached |S| = {worst}"
 
@@ -114,9 +114,9 @@ def test_criterion_4_quantum_violation():
     s = oracle.chsh_quantum(0.0, math.pi / 2, math.pi / 4, 3 * math.pi / 4)
     assert abs(abs(s) - TWO_SQRT2) <= 1e-12
     assert abs(s - (-TWO_SQRT2)) <= 1e-12
-    quad = ((0.0, math.pi / 4), (0.0, 3 * math.pi / 4),
-            (math.pi / 2, 3 * math.pi / 4), (math.pi / 2, math.pi / 4))
-    check = bs.bell_check(*[
+    quad = ((0.0, math.pi / 4), (math.pi / 2, math.pi / 4),
+            (math.pi / 2, 3 * math.pi / 4), (0.0, 3 * math.pi / 4))
+    check = bs.bell_check([
         bs.CorrelationEstimate(oracle.singlet_E(a, b), 0.0, 1, exact=True)
         for a, b in quad])
     assert not check.satisfied, "oracle quadruple must violate the inequality"

@@ -161,17 +161,17 @@ def exact_estimate(value: float) -> bs.CorrelationEstimate:
 
 def test_bell_check_trivially_satisfied():
     zero = exact_estimate(0.0)
-    check = bs.bell_check(zero, zero, zero, zero)
+    check = bs.bell_check([zero] * 4)
     assert check.satisfied
     assert check.rhs_plus == 2.0 and check.rhs_minus == 2.0
 
 
 def test_bell_check_quantum_violation():
-    # hand evaluations of -cos at a=0, a'=pi/2, b=pi/4, b'=3pi/4:
+    # hand evaluations of -cos at a=0, a'=pi/2, b=pi/4, b'=3pi/4, in CHSH order:
     # E(a,b) = E(a',b) = E(a',b') = -sqrt(2)/2, E(a,b') = +sqrt(2)/2
     s = 0.7071067811865476
     check = bs.bell_check(
-        exact_estimate(-s), exact_estimate(+s), exact_estimate(-s), exact_estimate(-s)
+        [exact_estimate(-s), exact_estimate(-s), exact_estimate(-s), exact_estimate(+s)]
     )
     assert abs(check.lhs - math.sqrt(2)) < 1e-12
     assert abs(check.rhs_plus - (2 - math.sqrt(2))) < 1e-12
@@ -179,19 +179,20 @@ def test_bell_check_quantum_violation():
     assert not check.satisfied
 
 
-def test_bell_check_from_model_satisfied():
+def test_bell_check_of_exact_chsh_terms_satisfied():
     model = ClockModel()
-    check = bs.bell_check_from_model(model, I0, I1, I2, I0, exact=True)
+    check = bs.bell_check(bs.chsh(model, I0, I1, I2, I0, exact=True).terms)
     assert check.satisfied
 
 
 def test_bell_check_mc_tolerance_uses_stderr():
     model = ClockModel()
-    check = bs.bell_check_from_model(model, I0, I1, I2, I0, exact=False, n=2000, seed=8)
+    check = bs.bell_check(bs.chsh(model, I0, I1, I2, I0, n=2000, seed=8).terms)
     assert check.tolerance > bs.EXACT_TOLERANCE
     assert check.satisfied
+    # chsh's seed order: (a,b), (a',b), (a',b'), (a,b') from seeds 8..11
     es = [bs.estimate_E(model, sa, sb, 2000, 8 + k)
-          for k, (sa, sb) in enumerate(((I0, I2), (I0, I0), (I1, I0), (I1, I2)))]
+          for k, (sa, sb) in enumerate(((I0, I2), (I1, I2), (I1, I0), (I0, I0)))]
     assert check.tolerance == bs.verdict_tolerance(es) == 3.0 * math.sqrt(
         sum(e.stderr ** 2 for e in es))
     # an undefined stderr (one trial) counts as 0; exact inputs get EXACT_TOLERANCE

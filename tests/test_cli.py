@@ -1,16 +1,31 @@
+import argparse
+import contextlib
+import io
 import json
 import math
 import re
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bellpath import bell_stats, cli, harness, rng
-from bellpath.hv_models import ALIGNED, ANTI_ALIGNED, ClockModel, MerminModel, Setting
+from bellpath import bell_stats, cli, config, harness, rng
+from bellpath.hv_models import (
+    ALIGNED,
+    ALL_INSTRUCTION_SETS,
+    ANTI_ALIGNED,
+    TWO_PI,
+    ClockModel,
+    MerminModel,
+    Setting,
+)
 
 
 def run_cli(capsys, *argv):
@@ -512,3 +527,173 @@ def test_rt_has_no_emission_time_spread(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "unrecognized arguments: --spread-dt 1" in captured.err
+
+
+# -- bell is the Bell check of chsh's terms ----------------------------------------
+
+
+def cli_stdout(*argv) -> str:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert cli.main(list(argv)) == 0
+    return buf.getvalue()
+
+
+_PROB_KEYS = [f"p[{s.text}]" for s in ALL_INSTRUCTION_SETS]
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from((ALIGNED, ANTI_ALIGNED, "mermin")),
+       indices=st.lists(st.integers(0, 2), min_size=4, max_size=4),
+       angles=st.none() | st.lists(st.floats(0.0, TWO_PI, exclude_max=True),
+                                   min_size=4, max_size=4),
+       weights=st.lists(st.floats(0.01, 1.0), min_size=8, max_size=8),
+       n=st.none() | st.integers(1, 400), seed=st.integers(0, 1 << 40))
+def test_bell_is_the_bell_check_of_the_chsh_terms(kind, indices, angles, weights, n, seed):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "model.cfg"
+        if kind == "mermin":
+            angles = None  # instruction sets take discrete settings only
+            cfg.write_text("model=mermin\n" + "".join(
+                f"{key}={w / sum(weights)!r}\n" for key, w in zip(_PROB_KEYS, weights)))
+        else:
+            cfg.write_text(f"model=clock\nb_convention={kind}\n")
+        model = config.model_from_file(cfg)
+        if angles:
+            quad = [Setting.angle(x) for x in angles]
+            flags = ["--angles", ",".join(map(repr, angles))]
+        else:
+            quad = [Setting.index(i) for i in indices]
+            flags = ["--indices", ",".join(map(str, indices))]
+        flags += ["--model-config", str(cfg), "--format", "json"]
+        mc = ["--n", str(n), "--seed", str(seed)] if n else []
+        bell = json.loads(cli_stdout("bell", *flags, *mc))
+        chsh = json.loads(cli_stdout("chsh", *flags, *(mc or ["--exact"])))
+    result = bell_stats.chsh(model, *quad, n=n, seed=seed, exact=not n)
+    check = bell_stats.bell_check(result.terms)
+    assert bell == {"lhs": check.lhs, "rhs_plus": check.rhs_plus, "rhs_minus": check.rhs_minus,
+                    "tolerance": check.tolerance, "satisfied": check.satisfied,
+                    "verdict": "satisfied" if check.satisfied else "violated"}
+    # the four terms bell evaluates are the ones chsh prints for the same flags
+    t = [term["mean"] for term in chsh["terms"]]
+    assert t == [term.mean for term in result.terms]
+    assert bell["lhs"] == abs(t[0] - t[3])
+    assert (bell["rhs_plus"], bell["rhs_minus"]) == (2.0 + (t[2] + t[1]), 2.0 - (t[2] + t[1]))
+    assert bell["tolerance"] == chsh["tolerance"]
+
+
+# -- flags that no command reads are refused ---------------------------------------
+
+
+@pytest.mark.parametrize("argv", [
+    ["propagate", "--n", "5"],
+    ["propagate", "--seed", "1"],
+    ["oracle", "--what", "chsh", "--seed", "1"],
+    ["oracle", "--what", "chsh", "--n", "5"],
+    ["bell", "--oracle", "--grid", "5"],
+])
+def test_unread_flags_are_refused(capsys, argv):
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert capsys.readouterr().out == ""
+
+
+def test_config_keys_of_unread_flags_are_refused(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("n=5\n")
+    assert cli.main(["propagate", "--slices", "1", "--config", str(cfg)]) == cli.EXIT_CONFIG
+    assert "unknown key 'n'" in capsys.readouterr().err
+
+
+def test_rt_n_is_n_per_point(capsys):
+    # rt has no --n of its own, so argparse's unique prefix takes --n to --n-per-point
+    assert run_cli(capsys, "rt", "--n", "3") == run_cli(capsys, "rt", "--n-per-point", "3")
+
+
+class ReadRecorder(argparse.Namespace):
+    """A parsed namespace that notes the name of every attribute read from it."""
+
+    def __init__(self):
+        super().__init__()
+        object.__setattr__(self, "_reads", set())
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            object.__getattribute__(self, "_reads").add(name)
+        return object.__getattribute__(self, name)
+
+
+_A = "0,1.5707963267948966,0.78539816339744828,2.3561944901923448"
+
+#: Per subcommand, argvs that between them should read every flag.
+#: "{cfg}" is a clock model config, "{mermin}" an instruction-set one,
+#: "{log}" a complete run log and "{out}" an output file.
+FLAG_CASES = {
+    "mermin": [["--n", "20", "--seed", "1", "--format", "json", "--out", "{out}"],
+               ["--model", "mermin:RRG", "--convention", "anti_aligned"],
+               ["--model-config", "{mermin}"]],
+    "clock": [["--n", "20", "--seed", "1", "--convention", "aligned", "--format", "json",
+               "--out", "{out}"],
+              ["--model", "clock"], ["--model-config", "{cfg}"]],
+    "chsh": [["--oracle", "--angles", _A],
+             ["--model", "clock", "--convention", "aligned", "--exact", "--indices", "0,1,2,0",
+              "--grid", "600"],
+             ["--model-config", "{cfg}", "--scan", "3", "--seed", "2"],
+             ["--model", "clock", "--angles", _A, "--n", "50", "--seed", "1", "--format", "json",
+              "--out", "{out}"]],
+    "bell": [["--oracle"],
+             ["--model", "clock", "--convention", "aligned", "--indices", "0,1,2,0", "--n", "50",
+              "--seed", "1", "--format", "json", "--out", "{out}"],
+             ["--model-config", "{cfg}", "--angles", _A]],
+    "propagate": [["--kind", "harmonic", "--omega", "1.5", "--mass", "1", "--hbar", "1",
+                   "--u", "0", "--v", "1", "--t", "1", "--slices", "2", "--grid=-10,10,64",
+                   "--damping", "0.01", "--format", "json", "--out", "{out}"],
+                  ["--convergence", "1,2", "--grid=-10,10,64"]],
+    "rt": [["--phase-points", "2", "--n-per-point", "3", "--seed", "1", "--spread-dx", "2",
+            "--arms", "1.0,1.0", "--arms-b", "1.0", "--k", "6", "--k-b", "6",
+            "--ensemble", "1", "--ensemble-b", "2", "--sigma-path", "0", "--sigma-path-b", "0.1",
+            "--geom-sign", "1", "--geom-sign-b", "-1", "--shifted-arm", "0",
+            "--shifted-arm-b", "0", "--format", "json", "--out", "{out}"],
+           ["--arms", "1.0", "--k", "1.0", "--exact", "--settings", "0,1", "--grid", "600"]],
+    "wing": [["--wing", "A", "--model-config", "{cfg}", "--setting", "i1", "--host", "127.0.0.1",
+              "--port", "0", "--quit-after", "3"],
+             ["--wing", "B", "--model-config", "{cfg}", "--policy", "random", "--choices", "i0,i2",
+              "--policy-seed", "4"]],
+    "source": [["--model-config", "{cfg}", "--n", "5", "--seed", "2", "--wing-a", ":1",
+                "--wing-b", ":2", "--log", "{out}.log", "--format", "json", "--out", "{out}"]],
+    "audit": [["{log}", "--out", "{out}"]],
+    "oracle": [["--what", "singlet", "--a", "0.1", "--b", "0.2"],
+               ["--what", "mermin", "--same", "true"],
+               ["--what", "rt", "--phia", "0.1", "--phib", "0.2"],
+               ["--what", "chsh", "--angles", _A, "--format", "json", "--out", "{out}"]],
+}
+
+#: Flags that no command reads on purpose.
+UNREAD = {
+    "config",  # main turns the file's entries into flags before parsing
+    "clock:grid",  # names an n that clock never prints; the benchmark passes it
+}
+
+
+@pytest.mark.parametrize("command", sorted(cli.build_parser()[1]))
+def test_every_flag_is_read(command, tmp_path, clock_cfg, simulated_source, monkeypatch, capsys):
+    monkeypatch.setattr(harness, "wing_serve", lambda *args, **kwargs: None)
+    mermin_cfg = tmp_path / "mermin.cfg"
+    mermin_cfg.write_text("model=mermin\np[RGG]=1\n")
+    log = tmp_path / "run.log"
+    harness.simulate_run(ClockModel(), harness.FixedPolicy(Setting.index(0)),
+                         harness.FixedPolicy(Setting.index(1)), 5, seed=1).write(log)
+    ap, subparsers = cli.build_parser()
+    fill = {"{cfg}": str(clock_cfg), "{mermin}": str(mermin_cfg), "{log}": str(log)}
+    reads = set()
+    for k, argv in enumerate(FLAG_CASES[command]):
+        out = str(tmp_path / f"out{k}")
+        argv = [fill.get(a, a.replace("{out}", out)) for a in argv]
+        args = ap.parse_args([command, *argv], namespace=ReadRecorder())
+        recorded = object.__getattribute__(args, "_reads")
+        recorded.clear()
+        func = object.__getattribute__(args, "func")
+        assert func(args) == cli.EXIT_OK, argv
+        reads |= recorded
+    dests = {a.dest for a in subparsers[command]._actions if a.default != argparse.SUPPRESS}  # not --help
+    unread = {d for d in dests - reads if d not in UNREAD and f"{command}:{d}" not in UNREAD}
+    assert unread == set()

@@ -14,6 +14,7 @@ from bellpath.hv_models import (
     BOUNDARY_SNAP,
     ClockModel,
     InstructionSet,
+    LhvModel,
     MerminModel,
     Setting,
     TWO_PI,
@@ -333,10 +334,23 @@ def test_outcome_a_ignores_whatever_b_does():
 
 
 def test_outcome_signatures_admit_no_remote_setting():
-    for fn in (ClockModel.outcomes_a, ClockModel.outcomes_b,
-               MerminModel.outcomes_a, MerminModel.outcomes_b):
-        params = list(inspect.signature(fn).parameters)
-        assert params == ["self", "lams", "setting"]
+    for cls in (LhvModel, ClockModel, MerminModel):
+        for fn in (cls.outcomes_a, cls.outcomes_b):
+            assert list(inspect.signature(fn).parameters) == ["self", "lams", "setting"]
+        for fn in (cls.outcome_a, cls.outcome_b):
+            assert list(inspect.signature(fn).parameters) == ["self", "lam", "setting"]
+    # side B's rule is written once, in the base class
+    for cls in (ClockModel, MerminModel):
+        assert cls.outcomes_b is LhvModel.outcomes_b and cls.outcome_b is LhvModel.outcome_b
+
+
+def test_both_models_refuse_an_unknown_convention_alike():
+    messages = set()
+    for build in (lambda: ClockModel("x"), lambda: MerminModel.uniform("x")):
+        with pytest.raises(ValueError) as info:
+            build()
+        messages.add(str(info.value))
+    assert messages == {"b_convention must be 'aligned' or 'anti_aligned', got 'x'"}
 
 
 def test_outcomes_deterministic_across_calls():
@@ -361,10 +375,14 @@ def test_enumerate_point_mass_returns_single_atom():
     assert probs[0] == 1.0
 
 
-def test_enumerate_clock_grid():
-    lams, probs = ClockModel().enumerate_lambda(n_grid=4)
-    assert np.allclose(lams, [0.0, math.pi / 2, math.pi, 3 * math.pi / 2])
-    assert np.allclose(probs, 0.25)
+def circle_grid(n_grid: int) -> np.ndarray:
+    """The uniform n_grid-point circle grid of clock phases, weight 1/n_grid
+    each: the left-point quadrature oracle of the clock model's closed form."""
+    return TWO_PI * np.arange(n_grid, dtype=np.float64) / n_grid
+
+
+def test_circle_grid():
+    assert np.allclose(circle_grid(4), [0.0, math.pi / 2, math.pi, 3 * math.pi / 2])
 
 
 # -- sawtooth vs quadrature ---------------------------------------------------------
@@ -375,7 +393,7 @@ def test_enumerate_clock_grid():
 
 def quadrature_E_aligned(da: float, db: float, n_grid: int) -> float:
     model = ClockModel(b_convention=ALIGNED)
-    thetas, _ = model.enumerate_lambda(n_grid)
+    thetas = circle_grid(n_grid)
     prod = model.outcomes_a(thetas, da) * model.outcomes_b(thetas, db)
     return int(prod.astype(np.int64).sum()) / n_grid
 
@@ -408,7 +426,7 @@ angles = st.floats(0.0, TWO_PI, exclude_max=True)
        n_grid=st.integers(1, 2000).map(lambda k: 6 * k))
 def test_closed_form_lies_within_6_over_n_of_quadrature(a, b, convention, n_grid):
     model = ClockModel(b_convention=convention)
-    thetas, _ = model.enumerate_lambda(n_grid)
+    thetas = circle_grid(n_grid)
     prod = model.outcomes_a(thetas, a) * model.outcomes_b(thetas, b)
     quadrature = int(prod.astype(np.int64).sum()) / n_grid
     closed = model.exact_correlation(Setting.angle(a), Setting.angle(b))

@@ -29,7 +29,7 @@ def test_per_seed_rows_match_scalar_streams():
 def test_trial_seeds_offset_matches_slicing():
     # sharding contract: trials [o, o+k) of a run are seeds base+o .. base+o+k-1
     full = rng.trial_seeds(42, 10)
-    shard = rng.trial_seeds(42, 4, offset=6)
+    shard = rng.trial_seeds(42 + 6, 4)
     assert np.array_equal(full[6:], shard)
 
 
