@@ -16,6 +16,7 @@ runs, so ``wing`` on a clock model starts without loading numpy.
 from __future__ import annotations
 
 import argparse
+import gc
 import itertools
 import math
 import sys
@@ -358,6 +359,10 @@ def cmd_wing(args) -> int:
     harness.wing_serve(args.wing, model, policy, args.host, args.port,
                        quit_after=args.quit_after,
                        announce=lambda line: print(line, flush=True))
+    # The process exits next: frozen objects are left out of the collection
+    # the interpreter runs at exit, which would otherwise walk every one.
+    # Not in wing_serve: it may serve from a thread of a process that goes on.
+    gc.freeze()
     return EXIT_OK
 
 

@@ -25,11 +25,16 @@ at once.
 with the wings called in process instead of over sockets.
 
 The source's log records every message with an ISO-8601 timestamp and a
-direction marker (``>`` sent, ``<`` received).  Merged statistics are
-computed from the log after the run, the way a real experiment would, and
-reproduce the in-process estimators bit for bit under the same seed
-schedule.  ``audit_log`` also reads logs of protocol v1, which ran one
-trial at a time.
+direction marker (``>`` sent, ``<`` received).  A line sent over a socket
+is logged as sent; any other message (a received one, or one of
+``simulate_run``) as its canonical encoding ``WireMessage.to_line``, the
+text the sender's encoder gives too.  Messages and log entries are slotted
+records, not frozen ones: a run builds several per trial in every process
+that handles them, and nothing changes one once the run has logged it.
+Merged statistics are computed from the log after the run, the way a real
+experiment would, and reproduce the in-process estimators bit for bit under
+the same seed schedule.  ``audit_log`` also reads logs of protocol v1, which
+ran one trial at a time.
 """
 
 from __future__ import annotations
@@ -71,6 +76,7 @@ _RECV_BYTES = 1 << 16
 WING_TIMEOUT_S = 30.0
 
 _FIELDS = ("type", "v", "trial", "wing", "payload")
+_FIELD_SET = frozenset(_FIELDS)
 
 # payload key sets per (direction, type); direction is the source's view
 _SCHEMA_SENT = {
@@ -128,7 +134,7 @@ class WireError(ValueError):
     """Malformed or out-of-protocol message."""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class WireMessage:
     type: str
     trial: int
@@ -147,14 +153,16 @@ class WireMessage:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise WireError(f"not JSON: {line!r}") from exc
-        if not isinstance(obj, dict) or set(obj) != set(_FIELDS):
+        if type(obj) is not dict or obj.keys() != _FIELD_SET:
             raise WireError(f"message fields must be exactly {_FIELDS}")
-        if not isinstance(obj["payload"], dict):
+        payload, trial, v = obj["payload"], obj["trial"], obj["v"]
+        if type(payload) is not dict:
             raise WireError("payload must be an object")
-        for key in ("trial", "v"):
-            if type(obj[key]) is not int:
-                raise WireError(f"{key} must be an integer, got {obj[key]!r}")
-        return WireMessage(obj["type"], obj["trial"], str(obj["wing"]), obj["payload"], obj["v"])
+        if type(trial) is not int:
+            raise WireError(f"trial must be an integer, got {trial!r}")
+        if type(v) is not int:
+            raise WireError(f"v must be an integer, got {v!r}")
+        return WireMessage(obj["type"], trial, str(obj["wing"]), payload, v)
 
     @staticmethod
     def from_bytes(raw: bytes) -> "WireMessage":
@@ -180,11 +188,16 @@ def _wire_lines(sock: socket.socket):
         yield lines
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class LogEntry:
     timestamp: str
     direction: str  # ">" sent by source, "<" received by source
     message: WireMessage
+    #: The wire line the source sent, kept so ``RunLog.write`` need not encode
+    #: the message again; None for received and in-process messages.  To edit
+    #: an entry, build a new one: the line is not an argument, so a new entry,
+    #: ``dataclasses.replace``'s too, has none and is written from its message.
+    line: str | None = field(default=None, init=False, compare=False, repr=False)
 
 
 @functools.lru_cache(maxsize=1)
@@ -198,18 +211,22 @@ class RunLog:
     entries: list[LogEntry] = field(default_factory=list)
     incomplete: bool = False
 
-    def append(self, direction: str, message: WireMessage):
+    def append(self, direction: str, message: WireMessage, line: str | None = None):
         # The text of datetime.now(timezone.utc).isoformat(timespec="microseconds"),
         # microseconds truncated, with the date and time of day formatted once
         # per second rather than once per message.
         second, ns = divmod(time.time_ns(), 1_000_000_000)
         stamp = f"{_utc_second(second)}.{ns // 1000:06d}+00:00"
-        self.entries.append(LogEntry(stamp, direction, message))
+        entry = LogEntry(stamp, direction, message)
+        entry.line = line
+        self.entries.append(entry)
 
     def write(self, path):
+        """Write the log; a sent line as sent, any other as ``to_line`` encodes it."""
         lines = [f"# {k}={v}" for k, v in self.meta.items()]
         lines.append(f"# incomplete={str(self.incomplete).lower()}")
-        lines.extend(f"{e.timestamp} {e.direction} {e.message.to_line()}" for e in self.entries)
+        lines.extend(f"{e.timestamp} {e.direction} {e.line or e.message.to_line()}"
+                     for e in self.entries)
         Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     @staticmethod
@@ -357,8 +374,11 @@ class _WingLink:
         self.queued: list[str] = []
         self.lines = itertools.chain.from_iterable(_wire_lines(self.sock))
 
-    def send(self, msg: WireMessage):
-        self.queued.append(msg.to_line())
+    def send(self, msg: WireMessage) -> str:
+        """Queue the message; return its wire line."""
+        line = msg.to_line()
+        self.queued.append(line)
+        return line
 
     def flush(self):
         if self.queued:
@@ -386,7 +406,7 @@ class _LocalLink:
         self.wing, self.model, self.policy = wing, model, policy
         self.replies: collections.deque[WireMessage] = collections.deque()
 
-    def send(self, msg: WireMessage):
+    def send(self, msg: WireMessage) -> None:
         reply, _ = _wing_reply(self.wing, self.model, self.policy, msg)
         if reply is not None:
             self.replies.append(reply)
@@ -413,8 +433,7 @@ def _run(model: LhvModel, n_trials: int, seed: int, connect) -> RunLog:
         for wing, link in links.items():
             # one payload per message, so editing a log entry cannot alter its twin
             msg = WireMessage(mtype, trial, wing, dict(payload))
-            link.send(msg)
-            log.append(">", msg)
+            log.append(">", msg, link.send(msg))
 
     def flush_all():
         for link in links.values():
@@ -582,7 +601,7 @@ def audit_log(log: RunLog) -> AuditReport:
                 idx, "flow", f"{msg.type!r} message may not travel direction {entry.direction!r}"))
             continue
         expected = schema[msg.type]
-        if set(msg.payload) != expected:
+        if msg.payload.keys() != expected:
             violations.append(Violation(
                 idx, "schema",
                 f"{msg.type} payload keys {sorted(msg.payload)} != {sorted(expected)}"))

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import gc
 import io
 import json
 import math
@@ -350,10 +351,11 @@ def run_source(tmp_path, cfg, capsys, *extra):
     try:
         code = cli.main(["source", "--model-config", str(cfg), "--n", "50",
                          "--seed", "3", "--wing-a", addr_a, "--wing-b", addr_b, *extra])
-        return code, capsys.readouterr().out
+        out = capsys.readouterr().out
     finally:
-        wa.communicate(timeout=10)
-        wb.communicate(timeout=10)
+        errs = [wing.communicate(timeout=10)[1] for wing in (wa, wb)]
+    assert (wa.returncode, wb.returncode) == (0, 0), errs
+    return code, out
 
 
 def test_distributed_cli_run_and_audit(tmp_path, clock_cfg, capsys):
@@ -677,6 +679,8 @@ UNREAD = {
 @pytest.mark.parametrize("command", sorted(cli.build_parser()[1]))
 def test_every_flag_is_read(command, tmp_path, clock_cfg, simulated_source, monkeypatch, capsys):
     monkeypatch.setattr(harness, "wing_serve", lambda *args, **kwargs: None)
+    monkeypatch.setattr(cli.gc, "freeze", lambda: None)  # wing's exit step
+    frozen = gc.get_freeze_count()
     mermin_cfg = tmp_path / "mermin.cfg"
     mermin_cfg.write_text("model=mermin\np[RGG]=1\n")
     log = tmp_path / "run.log"
@@ -697,3 +701,4 @@ def test_every_flag_is_read(command, tmp_path, clock_cfg, simulated_source, monk
     dests = {a.dest for a in subparsers[command]._actions if a.default != argparse.SUPPRESS}  # not --help
     unread = {d for d in dests - reads if d not in UNREAD and f"{command}:{d}" not in UNREAD}
     assert unread == set()
+    assert gc.get_freeze_count() == frozen

@@ -107,18 +107,37 @@ def test_log_stamp_text_is_pinned(monkeypatch, ns, stamp):
     assert log.entries[0].timestamp == stamp
 
 
-def test_wire_message_rejects_bad_shapes():
-    with pytest.raises(harness.WireError):
-        harness.WireMessage.from_line("not json")
-    with pytest.raises(harness.WireError):
-        harness.WireMessage.from_line('{"type":"x","v":1,"trial":0,"wing":"A"}')
-    with pytest.raises(harness.WireError):
-        harness.WireMessage.from_line(
-            '{"type":"x","v":1,"trial":0,"wing":"A","payload":{},"extra":1}')
-    for trial, v in (('"x"', "1"), ("null", "1"), ("[0]", "1"), ("true", "1"), ("0", "1.5")):
-        with pytest.raises(harness.WireError):
-            harness.WireMessage.from_line(
-                f'{{"type":"x","v":{v},"trial":{trial},"wing":"A","payload":{{}}}}')
+_FIELDS_ERROR = "message fields must be exactly ('type', 'v', 'trial', 'wing', 'payload')"
+
+
+def _wire_text(trial="0", v="2", payload="{}"):
+    return f'{{"type":"x","v":{v},"trial":{trial},"wing":"A","payload":{payload}}}'
+
+
+# each refusal's text, pinned, and which fault is named when several hold
+@pytest.mark.parametrize("line, error", [
+    ("not json", "not JSON: 'not json'"),
+    ("[]", _FIELDS_ERROR),
+    ('"x"', _FIELDS_ERROR),
+    ("null", _FIELDS_ERROR),
+    ("1", _FIELDS_ERROR),
+    ('{"type":"x","v":2,"trial":0,"wing":"A"}', _FIELDS_ERROR),
+    ('{"type":"x","v":2,"trial":0,"wing":"A","payload":{},"extra":1}', _FIELDS_ERROR),
+    (_wire_text(payload="[]"), "payload must be an object"),
+    (_wire_text(payload="[]", trial="true"), "payload must be an object"),
+    (_wire_text(trial="true"), "trial must be an integer, got True"),
+    (_wire_text(trial="1.0"), "trial must be an integer, got 1.0"),
+    (_wire_text(trial='"1"'), "trial must be an integer, got '1'"),
+    (_wire_text(trial="null"), "trial must be an integer, got None"),
+    (_wire_text(trial="[0]"), "trial must be an integer, got [0]"),
+    (_wire_text(v="1.5"), "v must be an integer, got 1.5"),
+    (_wire_text(v="null"), "v must be an integer, got None"),
+    (_wire_text(trial='"1"', v="2.0"), "trial must be an integer, got '1'"),
+])
+def test_wire_message_refusal_texts_are_pinned(line, error):
+    with pytest.raises(harness.WireError) as info:
+        harness.WireMessage.from_line(line)
+    assert str(info.value) == error
 
 
 def test_lambda_text_round_trip_is_exact():
@@ -331,6 +350,48 @@ def test_audit_names_a_malformed_log_line(line, fault, tmp_path, capsys):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     assert cli.main(["audit", str(path)]) == 1
     assert capsys.readouterr().err == f"error: {path} line 9: {fault}\n"
+
+
+def test_a_log_is_read_line_by_line_not_as_one_joined_array(tmp_path, capsys):
+    # Joined into one JSON array, these two lines decode to two valid
+    # messages; each alone is not JSON, and the log must be refused.
+    first = '{"type":"lambda","v":2,"trial":0,"wing":"A","payload":{"lambda":"0.5"}},{"type":"lambda","v":2'
+    second = '"trial":0,"wing":"B","payload":{"lambda":"0.5"}}'
+    assert [harness.WireMessage(**obj) for obj in json.loads(f"[{first},{second}]")] == [
+        harness.WireMessage("lambda", 0, wing, {"lambda": "0.5"}) for wing in harness.WINGS]
+    stamp = "2023-11-14T22:13:20.999999+00:00"
+    path = tmp_path / "joined.log"
+    path.write_text(f"# v=2\n{stamp} > {first}\n{stamp} > {second}\n", encoding="utf-8")
+    with pytest.raises(harness.WireError) as info:
+        harness.RunLog.read(path)
+    assert str(info.value) == f"{path} line 2: not JSON: {first!r}"
+    assert cli.main(["audit", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {path} line 2: not JSON: {first!r}\n"
+
+
+def test_source_logs_a_sent_line_as_sent(tmp_path, monkeypatch):
+    model = ClockModel()
+    addr_a = start_wing("A", model, harness.RandomPolicy((I0, I1), seed=4))
+    addr_b = start_wing("B", model, harness.RandomPolicy((I1, I2), seed=5))
+    n = W + 10
+    log = harness.source_run(model, n, seed=9, endpoint_a=addr_a, endpoint_b=addr_b)
+    assert not log.incomplete
+    sent = [e for e in log.entries if e.direction == ">"]
+    assert len(sent) == 2 * (n + 2)
+    assert all(e.line == e.message.to_line() for e in sent)
+    assert all(e.line is None for e in log.entries if e.direction == "<")
+    assert dataclasses.replace(sent[0]).line is None
+    written, rebuilt, again = (tmp_path / f"{name}.log" for name in ("run", "rebuilt", "again"))
+    encoded, to_line = [], harness.WireMessage.to_line
+    with monkeypatch.context() as patch:
+        patch.setattr(harness.WireMessage, "to_line", lambda msg: encoded.append(msg) or to_line(msg))
+        log.write(written)
+    assert len(encoded) == len(log.entries) - len(sent)  # only the received messages
+    harness.RunLog(log.meta, [harness.LogEntry(e.timestamp, e.direction, e.message)
+                              for e in log.entries], log.incomplete).write(rebuilt)
+    assert written.read_bytes() == rebuilt.read_bytes()
+    harness.RunLog.read(written).write(again)
+    assert again.read_bytes() == written.read_bytes()
 
 
 def test_single_trial_merge_has_no_stderr():
