@@ -187,20 +187,19 @@ def exact_E(model: LhvModel, a: Setting, b: Setting, n_grid: int = DEFAULT_QUADR
 
 
 def merge_estimates(parts: list[CorrelationEstimate]) -> CorrelationEstimate:
-    """Merge shard results; exact for Monte Carlo shards carrying tallies.
+    """Merge Monte Carlo shard results by their integer tallies.
 
     With the per-trial seed schedule, any contiguous partition of a trial
-    range merges to the same result as the unsharded run, bit for bit.
+    range merges to the same result as the unsharded run, bit for bit.  A
+    part without a tally (an exact result) is refused with ValueError.
     """
     if not parts:
         raise ValueError("nothing to merge")
-    if all(p.sum_products is not None for p in parts):
-        total = sum(p.sum_products for p in parts)
-        n = sum(p.n_trials for p in parts)
-        return _estimate_from_tally(total, n)
-    n = sum(p.n_trials for p in parts)
-    mean = sum(p.mean * p.n_trials for p in parts) / n
-    return CorrelationEstimate(mean, None, n, exact=False)
+    for i, p in enumerate(parts):
+        if p.sum_products is None:
+            raise ValueError(f"part {i} carries no tally to merge: {p}")
+    return _estimate_from_tally(sum(p.sum_products for p in parts),
+                                sum(p.n_trials for p in parts))
 
 
 def chsh(

@@ -58,18 +58,25 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _build_model(args) -> LhvModel:
-    if getattr(args, "model_config", None):
+def _build_model(args, default: str | None = None) -> LhvModel:
+    """The model of --model-config (which refuses --model and --convention beside
+    it), or the one --model (else ``default``) names, in its own default convention
+    unless --convention is given."""
+    if args.model_config:
+        for flag, value in (("--model", args.model), ("--convention", args.convention)):
+            if value is not None:
+                raise ConfigError(f"{flag} cannot be combined with --model-config, "
+                                  f"whose file sets the model and its b_convention")
         return model_from_file(args.model_config)
-    name = getattr(args, "model", None)
-    convention = getattr(args, "convention", None)
+    name = args.model or default
+    convention = {"b_convention": args.convention} if args.convention else {}
     if name == "clock":
-        return ClockModel(b_convention=convention or ANTI_ALIGNED)
+        return ClockModel(**convention)
     if name == "mermin":
-        return MerminModel.uniform(b_convention=convention or ALIGNED)
+        return MerminModel.uniform(**convention)
     if name and name.startswith("mermin:"):
-        return MerminModel.point_mass(name.split(":", 1)[1], b_convention=convention or ALIGNED)
-    raise ConfigError(f"cannot build a model from {name!r}; use --model or --model-config")
+        return MerminModel.point_mass(name.split(":", 1)[1], **convention)
+    raise ConfigError(f"cannot build a model from {args.model!r}; use --model or --model-config")
 
 
 def _parse_angles(text: str) -> list[float]:
@@ -114,10 +121,7 @@ def _pair_table(model: LhvModel) -> dict:
 def cmd_mermin(args) -> int:
     from . import bell_stats, oracle
 
-    if args.model_config or args.model:
-        model = _build_model(args)
-    else:
-        model = MerminModel.uniform(b_convention=args.convention or ALIGNED)
+    model = _build_model(args, "mermin")
     if not isinstance(model, MerminModel):
         raise ConfigError("mermin subcommand needs an instruction-set model")
     overall = bell_stats.exact_overall_agreement(model)
@@ -139,10 +143,7 @@ def cmd_mermin(args) -> int:
 def cmd_clock(args) -> int:
     from . import bell_stats
 
-    if args.model_config or args.model:
-        model = _build_model(args)
-    else:
-        model = ClockModel(b_convention=args.convention or ANTI_ALIGNED)
+    model = _build_model(args, "clock")
     if not isinstance(model, ClockModel):
         raise ConfigError("clock subcommand needs the clock model")
     other = ClockModel(b_convention=ALIGNED if model.b_convention == ANTI_ALIGNED else ANTI_ALIGNED)
@@ -309,20 +310,17 @@ def cmd_propagate(args) -> int:
 def _side_config(args, side: str) -> interferometer.SideConfig:
     from . import interferometer
 
-    def pick(name, fallback):
-        value = getattr(args, f"{name}_b" if side == "B" else name, None)
-        if side == "B" and value is None:
-            value = getattr(args, name, fallback)
-        return fallback if value is None else value
+    def pick(name):  # side B's -b flag, else side A's
+        value = getattr(args, f"{name}_b") if side == "B" else None
+        return getattr(args, name) if value is None else value
 
-    arms = tuple(float(x) for x in str(pick("arms", "1.0,1.0")).split(","))
     return interferometer.SideConfig(
-        arm_lengths=arms,
-        k_wave=float(pick("k", 2.0 * math.pi)),
-        n_ensemble=int(pick("ensemble", 1)),
-        sigma_path=float(pick("sigma_path", 0.0)),
-        geometry_sign=float(pick("geom_sign", 1.0)),
-        shifted_arm=int(pick("shifted_arm", 0)),
+        arm_lengths=tuple(float(x) for x in pick("arms").split(",")),
+        k_wave=float(pick("k")),
+        n_ensemble=int(pick("ensemble")),
+        sigma_path=float(pick("sigma_path")),
+        geometry_sign=float(pick("geom_sign")),
+        shifted_arm=int(pick("shifted_arm")),
     )
 
 

@@ -532,10 +532,9 @@ class AuditReport:
     violations: tuple[Violation, ...]
     n_trials_seen: int
     incomplete: bool
-    header: str = AUDIT_HEADER
 
     def text(self) -> str:
-        lines = [self.header, ""]
+        lines = [AUDIT_HEADER, ""]
         lines.append(f"trials seen: {self.n_trials_seen}")
         lines.append(f"log complete: {str(not self.incomplete).lower()}")
         if self.ok:

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -145,55 +145,54 @@ class _PathBatch:
         return table[row]
 
 
-@dataclass(frozen=True, slots=True)
 class PathSample:
     """A discrete path: N+1 positions over total duration t_total.
 
-    The constructor checks its input and keeps a private read-only copy of
-    the positions, so later writes to the caller's array (or to the array a
-    view of it shares memory with) never reach the path; such a path is a
-    one-row batch of its own.  sample_paths hands out read-only row views of
-    one matrix that it has checked as a whole, all sharing that batch, so
-    discrete_action can serve every row from one action table.  Two paths are
-    equal when their t_total and positions are equal, whatever batch they
-    come from.
+    A path is a row of a _PathBatch and holds only the batch and its row;
+    positions is a read-only view of that row, made on access.  The
+    constructor checks its input and keeps a private read-only copy of the
+    positions, so later writes to the caller's array (or to the array a view
+    of it shares memory with) never reach the path; such a path is a one-row
+    batch of its own.  sample_paths hands out the rows of one matrix that it
+    has checked as a whole, all sharing that batch, so discrete_action can
+    serve every row from one action table.  Two paths are equal when their
+    t_total and positions are equal, whatever batch they come from.
     """
 
-    positions: np.ndarray
-    t_total: float
-    _batch: _PathBatch = field(init=False, repr=False, compare=False)
-    _row: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("_batch", "_row")
 
-    def __post_init__(self):
-        pos = np.array(self.positions, dtype=np.float64)
+    def __init__(self, positions, t_total: float):
+        pos = np.array(positions, dtype=np.float64)
         if pos.ndim != 1 or pos.size < 2:
             raise ValueError("a path needs at least two positions")
         if not np.all(np.isfinite(pos)):
             raise ValueError("path positions must be finite")
-        _require_positive("t_total", self.t_total)
+        _require_positive("t_total", t_total)
         pos.flags.writeable = False
-        object.__setattr__(self, "positions", pos)
-        object.__setattr__(self, "_batch", _PathBatch(pos[None, :], self.t_total))
-        object.__setattr__(self, "_row", 0)
+        self._batch = _PathBatch(pos[None, :], t_total)
+        self._row = 0
 
     @classmethod
     def _rows(cls, batch: _PathBatch) -> list["PathSample"]:
-        """One path per row of a batch whose matrix and t_total are already checked.
-
-        The fields are set through their slot descriptors, which skip the
-        frozen __setattr__ as object.__setattr__ does, at half its cost.
-        """
-        set_pos, set_t, set_batch, set_row = (
-            vars(cls)[name].__set__ for name in ("positions", "t_total", "_batch", "_row"))
-        new, t_total, paths = object.__new__, batch.t_total, []
-        for row, pos in enumerate(batch.positions):
+        """One path per row of a batch whose matrix and t_total are already checked."""
+        new, paths = object.__new__, []
+        for row in range(len(batch.positions)):
             path = new(cls)
-            set_pos(path, pos)
-            set_t(path, t_total)
-            set_batch(path, batch)
-            set_row(path, row)
+            path._batch = batch
+            path._row = row
             paths.append(path)
         return paths
+
+    @property
+    def positions(self) -> np.ndarray:
+        return self._batch.positions[self._row]
+
+    @property
+    def t_total(self) -> float:
+        return self._batch.t_total
+
+    def __repr__(self):
+        return f"PathSample(positions={self.positions!r}, t_total={self.t_total!r})"
 
     def __eq__(self, other):
         if not isinstance(other, PathSample):
@@ -251,7 +250,6 @@ class PropagatorSpec:
 class PropagatorResult:
     value: complex
     support_warning: bool
-    spec: PropagatorSpec = field(repr=False, default=None)
     #: anti-alias damping of every slice; 0.0 for one slice (no grid)
     eta: float = 0.0
     #: largest edge mass fraction of an intermediate state (support_warning's input)
@@ -374,7 +372,7 @@ def sliced_propagator(spec: PropagatorSpec) -> PropagatorResult:
     if spec.n_slices == 1:
         # no quadrature happens, so no anti-alias damping is applied
         value = complex(_slice_kernel(spec, dt, spec.v, spec.u))
-        return PropagatorResult(value, False, spec)
+        return PropagatorResult(value, False)
 
     x_min, x_max, n_points = spec.grid
     x = np.linspace(x_min, x_max, n_points)
@@ -397,7 +395,7 @@ def sliced_propagator(spec: PropagatorSpec) -> PropagatorResult:
             edge = max(edge, _edge_fraction(psi, weights, n_edge))
 
     value = complex(np.sum(weights * _slice_kernel(spec, tau, spec.v, x) * psi))
-    return PropagatorResult(value, edge > SUPPORT_WARNING_LEVEL, spec, float(eta), edge)
+    return PropagatorResult(value, edge > SUPPORT_WARNING_LEVEL, float(eta), edge)
 
 
 def _edge_fraction(psi: np.ndarray, weights: np.ndarray, n_edge: int) -> float:

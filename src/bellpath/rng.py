@@ -16,10 +16,10 @@ temporary per step.
 
 ``uniform`` is the scalar form of the stream: the first draw of one seed,
 computed in plain Python integers masked to 64 bits.  It gives the same bits
-as ``uniforms(seed, 1)[0]`` and costs a few operations instead of a numpy
-round-trip, which matters on the per-trial path of a wire run.  The
-module imports numpy only inside the array functions, so a process that
-draws scalars alone (a wire wing) never loads it.
+as the first column of ``uniforms_for_seeds`` and costs a few operations
+instead of a numpy round-trip, which matters on the per-trial path of a wire
+run.  The module imports numpy only inside the array functions, so a process
+that draws scalars alone (a wire wing) never loads it.
 """
 
 from __future__ import annotations
@@ -100,11 +100,6 @@ def _to_unit(u: np.ndarray) -> np.ndarray:
     return np.multiply(u, _INV53)
 
 
-def uniforms(seed: int, n: int) -> np.ndarray:
-    """n uniform doubles in [0, 1) from the stream of ``seed``."""
-    return _to_unit(u64_stream(seed, n))
-
-
 def _finalize_int(z: int) -> int:
     z = ((z ^ (z >> 30)) * _MIX_A_I) & _MASK64
     z = ((z ^ (z >> 27)) * _MIX_B_I) & _MASK64
@@ -112,7 +107,8 @@ def _finalize_int(z: int) -> int:
 
 
 def uniform(seed: int) -> float:
-    """The first uniform of the stream of ``seed``; equals ``uniforms(seed, 1)[0]``."""
+    """The first uniform of the stream of ``seed`` (mod 2**64); equals
+    ``uniforms_for_seeds([seed % 2**64], 1)[0, 0]``."""
     state0 = _finalize_int((operator.index(seed) + _GOLDEN_I) & _MASK64)
     return (_finalize_int((state0 + _GOLDEN_I) & _MASK64) >> 11) * _INV53
 

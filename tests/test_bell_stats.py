@@ -120,6 +120,14 @@ def test_shard_merge_is_bit_identical():
     assert bs.merge_estimates(halves).mean == full.mean
 
 
+def test_merge_refuses_a_part_without_a_tally():
+    shard = bs.estimate_E(ClockModel(), I0, I1, 100, seed=21)
+    exact = bs.exact_E(ClockModel(), I0, I1)
+    for parts, bad in (([shard, exact], 1), ([exact], 0)):
+        with pytest.raises(ValueError, match=rf"^part {bad} carries no tally to merge"):
+            bs.merge_estimates(parts)
+
+
 # -- CHSH -----------------------------------------------------------------------------
 
 

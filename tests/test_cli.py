@@ -599,6 +599,18 @@ def test_unread_flags_are_refused(capsys, argv):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("flag", [["--model", "mermin"], ["--model", "clock"],
+                                  ["--convention", "aligned"], ["--convention", "anti_aligned"]])
+@pytest.mark.parametrize("argv", [["mermin"], ["clock"],
+                                  ["chsh", "--exact", "--indices", "0,1,2,0"],
+                                  ["bell", "--indices", "0,1,2,0"]])
+def test_model_flags_beside_a_model_config_are_refused(argv, flag, clock_cfg, capsys):
+    assert cli.main([*argv, "--model-config", str(clock_cfg), *flag]) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"config error: {flag[0]} cannot be combined with --model-config")
+
+
 def test_config_keys_of_unread_flags_are_refused(tmp_path, capsys):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("n=5\n")

@@ -6,15 +6,21 @@ from hypothesis import strategies as st
 from bellpath import rng
 
 
+def stream(seed: int, n: int) -> np.ndarray:
+    """The first n uniforms of one seed's stream, from its raw 64-bit outputs."""
+    return (rng.u64_stream(seed, n) >> np.uint64(11)) * 2.0 ** -53
+
+
 def test_streams_are_deterministic():
-    a = rng.uniforms(12345, 64)
-    b = rng.uniforms(12345, 64)
+    a = rng.uniforms_for_seeds([12345], 64)[0]
+    b = rng.uniforms_for_seeds([12345], 64)[0]
     assert np.array_equal(a, b)
-    assert not np.array_equal(a, rng.uniforms(12346, 64))
+    assert not np.array_equal(a, rng.uniforms_for_seeds([12346], 64)[0])
+    assert np.array_equal(rng.u64_stream(12345, 64), rng.u64_stream(12345, 64))
 
 
 def test_seed_zero_is_valid_and_nondegenerate():
-    u = rng.uniforms(0, 1000)
+    u = rng.uniforms_for_seeds([0], 1000)[0]
     assert np.all((0.0 <= u) & (u < 1.0))
     assert u.std() > 0.2
 
@@ -23,7 +29,7 @@ def test_per_seed_rows_match_scalar_streams():
     seeds = rng.trial_seeds(900, 5)
     rows = rng.uniforms_for_seeds(seeds, 7)
     for i, s in enumerate(seeds):
-        assert np.array_equal(rows[i], rng.uniforms(int(s), 7))
+        assert np.array_equal(rows[i], stream(int(s), 7))
 
 
 def test_trial_seeds_offset_matches_slicing():
@@ -35,7 +41,7 @@ def test_trial_seeds_offset_matches_slicing():
 
 def test_uniform_chi_squared():
     # 16 equal bins at n=1e5; 37.697 is the 99.9% point of chi2(15)
-    u = rng.uniforms(2024, 100_000)
+    u = rng.uniforms_for_seeds([2024], 100_000)[0]
     counts = np.bincount((u * 16).astype(int), minlength=16)
     expected = 100_000 / 16
     stat = ((counts - expected) ** 2 / expected).sum()
@@ -72,7 +78,9 @@ _SEEDS = st.one_of(
 @settings(max_examples=500, deadline=None)
 @given(_SEEDS)
 def test_scalar_uniform_is_the_first_draw_of_the_stream(seed):
-    assert rng.uniform(seed).hex() == float(rng.uniforms(int(seed), 1)[0]).hex()
+    assert rng.uniform(seed).hex() == float(stream(int(seed), 1)[0]).hex()
+    assert rng.uniform(seed).hex() == float(
+        rng.uniforms_for_seeds([int(seed) % (1 << 64)], 1)[0, 0]).hex()
 
 
 def test_scalar_constant_is_numpys_double():
