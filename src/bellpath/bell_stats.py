@@ -22,9 +22,10 @@ no value.
 The CHSH quantity is assembled as S = E(a,b) + E(a',b) + E(a',b') - E(a,b')
 (``chsh_pairs``, ``chsh_s``), the combination bounded by 2 for any local
 hidden-variable model, while the quantum singlet reaches |S| = 2*sqrt(2) at
-(0, pi/2, pi/4, 3pi/4).  The two-setting Bell check takes the same four
-terms and evaluates |E(a,b) - E(a,b')| against both branches of
-2 +/- [E(a',b') + E(a',b)].
+(0, pi/2, pi/4, 3pi/4).  Monte Carlo terms share their trials, so each trial
+adds S(lambda) = +/-2 and |S| <= 2 holds up to rounding, as for exact terms.
+The two-setting Bell check takes the same four terms and evaluates
+|E(a,b) - E(a,b')| against both branches of 2 +/- [E(a',b') + E(a',b)].
 """
 
 from __future__ import annotations
@@ -45,8 +46,8 @@ CHSH_TERM_LABELS = ("E(a,b)", "E(a',b)", "E(a',b')", "E(a,b')")
 #: O(BLOCK) and keeps a block's arrays in cache.
 BLOCK = 1 << 14
 
-#: Tolerance separating numerical noise from a genuine violation when all
-#: inputs are exact; Monte Carlo inputs use 3x the combined standard error.
+#: The slack of every CHSH and Bell verdict: exact terms and Monte Carlo terms
+#: on shared trials meet the bound up to floating-point rounding.
 EXACT_TOLERANCE = 1e-9
 
 
@@ -130,8 +131,7 @@ class BellCheck:
     """One evaluation of |E(a,b) - E(a,b')| <= 2 +/- [E(a',b') + E(a',b)].
 
     Both branches are reported; ``satisfied`` uses the binding (smaller)
-    one, with a tolerance of 1e-9 for exact inputs and 3x the combined
-    standard error for Monte Carlo inputs.
+    one, with ``tolerance`` = ``EXACT_TOLERANCE`` for every input.
     """
 
     lhs: float
@@ -141,22 +141,23 @@ class BellCheck:
     tolerance: float
 
 
-def _tally(model: LhvModel, n: int, seed: int, settings) -> int:
-    """Sum of the +/-1 products A*B over trials seed .. seed + n - 1.
+def _tally(model: LhvModel, n: int, seed: int, pairs) -> list[int]:
+    """Per setting pair, the sum of the +/-1 products A*B over trials seed .. seed + n - 1.
 
-    Trials are evaluated BLOCK at a time.  ``settings(block_seed, k)``
-    gives a block's (a, b), Settings or per-trial arrays.  Trial i draws
-    from seed + i alone, so the tally equals the whole-array one.
+    Trials are evaluated BLOCK at a time on one draw of hidden variables per
+    block.  ``pairs(block_seed, k)`` gives a block's (a, b) pairs, of Settings
+    or per-trial arrays.  Trial i draws from seed + i alone, so each tally
+    equals the whole-array one.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    total = 0
+    blocks = []
     for start in range(0, n, BLOCK):
         k = min(BLOCK, n - start)
         lams = model.sample_lambdas(seed + start, k)
-        a, b = settings(seed + start, k)
-        total += int((model.outcomes_a(lams, a) * model.outcomes_b(lams, b)).sum(dtype=np.int64))
-    return total
+        blocks.append([int((model.outcomes_a(lams, a) * model.outcomes_b(lams, b))
+                           .sum(dtype=np.int64)) for a, b in pairs(seed + start, k)])
+    return [sum(column) for column in zip(*blocks)]
 
 
 def _estimate_from_tally(total: int, n: int) -> CorrelationEstimate:
@@ -172,7 +173,7 @@ def _estimate_from_tally(total: int, n: int) -> CorrelationEstimate:
 
 def estimate_E(model: LhvModel, a: Setting, b: Setting, n: int, seed: int) -> CorrelationEstimate:
     """Monte Carlo correlation over n hidden-variable draws."""
-    return _estimate_from_tally(_tally(model, n, seed, lambda s, k: (a, b)), n)
+    return _estimate_from_tally(_tally(model, n, seed, lambda s, k: [(a, b)])[0], n)
 
 
 def exact_E(model: LhvModel, a: Setting, b: Setting, n_grid: int = DEFAULT_QUADRATURE_N) -> CorrelationEstimate:
@@ -215,9 +216,9 @@ def chsh(
 ) -> ChshResult:
     """CHSH quantity for an LHV model.
 
-    Monte Carlo terms use seeds seed, seed+1, seed+2, seed+3 in the storage
-    order of ``CHSH_TERM_LABELS``, so results are bit-reproducible.  Exact
-    terms of a circle model report n_grid as their n.
+    All four Monte Carlo terms evaluate trials seed .. seed + n - 1, each
+    equal to ``estimate_E`` at ``seed`` bit for bit, so every trial adds
+    S(lambda) = +/-2.  Exact terms of a circle model report n_grid as their n.
     """
     pairs = chsh_pairs(a, a_prime, b, b_prime)
     if exact:
@@ -225,31 +226,23 @@ def chsh(
     else:
         if n is None or seed is None:
             raise ValueError("Monte Carlo CHSH needs n and seed")
-        terms = tuple(
-            estimate_E(model, sa, sb, n, seed + k) for k, (sa, sb) in enumerate(pairs)
-        )
+        tallies = _tally(model, n, seed, lambda s, k: pairs)
+        terms = tuple(_estimate_from_tally(t, n) for t in tallies)
     return ChshResult(chsh_s([t.mean for t in terms]), terms, (a, a_prime, b, b_prime))
-
-
-def verdict_tolerance(estimates) -> float:
-    """The slack of the Bell check and every CHSH verdict: EXACT_TOLERANCE for
-    exact inputs, else 3x the combined stderr (an undefined one counts as 0)."""
-    if all(e.exact for e in estimates):
-        return EXACT_TOLERANCE
-    return 3.0 * math.sqrt(sum((e.stderr or 0.0) ** 2 for e in estimates))
 
 
 def bell_check(terms) -> BellCheck:
     """Evaluate the two-setting Bell inequality on the four CHSH terms
-    (E(a,b), E(a',b), E(a',b'), E(a,b')) of ``ChshResult.terms``."""
+    (E(a,b), E(a',b), E(a',b'), E(a,b')) of ``ChshResult.terms``.  Monte Carlo
+    terms must share their hidden variables, as ``chsh``'s do: ``EXACT_TOLERANCE``
+    absorbs rounding, not sampling error."""
     t0, t1, t2, t3 = terms
     lhs = abs(t0.mean - t3.mean)
     tail = t2.mean + t1.mean
     rhs_plus = 2.0 + tail
     rhs_minus = 2.0 - tail
-    tolerance = verdict_tolerance(terms)
-    satisfied = lhs <= min(rhs_plus, rhs_minus) + tolerance
-    return BellCheck(lhs, rhs_plus, rhs_minus, satisfied, tolerance)
+    satisfied = lhs <= min(rhs_plus, rhs_minus) + EXACT_TOLERANCE
+    return BellCheck(lhs, rhs_plus, rhs_minus, satisfied, EXACT_TOLERANCE)
 
 
 # -- agreement ---------------------------------------------------------------
@@ -266,7 +259,7 @@ def _prob_from_count(count: int, n: int) -> ProbabilityEstimate:
 
 def agreement_prob(model: LhvModel, a: Setting, b: Setting, n: int, seed: int) -> ProbabilityEstimate:
     """Monte Carlo P(A = B) at one setting pair."""
-    return _prob_from_count((n + _tally(model, n, seed, lambda s, k: (a, b))) // 2, n)
+    return _prob_from_count((n + _tally(model, n, seed, lambda s, k: [(a, b)])[0]) // 2, n)
 
 
 def exact_agreement_prob(model: LhvModel, a: Setting, b: Setting, n_grid: int = DEFAULT_QUADRATURE_N) -> ProbabilityEstimate:
@@ -306,8 +299,8 @@ def overall_agreement(model: LhvModel, n: int, seed: int) -> ProbabilityEstimate
         sa = np.minimum((ua * 3).astype(np.int64), 2)
         sb = np.minimum((ub * 3).astype(np.int64), 2)
         if model.lambda_kind == "circle":
-            return angles[sa], angles[sb]
-        return sa, sb
+            return [(angles[sa], angles[sb])]
+        return [(sa, sb)]
 
-    return _prob_from_count((n + _tally(model, n, seed, settings)) // 2, n)
+    return _prob_from_count((n + _tally(model, n, seed, settings)[0]) // 2, n)
 

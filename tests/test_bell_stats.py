@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bellpath import bell_stats as bs
 from bellpath import oracle, rng
 from bellpath.hv_models import ALIGNED, ANTI_ALIGNED, ClockModel, MerminModel, Setting, TWO_PI
 
 I0, I1, I2 = Setting.index(0), Setting.index(1), Setting.index(2)
+_RANDOM_PROBS = np.random.default_rng(15).dirichlet(np.ones(8))
 
 
 def sawtooth_E_aligned(da: float, db: float) -> float:
@@ -144,11 +147,12 @@ def test_chsh_degenerate_settings_saturate():
 
 
 def test_chsh_seed_schedule():
+    # every term evaluates the trials of seeds 40 .. 40 + n - 1
     model = ClockModel()
     res = bs.chsh(model, I0, I1, I2, I0, n=1000, seed=40)
     pairs = ((I0, I2), (I1, I2), (I1, I0), (I0, I0))
     for k, (sa, sb) in enumerate(pairs):
-        assert res.terms[k].mean == bs.estimate_E(model, sa, sb, 1000, 40 + k).mean
+        assert res.terms[k] == bs.estimate_E(model, sa, sb, 1000, 40)
 
 
 def test_chsh_exact_discrete_scan_small():
@@ -193,20 +197,88 @@ def test_bell_check_of_exact_chsh_terms_satisfied():
     assert check.satisfied
 
 
-def test_bell_check_mc_tolerance_uses_stderr():
+def test_bell_check_mc_tolerance_is_the_exact_tolerance():
     model = ClockModel()
-    check = bs.bell_check(bs.chsh(model, I0, I1, I2, I0, n=2000, seed=8).terms)
-    assert check.tolerance > bs.EXACT_TOLERANCE
-    assert check.satisfied
-    # chsh's seed order: (a,b), (a',b), (a',b'), (a,b') from seeds 8..11
-    es = [bs.estimate_E(model, sa, sb, 2000, 8 + k)
-          for k, (sa, sb) in enumerate(((I0, I2), (I1, I2), (I1, I0), (I0, I0)))]
-    assert check.tolerance == bs.verdict_tolerance(es) == 3.0 * math.sqrt(
-        sum(e.stderr ** 2 for e in es))
-    # an undefined stderr (one trial) counts as 0; exact inputs get EXACT_TOLERANCE
-    one = bs.estimate_E(model, I0, I1, 1, 8)
-    assert bs.verdict_tolerance([one, one]) == 0.0
-    assert bs.verdict_tolerance([bs.exact_E(model, I0, I1)] * 4) == bs.EXACT_TOLERANCE
+    pairs = ((I0, I2), (I1, I2), (I1, I0), (I0, I0))  # (a,b), (a',b), (a',b'), (a,b')
+    for n in (1, 2, 2000):  # an undefined, a zero and a positive stderr
+        check = bs.bell_check(bs.chsh(model, I0, I1, I2, I0, n=n, seed=8).terms)
+        assert check.tolerance == bs.EXACT_TOLERANCE
+        assert check.satisfied
+        # chsh's terms are estimate_E's over the one trial range 8 .. 8 + n - 1
+        es = [bs.estimate_E(model, sa, sb, n, 8) for sa, sb in pairs]
+        assert check == bs.bell_check(es)
+    assert bs.bell_check([bs.exact_E(model, I0, I1)] * 4).tolerance == bs.EXACT_TOLERANCE
+    # terms drawn on different trials get no sampling slack: seeds 0..3, one
+    # trial each, give the local model a violation, which is why chsh shares them
+    split = [bs.estimate_E(model, sa, sb, 1, k) for k, (sa, sb) in enumerate(pairs)]
+    assert abs(bs.chsh_s([e.mean for e in split])) == 4.0
+    check = bs.bell_check(split)
+    assert not check.satisfied and check.tolerance == bs.EXACT_TOLERANCE
+
+
+# -- shared hidden variables ------------------------------------------------------------
+
+
+def _s_per_trial(model, quad, n, seed):
+    """S(lambda) of each of trials seed .. seed + n - 1, from the outcome functions."""
+    lams = model.sample_lambdas(seed, n)
+    products = [model.outcomes_a(lams, sa).astype(np.int64) * model.outcomes_b(lams, sb)
+                for sa, sb in bs.chsh_pairs(*quad)]
+    return bs.chsh_s(products)
+
+
+@settings(max_examples=80, deadline=None)
+@given(kind=st.sampled_from((ALIGNED, ANTI_ALIGNED, "mermin-aligned", "mermin-anti")),
+       indices=st.lists(st.integers(0, 2), min_size=4, max_size=4),
+       angles=st.none() | st.lists(st.floats(0.0, TWO_PI, exclude_max=True),
+                                   min_size=4, max_size=4),
+       weights=st.lists(st.floats(0.01, 1.0), min_size=8, max_size=8),
+       n=st.integers(1, 1000), seed=st.integers(0, 2**64 - 1))
+def test_shared_trials_keep_every_local_S_at_two(kind, indices, angles, weights, n, seed):
+    if kind.startswith("mermin"):
+        convention = ALIGNED if kind == "mermin-aligned" else ANTI_ALIGNED
+        model = MerminModel(np.asarray(weights) / sum(weights), convention)
+        angles = None  # instruction sets take discrete settings only
+    else:
+        model = ClockModel(kind)
+    quad = ([Setting.angle(x) for x in angles] if angles
+            else [Setting.index(i) for i in indices])
+    s_trials = _s_per_trial(model, quad, n, seed)
+    assert set(np.abs(s_trials).tolist()) == {2}
+    res = bs.chsh(model, *quad, n=n, seed=seed)
+    t0, t1, t2, t3 = (t.sum_products for t in res.terms)
+    total = t0 + t1 + t2 - t3
+    assert total == int(s_trials.sum())
+    assert abs(total) <= 2 * n and (total - 2 * n) % 4 == 0
+    assert abs(res.s_value) <= 2.0 + bs.EXACT_TOLERANCE
+    assert bs.bell_check(res.terms).satisfied
+
+
+#: Monte Carlo CHSH runs that printed |S| = 4, 4 and 2.00002 while their terms
+#: were drawn on trials offset by one to three seeds: (quadruple, n, seed).
+_SPLIT_TRIAL_CASES = [
+    ((I0, I1, I2, I0), 1, 0),
+    ((I0, I2, I1, I0), 2, 8),
+    (tuple(Setting.angle(x) for x in (0.0, math.pi / 2, math.pi / 4, 3 * math.pi / 4)),
+     100_000, 2000),
+]
+
+
+@pytest.mark.parametrize("quad, n, seed", _SPLIT_TRIAL_CASES)
+def test_clock_chsh_reproductions_stay_within_two(quad, n, seed):
+    res = bs.chsh(ClockModel(), *quad, n=n, seed=seed)
+    assert abs(res.s_value) <= 2.0
+    assert bs.bell_check(res.terms).satisfied
+
+
+@pytest.mark.parametrize("n", [bs.BLOCK - 1, bs.BLOCK, bs.BLOCK + 1])
+@pytest.mark.parametrize("model", [ClockModel(), MerminModel(_RANDOM_PROBS / _RANDOM_PROBS.sum())],
+                         ids=["clock", "mermin"])
+def test_chsh_terms_equal_estimate_E_across_a_block_boundary(model, n):
+    quad = (I0, I2, I1, I0)
+    res = bs.chsh(model, *quad, n=n, seed=2**64 - 5)
+    for term, (sa, sb) in zip(res.terms, bs.chsh_pairs(*quad)):
+        assert term == bs.estimate_E(model, sa, sb, n, 2**64 - 5)
 
 
 # -- agreement ---------------------------------------------------------------------------
@@ -262,7 +334,6 @@ def test_overall_agreement_clock_runs():
 
 # -- blocks -------------------------------------------------------------------------------
 
-_RANDOM_PROBS = np.random.default_rng(15).dirichlet(np.ones(8))
 _BLOCK_CASES = {
     "clock-aligned-index": (ClockModel(ALIGNED), I0, I2),
     "clock-aligned-angle": (ClockModel(ALIGNED), Setting.angle(3.0), Setting.angle(1e-3)),

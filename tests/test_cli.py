@@ -5,6 +5,7 @@ import io
 import json
 import math
 import re
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -145,15 +146,19 @@ def test_chsh_scan_equals_the_largest_chsh(model):
 
 
 def test_chsh_verdict_uses_the_bell_check_tolerance(capsys):
-    # the clock model's exact |S| is 2 here; Monte Carlo noise alone takes
-    # S to -2.00002, well within 3x the combined standard error
-    code, out = run_cli(capsys, "chsh", "--model", "clock", "--angles", cli.SINGLET_ANGLES,
-                        "--n", "100000", "--seed", "2000", "--format", "json")
+    # the clock model's exact |S| is 2 here; the four terms share their
+    # trials, so the Monte Carlo S stays within 2 with no tolerance at all
+    flags = ("--model", "clock", "--angles", cli.SINGLET_ANGLES, "--n", "100000",
+             "--seed", "2000", "--format", "json")
+    code, out = run_cli(capsys, "chsh", *flags)
     assert code == 0
     doc = json.loads(out)
-    assert doc["s_value"] < -2.0
-    assert doc["tolerance"] == 3.0 * math.sqrt(sum(t["stderr"] ** 2 for t in doc["terms"]))
+    assert abs(doc["s_value"]) <= 2.0
+    assert all(t["stderr"] > 0 for t in doc["terms"])
+    assert doc["tolerance"] == bell_stats.EXACT_TOLERANCE == 1e-9
     assert doc["classical_bound_ok"] is True
+    code, out = run_cli(capsys, "bell", *flags)
+    assert json.loads(out)["tolerance"] == doc["tolerance"]
     for argv in (("--exact", "--indices", "0,1,2,0"), ("--scan", "5")):
         code, out = run_cli(capsys, "chsh", "--model", "clock", *argv, "--format", "json")
         doc = json.loads(out)
@@ -321,6 +326,34 @@ def test_missing_settings_is_config_error(capsys):
 def test_help_exits_zero(capsys):
     assert cli.main(["--help"]) == 0
     assert cli.main(["chsh", "--help"]) == 0
+
+
+def test_main_builds_the_parser_once(monkeypatch, capsys):
+    builds = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+    cli._parser.cache_clear()
+    try:
+        assert [cli.main(["oracle", "--what", w]) for w in ("chsh", "rt")] == [0, 0]
+        assert cli.main(["--help"]) == cli.EXIT_OK
+        assert cli.main(["chsh", "--n", "x"]) == cli.EXIT_CONFIG
+        assert cli.main(["oracle", "--what", "chsh"]) == cli.EXIT_OK
+    finally:
+        cli._parser.cache_clear()
+    assert builds == [1]
+
+
+def test_commands_rebound_after_import_are_dispatched():
+    # a tracer rebinds cmd_* after importing the cli; the parser must not predate that
+    code = ("from bellpath import cli\n"
+            "seen = []\n"
+            "run = cli.cmd_oracle\n"
+            "cli.cmd_oracle = lambda args: seen.append(args.what) or run(args)\n"
+            "assert cli.main(['oracle', '--what', 'chsh']) == 0\n"
+            "print(seen)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True)
+    assert proc.stdout.splitlines()[-1] == "['chsh']"
 
 
 # -- the three-process loop over loopback ---------------------------------------
@@ -599,6 +632,35 @@ def test_unread_flags_are_refused(capsys, argv):
     assert capsys.readouterr().out == ""
 
 
+_ORACLE_UNREAD = [["--model", "clock"], ["--model-config", "/nonexistent"],
+                  ["--convention", "aligned"], ["--indices", "0,1,2,0"], ["--n", "7"],
+                  ["--seed", "3"]]
+
+
+@pytest.mark.parametrize("argv, flag, mode", [
+    *((["chsh", "--oracle"], flag, "--oracle")
+      for flag in _ORACLE_UNREAD + [["--exact"], ["--scan", "3"]]),
+    *((["bell", "--oracle"], flag, "--oracle") for flag in _ORACLE_UNREAD),
+    *((["chsh", "--model", "clock", "--scan", "3"], flag, "--scan")
+      for flag in (["--indices", "0,1,2,0"], ["--angles", "1,2,3,4"], ["--exact"], ["--n", "5"])),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+def test_flags_a_mode_does_not_read_are_refused(argv, flag, mode, capsys):
+    assert cli.main([*argv, *flag]) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: {flag[0]} cannot be combined with {mode}, " \
+                           f"which does not read it\n"
+
+
+def test_flags_at_their_defaults_pass_beside_a_mode(capsys):
+    # "given" means set off the parser's default, as chsh --n's 100000 is not
+    for argv in (["chsh", "--oracle", "--n", "100000", "--seed", "0"],
+                 ["bell", "--oracle", "--n", "0"],
+                 ["chsh", "--model", "clock", "--scan", "3", "--n", "100000"]):
+        assert cli.main(argv) == cli.EXIT_OK, argv
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("flag", [["--model", "mermin"], ["--model", "clock"],
                                   ["--convention", "aligned"], ["--convention", "anti_aligned"]])
 @pytest.mark.parametrize("argv", [["mermin"], ["clock"],
@@ -714,3 +776,21 @@ def test_every_flag_is_read(command, tmp_path, clock_cfg, simulated_source, monk
     unread = {d for d in dests - reads if d not in UNREAD and f"{command}:{d}" not in UNREAD}
     assert unread == set()
     assert gc.get_freeze_count() == frozen
+
+
+# -- the README's CLI examples run -------------------------------------------------
+
+
+def _readme_cli_lines() -> list[str]:
+    """The ``bellpath`` lines of the first sh block under README's "## CLI"
+    (the distributed block, which starts processes, comes later)."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("bellpath ")]
+
+
+@pytest.mark.parametrize("line", _readme_cli_lines())
+def test_readme_cli_examples_run(line, tmp_path):
+    argv = shlex.split(line, comments=True)[1:]
+    assert cli.main([*argv, "--out", str(tmp_path / "out")]) == cli.EXIT_OK
+    assert (tmp_path / "out").read_text(encoding="utf-8")
