@@ -11,7 +11,8 @@ Four pillars:
 * ``path_engine`` / ``interferometer`` -- discrete actions, time-sliced
   propagators, phasor resultants, and a two-sided interferometer whose
   outcomes come from per-side path interference, tabulated by
-  ``correlation_scan`` and, for single-path sides, ``degenerate_exact_scan``;
+  ``correlation_scan`` and, for jitter-free sides with |k_A*g_A| = |k_B*g_B|,
+  ``degenerate_exact_scan``;
 * ``harness`` -- a three-process wire protocol that enforces no-signaling
   by isolation and makes it auditable from logs.
 

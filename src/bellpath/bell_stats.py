@@ -43,8 +43,11 @@ CHSH_TERM_LABELS = ("E(a,b)", "E(a',b)", "E(a',b')", "E(a,b')")
 
 #: Trials the Monte Carlo estimators evaluate at once.  Trial i draws from
 #: seed + i alone, so the block size changes no value; it bounds memory at
-#: O(BLOCK) and keeps a block's arrays in cache.
-BLOCK = 1 << 14
+#: O(BLOCK).  With 1 << 14, glibc trimmed the heap top and faulted a block's
+#: 128 KiB temporaries in again on every block in some heap layouts, which
+#: made a `statistics` benchmark pass a third slower; 1 << 13 showed it in
+#: none of the layouts measured.
+BLOCK = 1 << 13
 
 #: The slack of every CHSH and Bell verdict: exact terms and Monte Carlo terms
 #: on shared trials meet the bound up to floating-point rounding.

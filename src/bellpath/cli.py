@@ -102,12 +102,13 @@ def _refuse_beside(args, mode: str, *flags: str) -> None:
 
 
 def _settings_from_args(args) -> tuple[Setting, Setting, Setting, Setting]:
-    if getattr(args, "indices", None):
+    if args.indices:
+        _refuse_beside(args, "--indices", "--angles")
         idx = [int(x) for x in args.indices.split(",")]
         if len(idx) != 4:
             raise ConfigError("expected 4 comma-separated indices")
         return tuple(Setting.index(i) for i in idx)
-    if getattr(args, "angles", None):
+    if args.angles:
         return tuple(Setting.angle(a) for a in _parse_angles(args.angles))
     raise ConfigError("need --angles or --indices")
 
@@ -136,6 +137,8 @@ def _pair_table(model: LhvModel) -> dict:
 def cmd_mermin(args) -> int:
     from . import bell_stats, oracle
 
+    if not args.n:
+        _refuse_beside(args, "mermin without --n", "--seed")
     model = _build_model(args, "mermin")
     if not isinstance(model, MerminModel):
         raise ConfigError("mermin subcommand needs an instruction-set model")
@@ -158,6 +161,8 @@ def cmd_mermin(args) -> int:
 def cmd_clock(args) -> int:
     from . import bell_stats
 
+    if not args.n:
+        _refuse_beside(args, "clock without --n", "--seed")
     model = _build_model(args, "clock")
     if not isinstance(model, ClockModel):
         raise ConfigError("clock subcommand needs the clock model")
@@ -192,7 +197,7 @@ def cmd_chsh(args) -> int:
     from . import bell_stats, oracle
 
     if args.oracle:
-        _refuse_beside(args, "--oracle", *_ORACLE_UNREAD, "--exact", "--scan")
+        _refuse_beside(args, "--oracle", *_ORACLE_UNREAD, "--exact", "--scan", "--grid")
         a, ap, b, bp = _parse_angles(args.angles or SINGLET_ANGLES)
         s = oracle.chsh_quantum(a, ap, b, bp)
         doc = {"oracle": True, "settings": [a, ap, b, bp], "s_value": s, "abs_s": abs(s),
@@ -202,7 +207,7 @@ def cmd_chsh(args) -> int:
 
     model = _build_model(args)
     if args.scan:
-        _refuse_beside(args, "--scan", "--indices", "--angles", "--exact", "--n")
+        _refuse_beside(args, "--scan", "--indices", "--angles", "--exact", "--n", "--grid")
         # exhaustive discrete quadruples plus, for the clock model, random angles
         best = _chsh_scan(model, args.scan, args.seed)
         doc = {"model": model.name, "b_convention": model.b_convention,
@@ -211,11 +216,12 @@ def cmd_chsh(args) -> int:
         _report(args, doc, "max_abs_s,classical_bound_ok", summary=("tolerance",))
         return EXIT_OK
 
-    settings = _settings_from_args(args)
     if args.exact:
-        result = bell_stats.chsh(model, *settings, exact=True, n_grid=args.grid)
+        _refuse_beside(args, "--exact", "--n", "--seed")
+        result = bell_stats.chsh(model, *_settings_from_args(args), exact=True, n_grid=args.grid)
     else:
-        result = bell_stats.chsh(model, *settings, n=args.n, seed=args.seed)
+        _refuse_beside(args, "Monte Carlo chsh", "--grid")
+        result = bell_stats.chsh(model, *_settings_from_args(args), n=args.n, seed=args.seed)
     terms = [{"label": label, "mean": t.mean, "stderr": t.stderr, "n": t.n_trials,
               "exact": t.exact}
              for label, t in zip(bell_stats.CHSH_TERM_LABELS, result.terms)]
@@ -273,6 +279,8 @@ def cmd_bell(args) -> int:
             bell_stats.CorrelationEstimate(oracle.singlet_E(a, b), 0.0, 1, exact=True)
             for a, b in pairs])
     else:
+        if not args.n:
+            _refuse_beside(args, "bell without --n", "--seed")
         result = bell_stats.chsh(_build_model(args), *_settings_from_args(args), n=args.n,
                                  seed=args.seed, exact=not args.n)
         check = bell_stats.bell_check(result.terms)
@@ -288,6 +296,10 @@ def cmd_propagate(args) -> int:
 
     from . import path_engine
 
+    if args.kind == "free":
+        _refuse_beside(args, "--kind free", "--omega")
+    if args.convergence:
+        _refuse_beside(args, "--convergence", "--slices")
     damping = path_engine.DEFAULT_DAMPING if args.damping is None else args.damping
     xmin, xmax, npts = args.grid.split(",")
     grid = (float(xmin), float(xmax), int(npts))
@@ -345,9 +357,14 @@ def _side_config(args, side: str) -> interferometer.SideConfig:
 def cmd_rt(args) -> int:
     from . import interferometer
 
+    if args.exact:
+        _refuse_beside(args, "--exact", "--n-per-point", "--spread-dx", "--seed")
+    else:
+        _refuse_beside(args, "Monte Carlo rt", "--grid")
     cfg_a = _side_config(args, "A")
     cfg_b = _side_config(args, "B")
     if args.settings:
+        _refuse_beside(args, "--settings", "--phase-points")
         phase_grid = [float(x) for x in args.settings.split(",")]
     else:
         phase_grid = [2.0 * math.pi * k / args.phase_points for k in range(args.phase_points)]
@@ -368,8 +385,10 @@ def cmd_rt(args) -> int:
 def cmd_wing(args) -> int:
     model = model_from_file(args.model_config)
     if args.policy == "fixed":
+        _refuse_beside(args, "--policy fixed", "--choices", "--policy-seed")
         policy = harness.FixedPolicy(Setting.from_text(args.setting))
     else:
+        _refuse_beside(args, "--policy random", "--setting")
         choices = [Setting.from_text(t) for t in args.choices.split(",")]
         policy = harness.RandomPolicy(choices, args.policy_seed)
     harness.wing_serve(args.wing, model, policy, args.host, args.port,
@@ -415,9 +434,16 @@ def cmd_audit(args) -> int:
     return EXIT_OK
 
 
+#: The flags each ``oracle --what`` reads; it refuses the others'.
+_ORACLE_WHAT_FLAGS = {"singlet": ("--a", "--b"), "mermin": ("--same",),
+                      "rt": ("--phia", "--phib"), "chsh": ("--angles",)}
+
+
 def cmd_oracle(args) -> int:
     from . import oracle
 
+    _refuse_beside(args, f"--what {args.what}", *(
+        flag for what, flags in _ORACLE_WHAT_FLAGS.items() if what != args.what for flag in flags))
     if args.what == "singlet":
         doc = {"what": "singlet_E", "a": args.a, "b": args.b,
                "value": oracle.singlet_E(args.a, args.b)}
@@ -544,8 +570,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--n-per-point", dest="n_per_point", type=int, default=1000)
     p.add_argument("--spread-dx", dest="spread_dx", type=float, default=1.0)
     p.add_argument("--exact", action="store_true",
-                   help="closed-form clock table for single-path, jitter-free sides "
-                        "with |k*geom_sign| equal on both")
+                   help="closed-form clock table for jitter-free sides with "
+                        "|k*geom_sign| equal on both; a cell where a side's path sum "
+                        "vanishes is undetermined")
     _add_grid(p)
 
     p = command("wing", cmd_wing, "serve one measurement wing over loopback", common=False)

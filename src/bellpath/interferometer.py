@@ -20,11 +20,11 @@ with delta (the phase shifter, the side's setting) applied to the
 configured shifted arm only and jitter drawn per arm replica with scale
 sigma_path.  The shifter phases are the scan grid; no config stores one.
 
-With one arm per side, one replica, and no jitter, a side's resultant is a
-single phasor and the model reduces exactly to the synchronized-clock
-hidden-variable model with theta0 = k*(L + geometry_sign*dx0); when both
-sides couple to dx0 with the same |k*geometry_sign|, ``degenerate_exact_scan``
-gives that model's closed-form table.
+With no jitter, a side's resultant is exp(i*k*geometry_sign*dx0) times a
+sum that no trial changes, so the model reduces exactly to the
+synchronized-clock hidden-variable model at the setting delta + arg of that
+sum; when both sides couple to dx0 with the same |k*geometry_sign|,
+``degenerate_exact_scan`` gives that model's closed-form table.
 """
 
 from __future__ import annotations
@@ -99,6 +99,8 @@ class SideConfig:
 
 def _jitters(cfg: SideConfig, side: str, seed: int, n: int) -> np.ndarray:
     """Per-trial length jitter matrix (n, n_paths); side-local stream."""
+    if not cfg.sigma_path:  # every draw would be scaled to zero
+        return np.zeros((n, cfg.n_paths))
     seeds = rng.trial_seeds(seed, n) ^ _SIDE_TAG[side]
     return cfg.sigma_path * rng.normals_for_seeds(seeds, cfg.n_paths)
 
@@ -209,11 +211,7 @@ def _scan_row(da: float, db: float, out_a: np.ndarray, out_b: np.ndarray) -> Sca
                    rt_coincidence_prob(da, db), n)
 
 
-# -- degenerate single-path configuration ------------------------------------
-
-def is_degenerate(cfg: SideConfig) -> bool:
-    return len(cfg.arm_lengths) == 1 and cfg.n_ensemble == 1 and cfg.sigma_path == 0.0
-
+# -- jitter-free configurations: the clock model's closed form --------------
 
 def degenerate_exact_scan(
     cfg_a: SideConfig,
@@ -221,20 +219,20 @@ def degenerate_exact_scan(
     phase_grid,
     n_grid: int = DEFAULT_QUADRATURE_N,
 ) -> list[ScanRow]:
-    """Exact setting-pair table for single-path sides; rows report n = n_grid.
+    """Exact setting-pair table for jitter-free sides; rows report n = n_grid.
 
-    With one jitter-free path per side the only randomness is the shared
-    transverse offset.  Side A's phase is delta_A + k_A*L_A + phi with
-    phi = k_A*g_A*dx0, taken uniform on the circle (the rotation-invariant
-    large-spread limit of the Gaussian source).  When k_B*g_B = s*k_A*g_A
-    with s = +/-1, side B's phase is delta_B + k_B*L_B + s*phi, which is the
-    synchronized-clock model with settings delta_A + k_A*L_A and
-    s*(delta_B + k_B*L_B), aligned for s = +1 and anti-aligned for s = -1;
-    the table is its closed form.  Any other ratio of the two couplings
-    does not reduce to the clock model and raises ValueError.
+    With no jitter the only randomness is the shared transverse offset, and
+    side s's resultant is exp(i*(k_s*g_s*dx0 + delta_s)) * C_s(delta_s), with
+    C_s its path sum at dx0 = 0.  Side A's phase is delta_A + arg C_A + phi,
+    phi = k_A*g_A*dx0 taken uniform on the circle (the large-spread limit of
+    the Gaussian source).  When k_B*g_B = s*k_A*g_A with s = +/-1, this is the
+    synchronized-clock model at settings delta_A + arg C_A and
+    s*(delta_B + arg C_B), aligned for s = +1 and anti-aligned for s = -1; a
+    cell where |C_A| or |C_B| is below DEGENERATE_R is undetermined on every
+    trial.  Other couplings raise ValueError.
     """
-    if not (is_degenerate(cfg_a) and is_degenerate(cfg_b)):
-        raise ValueError("exact scan requires single-path, jitter-free sides")
+    if cfg_a.sigma_path or cfg_b.sigma_path:
+        raise ValueError("exact scan requires jitter-free sides")
     if n_grid < 1:
         raise ValueError("n_grid must be >= 1")
     coupling_a = cfg_a.k_wave * cfg_a.geometry_sign
@@ -246,13 +244,15 @@ def degenerate_exact_scan(
                          f"got {abs(coupling_a)!r} and {abs(coupling_b)!r}")
     s = 1.0 if coupling_a * coupling_b > 0.0 else -1.0
     clock = ClockModel(ALIGNED if s > 0.0 else ANTI_ALIGNED)
-    # only the settings' difference matters, so both path terms go to A's side
-    offset = cfg_a.k_wave * cfg_a.arm_lengths[0] - s * cfg_b.k_wave * cfg_b.arm_lengths[0]
-    if not math.isfinite(offset):
-        raise ValueError(f"path phases must be finite, got k_A*L_A - s*k_B*L_B = {offset!r}")
     grid = _wrapped_grid(phase_grid)
     da, db = (x.ravel() for x in np.meshgrid(grid, grid, indexing="ij"))
-    e = clock.exact_correlation(da + offset, s * db)
+    dx0 = np.zeros(1)  # C(delta) = shifted + exp(-i*delta)*plain, the path sum at dx0 = 0
+    parts = _phasor_parts(cfg_a, "A", dx0, 0, 1), _phasor_parts(cfg_b, "B", dx0, 0, 1)
+    c_a, c_b = (shifted + np.exp(-1j * d) * plain for d, (plain, shifted) in zip((da, db), parts))
+    # only the settings' difference matters, so both path terms go to A's side
+    e = clock.exact_correlation(da + (np.angle(c_a) - s * np.angle(c_b)), s * db)
+    live = (np.abs(c_a) >= DEGENERATE_R) & (np.abs(c_b) >= DEGENERATE_R)
     return [ScanRow(a, b, float(ei), 0.0, (1.0 + float(ei)) / 2.0, 0.0,
-                    rt_coincidence_prob(a, b), n_grid)
-            for a, b, ei in zip(da.tolist(), db.tolist(), e)]
+                    rt_coincidence_prob(a, b), n_grid) if ok
+            else ScanRow(a, b, None, None, None, 1.0, rt_coincidence_prob(a, b), n_grid)
+            for a, b, ei, ok in zip(da.tolist(), db.tolist(), e, live)]

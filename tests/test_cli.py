@@ -269,14 +269,15 @@ def test_byte_identical_outputs(tmp_path, capsys):
 def test_config_file_defaults_and_override(tmp_path, capsys):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("model=clock\nn=100\nseed=5\n")
-    code, out = run_cli(capsys, "chsh", "--config", str(cfg), "--indices", "0,1,2,0",
-                        "--exact")
+    argv = ["chsh", "--indices", "0,1,2,0"]
+    code, out = run_cli(capsys, *argv, "--config", str(cfg))
     assert code == 0
+    assert out == run_cli(capsys, *argv, "--model", "clock", "--n", "100", "--seed", "5")[1]
     # explicit flag wins over the file value
-    code, out2 = run_cli(capsys, "chsh", "--config", str(cfg), "--indices", "0,1,2,0",
-                         "--exact", "--model", "clock")
+    code, out2 = run_cli(capsys, *argv, "--config", str(cfg), "--n", "200")
     assert code == 0
-    assert out == out2
+    assert out2 == run_cli(capsys, *argv, "--model", "clock", "--n", "200", "--seed", "5")[1]
+    assert out2 != out
 
 
 @pytest.mark.parametrize("n", ["0", "-5"])
@@ -295,9 +296,10 @@ def test_chsh_monte_carlo_defaults_to_100000_trials(capsys):
 
 
 def test_config_file_sets_boolean_flags(tmp_path, capsys):
-    argv = ["chsh", "--indices", "0,1,2,0", "--n", "200"]
+    argv = ["chsh", "--indices", "0,1,2,0"]
     _, want_exact = run_cli(capsys, "chsh", "--model", "clock", *argv[1:], "--exact")
     _, want_mc = run_cli(capsys, "chsh", "--model", "clock", *argv[1:])
+    assert want_exact and want_mc and want_exact != want_mc
     for value, want in (("true", want_exact), ("false", want_mc)):
         cfg = tmp_path / f"{value}.cfg"
         cfg.write_text(f"model=clock\nexact={value}\n")
@@ -550,7 +552,8 @@ def test_propagate_refuses_a_non_finite_omega(capsys, omega):
     (["--spread-dx", "nan", "--settings", "nan,1"], "sigma_dx"),
 ])
 def test_rt_refuses_non_finite_inputs(capsys, flags, field):
-    assert cli.main(["rt", "--n-per-point", "10", *flags]) == cli.EXIT_CONFIG
+    trials = [] if "--exact" in flags else ["--n-per-point", "10"]  # --exact refuses it
+    assert cli.main(["rt", *trials, *flags]) == cli.EXIT_CONFIG
     captured = capsys.readouterr()
     assert captured.out == ""
     assert re.fullmatch(rf"error: {field} must be finite.*\n", captured.err)
@@ -642,7 +645,30 @@ _ORACLE_UNREAD = [["--model", "clock"], ["--model-config", "/nonexistent"],
       for flag in _ORACLE_UNREAD + [["--exact"], ["--scan", "3"]]),
     *((["bell", "--oracle"], flag, "--oracle") for flag in _ORACLE_UNREAD),
     *((["chsh", "--model", "clock", "--scan", "3"], flag, "--scan")
-      for flag in (["--indices", "0,1,2,0"], ["--angles", "1,2,3,4"], ["--exact"], ["--n", "5"])),
+      for flag in (["--indices", "0,1,2,0"], ["--angles", "1,2,3,4"], ["--exact"], ["--n", "5"],
+                   ["--grid", "5"])),
+    (["chsh", "--oracle"], ["--grid", "5"], "--oracle"),
+    (["chsh", "--model", "clock", "--angles", "1,2,3,4", "--n", "50"], ["--grid", "5"],
+     "Monte Carlo chsh"),
+    *((["chsh", "--model", "clock", "--exact", "--indices", "0,1,2,0"], flag, "--exact")
+      for flag in (["--n", "5"], ["--seed", "3"])),
+    (["chsh", "--model", "clock", "--exact", "--indices", "0,1,2,0"], ["--angles", "1,2,3,4"],
+     "--indices"),
+    (["bell", "--model", "clock", "--indices", "0,1,2,0"], ["--angles", "1,2,3,4"], "--indices"),
+    (["rt"], ["--grid", "7"], "Monte Carlo rt"),
+    (["rt", "--settings", "0,1"], ["--phase-points", "2"], "--settings"),
+    *((["rt", "--exact"], flag, "--exact")
+      for flag in (["--n-per-point", "5"], ["--spread-dx", "3"], ["--seed", "4"])),
+    (["propagate", "--kind", "free"], ["--omega", "3"], "--kind free"),
+    (["propagate", "--convergence", "1,2"], ["--slices", "99"], "--convergence"),
+    *((["oracle", "--what", what], flag, f"--what {what}")
+      for what, flag in itertools.product(("singlet", "mermin", "rt", "chsh"), (
+          ["--a", "3"], ["--b", "3"], ["--same", "true"], ["--phia", "3"], ["--phib", "3"],
+          ["--angles", "1,2,3,4"]))
+      if flag[0] not in cli._ORACLE_WHAT_FLAGS[what]),
+    (["mermin"], ["--seed", "3"], "mermin without --n"),
+    (["clock"], ["--seed", "3"], "clock without --n"),
+    (["bell", "--model", "clock", "--indices", "0,1,2,0"], ["--seed", "3"], "bell without --n"),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
 def test_flags_a_mode_does_not_read_are_refused(argv, flag, mode, capsys):
     assert cli.main([*argv, *flag]) == cli.EXIT_CONFIG
@@ -652,11 +678,31 @@ def test_flags_a_mode_does_not_read_are_refused(argv, flag, mode, capsys):
                            f"which does not read it\n"
 
 
+@pytest.mark.parametrize("policy, flag", [
+    (["--policy", "fixed"], ["--choices", "i0,i2"]),
+    (["--policy", "fixed"], ["--policy-seed", "4"]),
+    (["--policy", "random"], ["--setting", "i2"]),
+])
+def test_wing_refuses_the_other_policy_flags_before_it_binds(policy, flag, clock_cfg,
+                                                             monkeypatch, capsys):
+    monkeypatch.setattr(harness, "wing_serve", lambda *args, **kwargs: pytest.fail("bound"))
+    argv = ["wing", "--wing", "A", "--model-config", str(clock_cfg), *policy, *flag]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: {flag[0]} cannot be combined with {' '.join(policy)}, " \
+                           f"which does not read it\n"
+
+
 def test_flags_at_their_defaults_pass_beside_a_mode(capsys):
     # "given" means set off the parser's default, as chsh --n's 100000 is not
     for argv in (["chsh", "--oracle", "--n", "100000", "--seed", "0"],
                  ["bell", "--oracle", "--n", "0"],
-                 ["chsh", "--model", "clock", "--scan", "3", "--n", "100000"]):
+                 ["chsh", "--model", "clock", "--scan", "3", "--n", "100000"],
+                 ["chsh", "--model", "clock", "--exact", "--indices", "0,1,2,0", "--seed", "0"],
+                 ["rt", "--exact", "--settings", "0,1", "--phase-points", "4", "--seed", "0"],
+                 ["oracle", "--what", "rt", "--angles", cli.SINGLET_ANGLES, "--same", "overall"],
+                 ["propagate", "--convergence", "1,2", "--slices", "8", "--omega", "1"]):
         assert cli.main(argv) == cli.EXIT_OK, argv
     capsys.readouterr()
 
@@ -750,32 +796,77 @@ UNREAD = {
 }
 
 
-@pytest.mark.parametrize("command", sorted(cli.build_parser()[1]))
-def test_every_flag_is_read(command, tmp_path, clock_cfg, simulated_source, monkeypatch, capsys):
+@pytest.fixture
+def flag_cases(tmp_path, clock_cfg, simulated_source, monkeypatch):
+    """A function of a command giving the dests that some argv must read, and each
+    FLAG_CASES argv of it, paths filled in, run through its command, as
+    (argv, namespace, dests it read)."""
     monkeypatch.setattr(harness, "wing_serve", lambda *args, **kwargs: None)
     monkeypatch.setattr(cli.gc, "freeze", lambda: None)  # wing's exit step
-    frozen = gc.get_freeze_count()
     mermin_cfg = tmp_path / "mermin.cfg"
     mermin_cfg.write_text("model=mermin\np[RGG]=1\n")
     log = tmp_path / "run.log"
     harness.simulate_run(ClockModel(), harness.FixedPolicy(Setting.index(0)),
                          harness.FixedPolicy(Setting.index(1)), 5, seed=1).write(log)
-    ap, subparsers = cli.build_parser()
     fill = {"{cfg}": str(clock_cfg), "{mermin}": str(mermin_cfg), "{log}": str(log)}
-    reads = set()
-    for k, argv in enumerate(FLAG_CASES[command]):
-        out = str(tmp_path / f"out{k}")
-        argv = [fill.get(a, a.replace("{out}", out)) for a in argv]
-        args = ap.parse_args([command, *argv], namespace=ReadRecorder())
-        recorded = object.__getattribute__(args, "_reads")
-        recorded.clear()
-        func = object.__getattribute__(args, "func")
-        assert func(args) == cli.EXIT_OK, argv
-        reads |= recorded
-    dests = {a.dest for a in subparsers[command]._actions if a.default != argparse.SUPPRESS}  # not --help
-    unread = {d for d in dests - reads if d not in UNREAD and f"{command}:{d}" not in UNREAD}
-    assert unread == set()
+    ap, subparsers = cli.build_parser()
+
+    def run(command):
+        dests = {a.dest for a in subparsers[command]._actions
+                 if a.default != argparse.SUPPRESS}  # not --help
+        cases = []
+        for k, argv in enumerate(FLAG_CASES[command]):
+            out = str(tmp_path / f"out{k}")
+            argv = [fill.get(a, a.replace("{out}", out)) for a in argv]
+            args = ap.parse_args([command, *argv], namespace=ReadRecorder())
+            recorded = object.__getattribute__(args, "_reads")
+            recorded.clear()
+            func = object.__getattribute__(args, "func")
+            assert func(args) == cli.EXIT_OK, argv
+            cases.append((argv, args, set(recorded)))
+        return {d for d in dests if d not in UNREAD and f"{command}:{d}" not in UNREAD}, cases
+
+    return run
+
+
+@pytest.mark.parametrize("command", sorted(cli.build_parser()[1]))
+def test_every_flag_is_read(command, flag_cases):
+    frozen = gc.get_freeze_count()
+    dests, cases = flag_cases(command)
+    assert dests - set().union(*(reads for _, _, reads in cases)) == set()
     assert gc.get_freeze_count() == frozen
+
+
+def _flag_tokens(subparser, argv, dest):
+    """The tokens of ``argv`` that set ``dest``: its flag, then its value unless
+    the flag takes none or carries it after '='; None if ``argv`` does not set it."""
+    action = next(a for a in subparser._actions if a.dest == dest)
+    for i, token in enumerate(argv):
+        if token.split("=", 1)[0] in action.option_strings:
+            return argv[i:i + (1 if "=" in token or action.nargs == 0 else 2)]
+    return None
+
+
+@pytest.mark.parametrize("command", sorted(cli.build_parser()[1]))
+def test_flags_an_argv_leaves_unread_are_refused(command, flag_cases, capsys):
+    # each flag that one argv leaves unread, given the value a sibling argv reads,
+    # is refused, so a new mode cannot silently ignore a flag; values at the
+    # parser default are skipped, as _refuse_beside skips them
+    sub = cli.build_parser()[1][command]
+    dests, cases = flag_cases(command)
+    capsys.readouterr()
+    tried = 0
+    for argv, _, reads in cases:
+        for dest in sorted(dests - reads):
+            for sibling, sibling_args, sibling_reads in cases:
+                tokens = _flag_tokens(sub, sibling, dest)
+                if dest not in sibling_reads or tokens is None \
+                        or vars(sibling_args)[dest] == sub.get_default(dest):
+                    continue
+                tried += 1
+                assert cli.main([command, *argv, *tokens]) == cli.EXIT_CONFIG, (argv, tokens)
+                assert capsys.readouterr().out == ""
+    assert tried or len(cases) == 1
 
 
 # -- the README's CLI examples run -------------------------------------------------
