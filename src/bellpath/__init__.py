@@ -26,10 +26,8 @@ import importlib
 #: public name -> the module that defines it
 _EXPORTS = {
     **dict.fromkeys((
-        "BellCheck", "ChshResult", "CorrelationEstimate", "ProbabilityEstimate",
-        "agreement_prob", "bell_check", "chsh", "estimate_E", "exact_E",
-        "exact_agreement_prob", "exact_overall_agreement", "merge_estimates",
-        "overall_agreement"), "bell_stats"),
+        "BellCheck", "ChshResult", "CorrelationEstimate", "bell_check", "chsh", "estimate_E",
+        "exact_E", "merge_estimates", "overall_agreement"), "bell_stats"),
     **dict.fromkeys(("ConfigError", "model_from_file", "model_from_mapping"), "config"),
     **dict.fromkeys((
         "ALIGNED", "ALL_INSTRUCTION_SETS", "ANTI_ALIGNED", "ClockModel", "InstructionSet",

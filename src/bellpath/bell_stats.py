@@ -12,9 +12,10 @@ outcomes over the hidden-variable distribution.  It is computed two ways:
 Monte Carlo outcomes are +/-1, so estimates carry exact integer tallies.
 Means, standard errors, and merged shard results are reconstructed from the
 tallies, which makes every statistic bit-reproducible and independent of how
-trials were partitioned.  For +/-1 outcomes the agreement count is
-(n + product tally)/2, so agreement probabilities come from the same tally,
-and the exact agreement of the clock model is (1 + E)/2.
+trials were partitioned.  For +/-1 outcomes agreement is not a second
+statistic: P(A = B) = (1 + E)/2, and the agreement count is
+(n + product tally)/2.  Every P(A = B), of every model, is
+``CorrelationEstimate.p_agree``.
 
 The circle models' exact results report ``n_grid`` as their n; it reaches
 no value.
@@ -91,25 +92,21 @@ class CorrelationEstimate:
         if self.n_trials < 1:
             raise ValueError("n_trials must be positive")
 
+    @property
+    def p_agree(self) -> float:
+        """P(A = B) of the +/-1 outcomes: the agreement count (n + sum_products)/2
+        over n for a Monte Carlo result, (1 + mean)/2 for an exact one."""
+        if self.sum_products is None:
+            return (1.0 + self.mean) / 2.0
+        return (self.n_trials + self.sum_products) // 2 / self.n_trials
 
-@dataclass(frozen=True)
-class ProbabilityEstimate:
-    """An agreement probability P(A = B); complement() gives P(A != B)."""
-
-    value: float
-    stderr: float | None
-    n_trials: int
-    exact: bool
-    count: int | None = None
-
-    def __post_init__(self):
-        if not -1e-9 <= self.value <= 1.0 + 1e-9:
-            raise ValueError(f"probability {self.value} outside [0, 1]")
-        if self.n_trials < 1:
-            raise ValueError("n_trials must be positive")
-
-    def complement(self) -> float:
-        return 1.0 - self.value
+    @property
+    def p_agree_stderr(self) -> float | None:
+        """The binomial standard error of ``p_agree``, None where ``stderr`` is."""
+        if self.stderr is None or self.exact:
+            return self.stderr
+        p, n = self.p_agree, self.n_trials
+        return math.sqrt(max(0.0, p * (1.0 - p) * n / (n - 1)) / n)
 
 
 @dataclass(frozen=True)
@@ -144,13 +141,14 @@ class BellCheck:
     tolerance: float
 
 
-def _tally(model: LhvModel, n: int, seed: int, pairs) -> list[int]:
-    """Per setting pair, the sum of the +/-1 products A*B over trials seed .. seed + n - 1.
+def _tally(model: LhvModel, n: int, seed: int, sides) -> list[list[int]]:
+    """T[i][j], the sum of the +/-1 products A(a_i)*B(b_j) over trials seed .. seed + n - 1.
 
     Trials are evaluated BLOCK at a time on one draw of hidden variables per
-    block.  ``pairs(block_seed, k)`` gives a block's (a, b) pairs, of Settings
-    or per-trial arrays.  Trial i draws from seed + i alone, so each tally
-    equals the whole-array one.
+    block.  ``sides(block_seed, k)`` gives a block's side-A settings a_i and
+    side-B settings b_j, Settings or per-trial arrays, and each is evaluated
+    once per block.  Trial i draws from seed + i alone, so each tally equals
+    the whole-array one.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -158,9 +156,11 @@ def _tally(model: LhvModel, n: int, seed: int, pairs) -> list[int]:
     for start in range(0, n, BLOCK):
         k = min(BLOCK, n - start)
         lams = model.sample_lambdas(seed + start, k)
-        blocks.append([int((model.outcomes_a(lams, a) * model.outcomes_b(lams, b))
-                           .sum(dtype=np.int64)) for a, b in pairs(seed + start, k)])
-    return [sum(column) for column in zip(*blocks)]
+        settings_a, settings_b = sides(seed + start, k)
+        outs_b = [model.outcomes_b(lams, b) for b in settings_b]
+        blocks.append([[int((out_a * out_b).sum(dtype=np.int64)) for out_b in outs_b]
+                       for out_a in (model.outcomes_a(lams, a) for a in settings_a)])
+    return [[sum(cell) for cell in zip(*row)] for row in zip(*blocks)]
 
 
 def _estimate_from_tally(total: int, n: int) -> CorrelationEstimate:
@@ -176,7 +176,7 @@ def _estimate_from_tally(total: int, n: int) -> CorrelationEstimate:
 
 def estimate_E(model: LhvModel, a: Setting, b: Setting, n: int, seed: int) -> CorrelationEstimate:
     """Monte Carlo correlation over n hidden-variable draws."""
-    return _estimate_from_tally(_tally(model, n, seed, lambda s, k: [(a, b)])[0], n)
+    return _estimate_from_tally(_tally(model, n, seed, lambda s, k: ((a,), (b,)))[0][0], n)
 
 
 def exact_E(model: LhvModel, a: Setting, b: Setting, n_grid: int = DEFAULT_QUADRATURE_N) -> CorrelationEstimate:
@@ -229,8 +229,8 @@ def chsh(
     else:
         if n is None or seed is None:
             raise ValueError("Monte Carlo CHSH needs n and seed")
-        tallies = _tally(model, n, seed, lambda s, k: pairs)
-        terms = tuple(_estimate_from_tally(t, n) for t in tallies)
+        tally = _tally(model, n, seed, lambda s, k: ((a, a_prime), (b, b_prime)))
+        terms = tuple(_estimate_from_tally(tally[i][j], n) for i, j in chsh_pairs(0, 1, 0, 1))
     return ChshResult(chsh_s([t.mean for t in terms]), terms, (a, a_prime, b, b_prime))
 
 
@@ -250,44 +250,9 @@ def bell_check(terms) -> BellCheck:
 
 # -- agreement ---------------------------------------------------------------
 
-def _prob_from_count(count: int, n: int) -> ProbabilityEstimate:
-    p = count / n
-    if n < 2:
-        stderr = None
-    else:
-        var = max(0.0, p * (1.0 - p) * n / (n - 1))
-        stderr = math.sqrt(var / n)
-    return ProbabilityEstimate(p, stderr, n, exact=False, count=count)
-
-
-def agreement_prob(model: LhvModel, a: Setting, b: Setting, n: int, seed: int) -> ProbabilityEstimate:
-    """Monte Carlo P(A = B) at one setting pair."""
-    return _prob_from_count((n + _tally(model, n, seed, lambda s, k: [(a, b)])[0]) // 2, n)
-
-
-def exact_agreement_prob(model: LhvModel, a: Setting, b: Setting, n_grid: int = DEFAULT_QUADRATURE_N) -> ProbabilityEstimate:
-    """Exact P(A = B): (1 + E)/2 in closed form for a circle model, reported
-    with n = n_grid, or the dot product over the atoms of a finite one."""
-    if model.lambda_kind == "circle":
-        p = (1.0 + float(model.exact_correlation(a, b))) / 2.0
-        return ProbabilityEstimate(p, 0.0, n_grid, exact=True)
-    lams, probs = model.enumerate_lambda()
-    agree = model.outcomes_a(lams, a) == model.outcomes_b(lams, b)
-    return ProbabilityEstimate(float(np.dot(probs, agree.astype(np.float64))), 0.0, len(probs),
-                               exact=True)
-
-
-def exact_overall_agreement(model: LhvModel) -> float:
-    """P(A = B) with both discrete settings drawn uniformly from {0, 1, 2}."""
-    total = 0.0
-    for i in range(3):
-        for j in range(3):
-            total += exact_agreement_prob(model, Setting.index(i), Setting.index(j)).value
-    return total / 9.0
-
-
-def overall_agreement(model: LhvModel, n: int, seed: int) -> ProbabilityEstimate:
-    """Monte Carlo P(A = B) with per-trial uniform random discrete settings.
+def overall_agreement(model: LhvModel, n: int, seed: int) -> CorrelationEstimate:
+    """Monte Carlo correlation, and so P(A = B), with per-trial uniform random
+    discrete settings.
 
     Trial i draws its hidden variable from seed + i and the two settings
     from dedicated streams tagged off the base seed, so the run is
@@ -302,8 +267,8 @@ def overall_agreement(model: LhvModel, n: int, seed: int) -> ProbabilityEstimate
         sa = np.minimum((ua * 3).astype(np.int64), 2)
         sb = np.minimum((ub * 3).astype(np.int64), 2)
         if model.lambda_kind == "circle":
-            return [(angles[sa], angles[sb])]
-        return [(sa, sb)]
+            return (angles[sa],), (angles[sb],)
+        return (sa,), (sb,)
 
-    return _prob_from_count((n + _tally(model, n, seed, settings)[0]) // 2, n)
+    return _estimate_from_tally(_tally(model, n, seed, settings)[0][0], n)
 

@@ -127,11 +127,10 @@ def _pair_table(model: LhvModel) -> dict:
     from . import bell_stats
 
     pairs = itertools.product([Setting.index(i) for i in range(3)], repeat=2)
+    exact = ((a, b, bell_stats.exact_E(model, a, b)) for a, b in pairs)
     return {"model": model.name, "b_convention": model.b_convention,
-            "pairs": [{"setting_a": a.text, "setting_b": b.text,
-                       "mean": bell_stats.exact_E(model, a, b).mean,
-                       "p_agree": bell_stats.exact_agreement_prob(model, a, b).value,
-                       "exact": True} for a, b in pairs]}
+            "pairs": [{"setting_a": a.text, "setting_b": b.text, "mean": e.mean,
+                       "p_agree": e.p_agree, "exact": True} for a, b, e in exact]}
 
 
 def cmd_mermin(args) -> int:
@@ -142,16 +141,19 @@ def cmd_mermin(args) -> int:
     model = _build_model(args, "mermin")
     if not isinstance(model, MerminModel):
         raise ConfigError("mermin subcommand needs an instruction-set model")
-    overall = bell_stats.exact_overall_agreement(model)
+    table = _pair_table(model)
+    # P(A = B) with both settings uniform on {0, 1, 2}: the mean of the nine cells
+    overall = sum(pair["p_agree"] for pair in table["pairs"]) / 9.0
     doc = {
-        **_pair_table(model),
+        **table,
         "overall_agreement_exact": overall,
         "bound_five_ninths_ok": overall >= 5.0 / 9.0 - 1e-12,
         "quantum_overall_agreement": oracle.mermin_agreement_prob(None),
     }
     if args.n:
         mc = bell_stats.overall_agreement(model, args.n, args.seed)
-        doc["overall_agreement_mc"] = {"value": mc.value, "stderr": mc.stderr, "n": mc.n_trials}
+        doc["overall_agreement_mc"] = {"value": mc.p_agree, "stderr": mc.p_agree_stderr,
+                                       "n": mc.n_trials}
     _report(args, doc, PAIR_HEADER, doc["pairs"],
             ("overall_agreement_exact", "bound_five_ninths_ok", "overall_agreement_mc",
              "quantum_overall_agreement"))
@@ -168,17 +170,18 @@ def cmd_clock(args) -> int:
         raise ConfigError("clock subcommand needs the clock model")
     other = ClockModel(b_convention=ALIGNED if model.b_convention == ANTI_ALIGNED else ANTI_ALIGNED)
     a, b = Setting.index(0), Setting.index(1)
-    diff = bell_stats.exact_agreement_prob(model, a, b)
+    table = _pair_table(model)
+    diff = table["pairs"][1]["p_agree"]  # (i0, i1)
     doc = {
-        **_pair_table(model),
-        "p_agree_differing_exact": diff.value,
-        "p_disagree_differing_exact": diff.complement(),
-        "p_agree_differing_other_convention":
-            bell_stats.exact_agreement_prob(other, a, b).value,
+        **table,
+        "p_agree_differing_exact": diff,
+        "p_disagree_differing_exact": 1.0 - diff,
+        "p_agree_differing_other_convention": bell_stats.exact_E(other, a, b).p_agree,
     }
     if args.n:
-        mc = bell_stats.agreement_prob(model, a, b, args.n, args.seed)
-        doc["p_agree_differing_mc"] = {"value": mc.value, "stderr": mc.stderr, "n": mc.n_trials}
+        mc = bell_stats.estimate_E(model, a, b, args.n, args.seed)
+        doc["p_agree_differing_mc"] = {"value": mc.p_agree, "stderr": mc.p_agree_stderr,
+                                       "n": mc.n_trials}
     _report(args, doc, PAIR_HEADER, doc["pairs"],
             ("b_convention", "p_agree_differing_exact", "p_disagree_differing_exact",
              "p_agree_differing_other_convention", "p_agree_differing_mc"))
@@ -208,10 +211,14 @@ def cmd_chsh(args) -> int:
     model = _build_model(args)
     if args.scan:
         _refuse_beside(args, "--scan", "--indices", "--angles", "--exact", "--n", "--grid")
-        # exhaustive discrete quadruples plus, for the clock model, random angles
-        best = _chsh_scan(model, args.scan, args.seed)
+        # exhaustive discrete quadruples plus, for the clock model, --scan random angle ones
+        if isinstance(model, ClockModel):
+            n_random, best = args.scan, _chsh_scan(model, args.scan, args.seed)
+        else:
+            _refuse_beside(args, "--scan of a discrete model", "--seed")
+            n_random, best = 0, _chsh_scan(model, 0, 0)
         doc = {"model": model.name, "b_convention": model.b_convention,
-               "scan_points": args.scan, "max_abs_s": abs(best.s_value),
+               "scan_points": n_random, "max_abs_s": abs(best.s_value),
                "at_settings": [s.text for s in best.settings], **_classical_bound(best)}
         _report(args, doc, "max_abs_s,classical_bound_ok", summary=("tolerance",))
         return EXIT_OK
@@ -534,7 +541,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
                    help="enumeration or closed form instead of Monte Carlo")
     _add_grid(p)
     p.add_argument("--scan", type=int, default=0,
-                   help="max |S| over all discrete quadruples plus this many random ones")
+                   help="max |S| over all discrete quadruples plus, for the clock model, "
+                        "this many random ones")
 
     p = command("bell", cmd_bell, "two-setting Bell inequality |E(a,b)-E(a,b')| <= 2 +/- [E(a',b')+E(a',b)]")
     _add_trials(p)

@@ -716,8 +716,7 @@ def merge_statistics(log: RunLog) -> list[MergedCell]:
 
     out = []
     for (ta, tb), prods in sorted(cells.items()):
-        n, total = len(prods), sum(prods)
-        out.append(MergedCell(_parsed_setting(ta), _parsed_setting(tb),
-                              _estimate_from_tally(total, n), (n + total) // 2 / n, partial))
+        est = _estimate_from_tally(sum(prods), len(prods))
+        out.append(MergedCell(_parsed_setting(ta), _parsed_setting(tb), est, est.p_agree, partial))
     return out
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .bell_stats import _estimate_from_tally
+from .bell_stats import CorrelationEstimate, _estimate_from_tally
 from .hv_models import (
     ALIGNED,
     ANTI_ALIGNED,
@@ -207,7 +207,7 @@ def _scan_row(da: float, db: float, out_a: np.ndarray, out_b: np.ndarray) -> Sca
         return ScanRow(da, db, None, None, None, p_undet, rt_coincidence_prob(da, db), n)
     total = int(prod.sum())
     est = _estimate_from_tally(total, n_det)
-    return ScanRow(da, db, est.mean, est.stderr, (n_det + total) // 2 / n_det, p_undet,
+    return ScanRow(da, db, est.mean, est.stderr, est.p_agree, p_undet,
                    rt_coincidence_prob(da, db), n)
 
 
@@ -252,7 +252,7 @@ def degenerate_exact_scan(
     # only the settings' difference matters, so both path terms go to A's side
     e = clock.exact_correlation(da + (np.angle(c_a) - s * np.angle(c_b)), s * db)
     live = (np.abs(c_a) >= DEGENERATE_R) & (np.abs(c_b) >= DEGENERATE_R)
-    return [ScanRow(a, b, float(ei), 0.0, (1.0 + float(ei)) / 2.0, 0.0,
-                    rt_coincidence_prob(a, b), n_grid) if ok
+    cells = (CorrelationEstimate(float(ei), 0.0, n_grid, exact=True) for ei in e)
+    return [ScanRow(a, b, est.mean, 0.0, est.p_agree, 0.0, rt_coincidence_prob(a, b), n_grid) if ok
             else ScanRow(a, b, None, None, None, 1.0, rt_coincidence_prob(a, b), n_grid)
-            for a, b, ei, ok in zip(da.tolist(), db.tolist(), e, live)]
+            for a, b, est, ok in zip(da.tolist(), db.tolist(), cells, live)]

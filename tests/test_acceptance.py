@@ -6,6 +6,7 @@ criterion states one.
 """
 
 import dataclasses
+import json
 import math
 import subprocess
 import sys
@@ -14,7 +15,7 @@ import time
 import numpy as np
 
 from bellpath import bell_stats as bs
-from bellpath import harness, interferometer as itf, oracle
+from bellpath import cli, harness, interferometer as itf, oracle
 from bellpath import path_engine as pe
 from bellpath.hv_models import (
     ALIGNED,
@@ -39,32 +40,35 @@ def test_criterion_1_mermin_bound():
     t0 = time.monotonic()
     for iset in ALL_INSTRUCTION_SETS:
         model = MerminModel.point_mass(iset.text)
-        exact = bs.exact_overall_agreement(model)
+        exact = sum(bs.exact_E(model, a, b).p_agree for a in DISCRETE for b in DISCRETE) / 9.0
         constant = len(set(iset.colors)) == 1
         assert exact == (1.0 if constant else 5.0 / 9.0), iset.text
         mc = bs.overall_agreement(model, 1_000_000, seed=40)
         if constant:
-            assert mc.value == 1.0 and mc.stderr == 0.0
+            assert mc.p_agree == 1.0 and mc.p_agree_stderr == 0.0
         else:
-            assert abs(mc.value - exact) <= 3.0 * mc.stderr, iset.text
+            assert abs(mc.p_agree - exact) <= 3.0 * mc.p_agree_stderr, iset.text
     elapsed = time.monotonic() - t0
     assert elapsed < 5.0, f"criterion 1 took {elapsed:.1f}s"
     _announce(1, "mermin 5/9 bound (exact + MC)")
 
 
-def test_criterion_2_clock_agreement():
+def test_criterion_2_clock_agreement(capsys):
     anti = ClockModel(b_convention=ANTI_ALIGNED)
     aligned = ClockModel(b_convention=ALIGNED)
     # exact quadrature at the default grid N=1e4
-    p_anti = bs.exact_agreement_prob(anti, I0, I1, n_grid=10_000)
-    assert abs(p_anti.value - 2.0 / 3.0) <= 1e-3
-    p_aligned = bs.exact_agreement_prob(aligned, I0, I1, n_grid=10_000)
-    assert abs(p_aligned.value - 1.0 / 3.0) <= 1e-3
+    p_anti = bs.exact_E(anti, I0, I1, n_grid=10_000).p_agree
+    assert abs(p_anti - 2.0 / 3.0) <= 1e-3
+    p_aligned = bs.exact_E(aligned, I0, I1, n_grid=10_000).p_agree
+    assert abs(p_aligned - 1.0 / 3.0) <= 1e-3
     # both complementary probabilities are reported
-    assert abs(p_anti.value + p_anti.complement() - 1.0) < 1e-15
+    assert cli.main(["clock", "--grid", "10000", "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["p_agree_differing_exact"] == p_anti
+    assert abs(doc["p_agree_differing_exact"] + doc["p_disagree_differing_exact"] - 1.0) < 1e-15
     # Monte Carlo confirmation at n=1e6
-    mc = bs.agreement_prob(anti, I0, I1, 1_000_000, seed=41)
-    assert abs(mc.value - 2.0 / 3.0) <= 3.0 * mc.stderr
+    mc = bs.estimate_E(anti, I0, I1, 1_000_000, seed=41)
+    assert abs(mc.p_agree - 2.0 / 3.0) <= 3.0 * mc.p_agree_stderr
     _announce(2, "clock agreement 2/3 (anti-aligned) and 1/3 (aligned)")
 
 
@@ -223,9 +227,8 @@ def test_criterion_7_interferometer_locality():
     for i in range(3):
         for j in range(3):
             e = bs.exact_E(clock, DISCRETE[i], DISCRETE[j], n_grid=10_000)
-            p = bs.exact_agreement_prob(clock, DISCRETE[i], DISCRETE[j], n_grid=10_000)
             assert rows[k].e_value == e.mean
-            assert rows[k].p_agree == p.value
+            assert rows[k].p_agree == e.p_agree
             k += 1
     _announce(7, "interferometer locality (1000 configs) and clock degeneration")
 

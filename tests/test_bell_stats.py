@@ -274,11 +274,34 @@ def test_clock_chsh_reproductions_stay_within_two(quad, n, seed):
 @pytest.mark.parametrize("n", [bs.BLOCK - 1, bs.BLOCK, bs.BLOCK + 1])
 @pytest.mark.parametrize("model", [ClockModel(), MerminModel(_RANDOM_PROBS / _RANDOM_PROBS.sum())],
                          ids=["clock", "mermin"])
-def test_chsh_terms_equal_estimate_E_across_a_block_boundary(model, n):
+def test_chsh_terms_equal_estimate_E_across_a_block_boundary(model, n, monkeypatch):
     quad = (I0, I2, I1, I0)
+    calls = {"A": 0, "B": 0}
+    in_b = []  # outcomes_b evaluates through outcomes_a; count that as side B's one call
+    outcomes_a, outcomes_b = model.outcomes_a, model.outcomes_b
+
+    def counted_a(lams, setting):
+        calls["A"] += not in_b
+        return outcomes_a(lams, setting)
+
+    def counted_b(lams, setting):
+        calls["B"] += 1
+        in_b.append(True)
+        try:
+            return outcomes_b(lams, setting)
+        finally:
+            in_b.pop()
+
+    monkeypatch.setattr(model, "outcomes_a", counted_a)
+    monkeypatch.setattr(model, "outcomes_b", counted_b)
     res = bs.chsh(model, *quad, n=n, seed=2**64 - 5)
+    # each one-sided setting is evaluated once per block: four columns, not eight
+    blocks = -(-n // bs.BLOCK)
+    assert calls["A"] <= 2 * blocks and calls["B"] <= 2 * blocks
+    monkeypatch.undo()
     for term, (sa, sb) in zip(res.terms, bs.chsh_pairs(*quad)):
         assert term == bs.estimate_E(model, sa, sb, n, 2**64 - 5)
+        assert term.sum_products == _whole_array_tally(model, n, 2**64 - 5, sa, sb)
 
 
 # -- agreement ---------------------------------------------------------------------------
@@ -287,11 +310,16 @@ def test_chsh_terms_equal_estimate_E_across_a_block_boundary(model, n):
 def test_clock_agreement_exact_values():
     anti = ClockModel(b_convention=ANTI_ALIGNED)
     aligned = ClockModel(b_convention=ALIGNED)
-    p_anti = bs.exact_agreement_prob(anti, I0, I1, n_grid=10_002)
-    p_aligned = bs.exact_agreement_prob(aligned, I0, I1, n_grid=10_002)
-    assert abs(p_anti.value - 2.0 / 3.0) < 1e-10
-    assert abs(p_aligned.value - 1.0 / 3.0) < 1e-10
-    assert abs(p_anti.complement() - 1.0 / 3.0) < 1e-10
+    p_anti = bs.exact_E(anti, I0, I1, n_grid=10_002).p_agree
+    p_aligned = bs.exact_E(aligned, I0, I1, n_grid=10_002).p_agree
+    assert abs(p_anti - 2.0 / 3.0) < 1e-10
+    assert abs(p_aligned - 1.0 / 3.0) < 1e-10
+    assert abs((1.0 - p_anti) - 1.0 / 3.0) < 1e-10
+
+
+def _whole_array_agreements(model, n, seed, a, b) -> int:
+    lams = model.sample_lambdas(seed, n)
+    return int(np.count_nonzero(model.outcomes_a(lams, a) == model.outcomes_b(lams, b)))
 
 
 def test_agreement_comes_from_the_product_tally():
@@ -299,36 +327,79 @@ def test_agreement_comes_from_the_product_tally():
     for model in (ClockModel(), ClockModel(ALIGNED), MerminModel.uniform()):
         for n in (1, 2, 999):
             e = bs.estimate_E(model, I0, I1, n, seed=5)
-            assert 2 * bs.agreement_prob(model, I0, I1, n, seed=5).count == n + e.sum_products
+            agreements = _whole_array_agreements(model, n, 5, I0, I1)
+            assert 2 * agreements == n + e.sum_products and e.p_agree == agreements / n
     for model in (ClockModel(), ClockModel(ALIGNED)):
         for a, b in ((I0, I1), (I2, I2), (Setting.angle(0.4), Setting.angle(5.9))):
             e = bs.exact_E(model, a, b).mean
-            assert bs.exact_agreement_prob(model, a, b).value == (1.0 + e) / 2.0
+            assert bs.exact_E(model, a, b).p_agree == (1.0 + e) / 2.0
+
+
+#: A dot product of 8 probabilities summing to 1 is within 8 eps of its exact value.
+_DOT_TOLERANCE = 8 * np.finfo(np.float64).eps
+
+
+@settings(max_examples=60, deadline=None)
+@given(weights=st.lists(st.floats(0.0, 1.0), min_size=8, max_size=8).filter(lambda w: sum(w) > 0.1),
+       convention=st.sampled_from((ALIGNED, ANTI_ALIGNED)),
+       indices=st.tuples(st.integers(0, 2), st.integers(0, 2)),
+       angles=st.tuples(st.floats(0.0, TWO_PI), st.floats(0.0, TWO_PI)),
+       n=st.integers(1, 3000), seed=st.integers(0, 2**64 - 1))
+def test_p_agree_is_read_off_the_correlation(weights, convention, indices, angles, n, seed):
+    probs = np.asarray(weights) / sum(weights)
+    mermin = MerminModel(probs, b_convention=convention)
+    a, b = (Setting.index(i) for i in indices)
+    lams, atom_probs = mermin.enumerate_lambda()
+    agree = mermin.outcomes_a(lams, a) == mermin.outcomes_b(lams, b)
+    assert abs(bs.exact_E(mermin, a, b).p_agree - float(np.dot(atom_probs, agree))) \
+        <= _DOT_TOLERANCE
+    for model, sa, sb in ((mermin, a, b),
+                          (ClockModel(convention), *(Setting.angle(x) for x in angles))):
+        e = bs.exact_E(model, sa, sb)
+        assert e.p_agree == (1.0 + e.mean) / 2.0
+        mc = bs.estimate_E(model, sa, sb, n, seed)
+        assert mc.p_agree == (n + mc.sum_products) // 2 / n
+        assert mc.p_agree == _whole_array_agreements(model, n, seed, sa, sb) / n
+
+
+def test_p_agree_stderr_is_the_binomial_stderr():
+    for n in (1, 2, 3, 1000):
+        for total in range(-n, n + 1, 2 if n < 10 else 250):
+            est = bs._estimate_from_tally(total, n)
+            p = (n + total) // 2 / n
+            want = None if n < 2 else math.sqrt(max(0.0, p * (1.0 - p) * n / (n - 1)) / n)
+            assert est.p_agree == p and est.p_agree_stderr == want
+    assert bs.exact_E(ClockModel(), I0, I1).p_agree_stderr == 0.0
 
 
 def test_clock_agreement_mc():
-    est = bs.agreement_prob(ClockModel(), I0, I2, 100_000, seed=13)
-    assert abs(est.value - 2.0 / 3.0) < 4 * est.stderr
+    est = bs.estimate_E(ClockModel(), I0, I2, 100_000, seed=13)
+    assert abs(est.p_agree - 2.0 / 3.0) < 4 * est.p_agree_stderr
+
+
+def _exact_overall_agreement(model) -> float:
+    """P(A = B) with both settings uniform on {0, 1, 2}, as ``bellpath mermin`` reports it."""
+    return sum(bs.exact_E(model, a, b).p_agree for a in (I0, I1, I2) for b in (I0, I1, I2)) / 9.0
 
 
 def test_mermin_nonconstant_mixture_overall_agreement():
     # uniform over the six non-constant sets: exactly 5/9 overall
     probs = np.array([0.0, 1 / 6, 1 / 6, 1 / 6, 1 / 6, 1 / 6, 1 / 6, 0.0])
     model = MerminModel(probs)
-    assert abs(bs.exact_overall_agreement(model) - 5.0 / 9.0) < 1e-12
+    assert abs(_exact_overall_agreement(model) - 5.0 / 9.0) < 1e-12
 
 
 def test_overall_agreement_mc_matches_exact():
     model = MerminModel.uniform()
     est = bs.overall_agreement(model, 100_000, seed=2)
-    assert abs(est.value - bs.exact_overall_agreement(model)) < 4 * est.stderr
+    assert abs(est.p_agree - _exact_overall_agreement(model)) < 4 * est.p_agree_stderr
 
 
 def test_overall_agreement_clock_runs():
     model = ClockModel()
     est = bs.overall_agreement(model, 50_000, seed=3)
-    exact = bs.exact_overall_agreement(model)
-    assert abs(est.value - exact) < 5 * est.stderr
+    exact = _exact_overall_agreement(model)
+    assert abs(est.p_agree - exact) < 5 * est.p_agree_stderr
 
 
 
@@ -369,10 +440,9 @@ def test_block_tallies_equal_whole_array_tallies(case, n, seed):
     model, a, b = _BLOCK_CASES[case]
     total = _whole_array_tally(model, n, seed, a, b)
     assert bs.estimate_E(model, a, b, n, seed).sum_products == total
-    assert bs.agreement_prob(model, a, b, n, seed).count == (n + total) // 2
     sa, sb = _whole_array_random_settings(model, n, seed)
     overall = _whole_array_tally(model, n, seed, sa, sb)
-    assert bs.overall_agreement(model, n, seed).count == (n + overall) // 2
+    assert bs.overall_agreement(model, n, seed).sum_products == overall
 
 
 @pytest.mark.parametrize("seed", _BLOCK_SEEDS)
@@ -387,9 +457,9 @@ def test_shard_split_inside_a_block_merges_exactly(seed):
 @pytest.mark.parametrize("n", [0, -3])
 @pytest.mark.parametrize("estimator", [
     lambda model, n: bs.estimate_E(model, I0, I1, n, 1),
-    lambda model, n: bs.agreement_prob(model, I0, I1, n, 1),
+    lambda model, n: bs.chsh(model, I0, I1, I1, I2, n=n, seed=1),
     lambda model, n: bs.overall_agreement(model, n, 1),
-], ids=["estimate_E", "agreement_prob", "overall_agreement"])
+], ids=["estimate_E", "chsh", "overall_agreement"])
 def test_estimators_refuse_fewer_than_one_trial(estimator, n):
     for model in (ClockModel(), MerminModel.uniform()):
         with pytest.raises(ValueError, match="n must be >= 1"):

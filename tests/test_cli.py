@@ -67,6 +67,53 @@ def test_mermin_point_mass_json(capsys):
     assert doc["bound_five_ninths_ok"] is True
 
 
+# Monte Carlo agreement values and their stderrs, captured before P(A = B) was read
+# off CorrelationEstimate; the change of rule moved none of them.
+_GOLDEN_RT = [
+    (0.269, 0.0215418552070819, 0.6345), (0.078, 0.02229813004046866, 0.539),
+    (0.088, 0.022279501522566587, 0.544), (0.072, 0.02230822333611996, 0.536),
+    (0.069, 0.02231296560785026, 0.5345), (0.005, 0.022365992461981305, 0.5025),
+    (0.102, 0.022249618485748933, 0.551), (-0.045, 0.0223436147156023, 0.4775),
+    (0.085, 0.02228532741309749, 0.5425)]
+_GOLDEN_MERGED = [
+    ("i0", "i0", -1.0, 0.0, 56, 0.0),
+    ("i0", "i1", 0.3559322033898305, 0.1227074082712866, 59, 0.6779661016949152),
+    ("i0", "i2", 0.3793103448275862, 0.12255494022601911, 58, 0.6896551724137931),
+    ("i1", "i0", 0.26666666666666666, 0.12547461684616945, 60, 0.6333333333333333),
+    ("i1", "i1", -1.0, 0.0, 46, 0.0),
+    ("i1", "i2", 0.38181818181818183, 0.12577278720220914, 55, 0.6909090909090909),
+    ("i2", "i0", 0.27586206896551724, 0.127313683537536, 58, 0.6379310344827587),
+    ("i2", "i1", 0.21428571428571427, 0.13170777796132696, 56, 0.6071428571428571),
+    ("i2", "i2", -1.0, 0.0, 52, 0.0)]
+
+
+def test_monte_carlo_agreement_values_are_pinned(capsys):
+    def doc(*argv):
+        code, out = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0
+        return json.loads(out)
+
+    clock = doc("clock", "--n", "20000", "--seed", "5")
+    assert clock["p_agree_differing_mc"] == {"value": 0.6695, "stderr": 0.00332626527836177,
+                                             "n": 20000}
+    assert (clock["p_agree_differing_exact"], clock["p_disagree_differing_exact"],
+            clock["p_agree_differing_other_convention"]) == \
+        (0.6666666666666666, 0.33333333333333337, 0.33333333333333337)
+    mermin = doc("mermin", "--n", "500001", "--seed", "3")
+    assert mermin["overall_agreement_mc"] == {"value": 0.6672106655786688,
+                                              "stderr": 0.000666394167616642, "n": 500001}
+    assert mermin["overall_agreement_exact"] == 0.6666666666666666
+    rt = doc("rt", "--phase-points", "3", "--n-per-point", "2000", "--spread-dx", "5",
+             "--seed", "3", "--sigma-path", "0.2")
+    assert [(r["E"], r["stderr"], r["p_agree"]) for r in rt] == _GOLDEN_RT
+    choices = [Setting.index(i) for i in range(3)]
+    log = harness.simulate_run(ClockModel(), harness.RandomPolicy(choices, 3),
+                               harness.RandomPolicy(choices, 4), 500, seed=21)
+    assert [(c.setting_a.text, c.setting_b.text, c.estimate.mean, c.estimate.stderr,
+             c.estimate.n_trials, c.p_agree) for c in harness.merge_statistics(log)] \
+        == _GOLDEN_MERGED
+
+
 def test_clock_report_shows_both_conventions(capsys):
     code, out = run_cli(capsys, "clock")
     assert code == 0
@@ -172,6 +219,11 @@ def test_chsh_scan(capsys):
     doc = json.loads(out)
     assert doc["classical_bound_ok"] is True
     assert doc["max_abs_s"] <= 2.0 + 1e-9
+    assert doc["scan_points"] == 50
+    # a discrete model draws no random quadruple: its scan is the 81 discrete ones
+    code, out = run_cli(capsys, "chsh", "--model", "mermin", "--scan", "1000", "--format", "json")
+    doc = json.loads(out)
+    assert (doc["scan_points"], doc["max_abs_s"], doc["at_settings"]) == (0, 2.0, ["i0"] * 4)
 
 
 def test_bell_oracle_reports_violation(capsys):
@@ -648,6 +700,8 @@ _ORACLE_UNREAD = [["--model", "clock"], ["--model-config", "/nonexistent"],
       for flag in (["--indices", "0,1,2,0"], ["--angles", "1,2,3,4"], ["--exact"], ["--n", "5"],
                    ["--grid", "5"])),
     (["chsh", "--oracle"], ["--grid", "5"], "--oracle"),
+    (["chsh", "--model", "mermin", "--scan", "1000"], ["--seed", "9"],
+     "--scan of a discrete model"),
     (["chsh", "--model", "clock", "--angles", "1,2,3,4", "--n", "50"], ["--grid", "5"],
      "Monte Carlo chsh"),
     *((["chsh", "--model", "clock", "--exact", "--indices", "0,1,2,0"], flag, "--exact")
@@ -760,6 +814,7 @@ FLAG_CASES = {
              ["--model", "clock", "--convention", "aligned", "--exact", "--indices", "0,1,2,0",
               "--grid", "600"],
              ["--model-config", "{cfg}", "--scan", "3", "--seed", "2"],
+             ["--model", "mermin", "--scan", "2"],
              ["--model", "clock", "--angles", _A, "--n", "50", "--seed", "1", "--format", "json",
               "--out", "{out}"]],
     "bell": [["--oracle"],

@@ -1,5 +1,6 @@
 import dataclasses
 import inspect
+import itertools
 import math
 
 import numpy as np
@@ -209,6 +210,33 @@ def test_scan_computes_one_outcome_column_per_side_and_phase(monkeypatch):
     assert sorted(calls) == sorted(grid + grid)
 
 
+def _jittered_side(g):
+    n_arms = int(g.integers(1, 4))
+    return itf.SideConfig(arm_lengths=tuple(g.uniform(0.5, 2.0, n_arms)),
+                          k_wave=float(g.uniform(1.0, 10.0)), n_ensemble=int(g.integers(1, 4)),
+                          sigma_path=1.0 - float(g.uniform()),  # in (0, 1]
+                          geometry_sign=float(g.choice([-1.0, 1.0])),
+                          shifted_arm=int(g.integers(n_arms)))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_shared_draw_bounds_the_chsh_of_every_jittered_table(seed):
+    # one trial ensemble and one outcome column per phase: on four cells with no
+    # undetermined trial, each trial adds S = +/-2, so |S| <= 2 up to rounding
+    g = np.random.default_rng(2100 + seed)
+    grid = list(g.uniform(0.0, TWO_PI, 6))
+    rows = itf.correlation_scan(_jittered_side(g), _jittered_side(g), grid, 2000,
+                                seed=int(g.integers(1 << 62)), spread_dx=float(g.uniform(0.5, 5)))
+    e = np.array([np.nan if r.e_value is None else r.e_value for r in rows]).reshape(6, 6)
+    live = np.array([r.p_undetermined == 0.0 for r in rows]).reshape(6, 6)
+    quads = np.array(list(itertools.product(range(6), repeat=4))).T  # (a, a', b, b')
+    pairs = bs.chsh_pairs(*quads)
+    ok = np.logical_and.reduce([live[i, j] for i, j in pairs])
+    s = bs.chsh_s([e[i, j] for i, j in pairs])
+    assert ok.any()
+    assert np.abs(s[ok]).max() <= 2.0 + 1e-12
+
+
 @pytest.mark.parametrize("spread_dx", [math.nan, math.inf, -math.inf, -1.0])
 def test_scan_refuses_a_bad_spread_before_the_grid(spread_dx):
     cfg = simple_side()
@@ -249,9 +277,8 @@ def test_degenerate_exact_scan_matches_clock_tables_bitwise():
         for i in range(3):
             for j in range(3):
                 e = bs.exact_E(clock, Setting.index(i), Setting.index(j), n_grid)
-                p = bs.exact_agreement_prob(clock, Setting.index(i), Setting.index(j), n_grid)
                 assert rows[k].e_value == e.mean
-                assert rows[k].p_agree == p.value
+                assert rows[k].p_agree == e.p_agree
                 k += 1
 
 
