@@ -34,11 +34,19 @@ raise the support warning.
 Endpoints are handled exactly: the first slice is the kernel evaluated at
 u, the last at v, so a single slice involves no grid at all and reproduces
 the analytic free propagator to machine precision.
+
+Monte Carlo path sums work on a batch: sample_paths fills one
+(n_paths, N + 1) position matrix, and discrete_action reads its rows from one
+action table per (potential, mass).  Both fill their output one block of rows
+at a time, so their temporaries hold at most _BLOCK_POSITIONS values whatever
+n_paths is; every row is a pure function of its own seed, and numpy sums each
+contiguous row as it sums a lone one, so the block size changes no value.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -95,10 +103,19 @@ def harmonic(omega: float) -> Potential:
     return Potential("harmonic", omega)
 
 
+#: Values per block of the temporaries of sample_paths and _action_table (a
+#: block is _BLOCK_POSITIONS // N rows of N increments, at least one row).
+#: Larger blocks no longer reuse the allocator's freed memory and page-fault
+#: on every block; smaller ones pay numpy's per-call cost more often.
+_BLOCK_POSITIONS = 1 << 14
+
+
 #: numpy's fixed cost of one _action_table call, in positions of table
 #: arithmetic: a row of N + 1 positions computed alone costs about as much as
-#: N + 1 + _CALL_POSITIONS positions of a whole-batch table (about 11 us
-#: against 0.02 us a position on a 2-vCPU x86 VM, for N from 16 to 1000).
+#: N + 1 + _CALL_POSITIONS positions of a whole-batch table.  It was set from
+#: 11 us against 20 ns a position; with tables built in blocks, a 2-vCPU x86 VM
+#: measures 11-24 us against 6-12 ns a position (N from 16 to 1000), so a call
+#: now costs 1300-2700 positions.  The value is kept: the rent rests on it.
 _CALL_POSITIONS = 512
 
 
@@ -106,8 +123,8 @@ class _PathBatch:
     """A checked, read-only (n_paths, N + 1) position matrix and its last action table.
 
     action(row, potential, mass) computes the row alone while a key is new,
-    and builds the midpoint action of every row in one array pass once the
-    same key has served as many consecutive calls alone as the table costs
+    and builds the midpoint action of every row in one _action_table call once
+    the same key has served as many consecutive calls alone as the table costs
     (rent, from _CALL_POSITIONS).  Rows served alone are paid for at most
     once more by the table, so over any sequence of calls and keys a call
     costs at most about twice a lone row, and a loop over the rows with one
@@ -289,29 +306,35 @@ def _action_table(x: np.ndarray, t_total: float, potential: Potential, mass: flo
     Each term is (0.5*m)*((b - a)/dt)^2 - c*(0.5*(a + b))^2, times dt, over
     adjacent positions a, b, and each row is summed pairwise by numpy; c = V(1)
     is taken once from Potential.energy (V is c*x^2, as _slice_operator uses
-    it).  The arithmetic runs in place on whole-matrix arrays, element by
-    element in the same order as on a single row, and numpy sums each
-    contiguous row as it sums a lone one, so every entry equals the rule
-    applied to that row alone.
+    it).  The arithmetic runs in place on the arrays of one block of rows at a
+    time (at most _BLOCK_POSITIONS terms), element by element in the same
+    order as on a single row, and numpy sums each contiguous row as it sums a
+    lone one, so every entry equals the rule applied to that row alone.
     """
     _require_positive("mass", mass)
-    dt = t_total / (x.shape[1] - 1)
+    n_terms = x.shape[1] - 1
+    dt = t_total / n_terms
     c = float(potential.energy(1.0, mass))
-    a, b = x[:, :-1], x[:, 1:]
+    rows = max(1, _BLOCK_POSITIONS // n_terms)
+    table = []
     # one row's overflow must not warn for the others: discrete_action warns per path
     with np.errstate(all="ignore"):
-        terms = b - a
-        terms /= dt
-        terms *= terms
-        terms *= 0.5 * mass
-        if c:  # a free path subtracts nothing (c*mid^2 could be 0*inf)
-            mid = a + b
-            mid *= 0.5
-            mid *= mid
-            mid *= c
-            terms -= mid
-        terms *= dt
-        return terms.sum(axis=1).tolist()
+        for start in range(0, len(x), rows):
+            block = x[start:start + rows]
+            a, b = block[:, :-1], block[:, 1:]
+            terms = b - a
+            terms /= dt
+            terms *= terms
+            terms *= 0.5 * mass
+            if c:  # a free path subtracts nothing (c*mid^2 could be 0*inf)
+                mid = a + b
+                mid *= 0.5
+                mid *= mid
+                mid *= c
+                terms -= mid
+            terms *= dt
+            table += terms.sum(axis=1).tolist()
+    return table
 
 
 def _slice_kernel(spec: PropagatorSpec, tau: complex, xp, xq):
@@ -458,15 +481,19 @@ def sample_paths(
 ) -> list[PathSample]:
     """Brownian-bridge jitter around the straight line from u to v.
 
-    Path i is a pure function of seed + i.  Increments have variance dt,
-    the bridge is pinned to zero at both ends, and jitter_scale multiplies
-    the whole bridge, so positions[0] == u and positions[-1] == v exactly.
-    The inputs and the finiteness of the whole (n_paths, n_slices + 1)
-    matrix are checked once; finite inputs whose arithmetic overflows end
-    at that check with "path positions must be finite", not in a numpy
-    warning.  The matrix is then made read-only and each path is a view of
-    one of its rows; the paths share one batch, so discrete_action computes
-    the actions of all of them in one array pass per (potential, mass).
+    Path i is a pure function of seed + i (an integer; TypeError otherwise).
+    Increments have variance dt, the bridge is pinned to zero at both ends,
+    and jitter_scale multiplies the whole bridge, so positions[0] == u and
+    positions[-1] == v exactly.  The (n_paths, n_slices + 1) matrix is
+    allocated once and filled one block of rows at a time: each block draws
+    the normals of its own seeds, forms its bridges and writes its rows in
+    place, so the temporaries hold at most _BLOCK_POSITIONS values.  The
+    inputs are checked once and every block's finiteness as it is written;
+    finite inputs whose arithmetic overflows end at that check with "path
+    positions must be finite", not in a numpy warning.  The matrix is then
+    made read-only and each path is a view of one of its rows; the paths
+    share one batch, so discrete_action computes the actions of all of them
+    in one table per (potential, mass).
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
@@ -476,19 +503,24 @@ def sample_paths(
     for name, value in (("u", u), ("v", v), ("jitter_scale", jitter_scale)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
-    dt = t / n_slices
-    z = rng.normals_for_seeds(rng.trial_seeds(seed, n_paths), n_slices)
+    seed = operator.index(seed)  # seed + start must not overflow a numpy integer
+    scale = math.sqrt(t / n_slices)
+    frac = np.arange(1, n_slices + 1) / n_slices
+    rows = max(1, _BLOCK_POSITIONS // n_slices)
+    paths = np.empty((n_paths, n_slices + 1))
     with np.errstate(over="ignore", invalid="ignore"):
         base = np.linspace(u, v, n_slices + 1)
-        z *= math.sqrt(dt)
-        bridge = np.cumsum(z, axis=1, out=z)
-        frac = np.arange(1, n_slices + 1) / n_slices
-        bridge -= frac[None, :] * bridge[:, -1:]
-        bridge *= jitter_scale
-        paths = np.repeat(base[None, :], n_paths, axis=0)
-        paths[:, 1:] += bridge
-        paths[:, -1] = v  # bridge end is 0 by construction; pin exactly anyway
-    if not np.isfinite(paths).all():
-        raise ValueError("path positions must be finite")
+        for start in range(0, n_paths, rows):
+            block = paths[start:start + rows]
+            z = rng.normals_for_seeds(rng.trial_seeds(seed + start, len(block)), n_slices)
+            z *= scale
+            bridge = np.cumsum(z, axis=1, out=z)
+            bridge -= frac * bridge[:, -1:]
+            bridge *= jitter_scale
+            block[:, 0] = base[0]
+            np.add(base[1:], bridge, out=block[:, 1:])
+            block[:, -1] = v  # bridge end is 0 by construction; pin exactly anyway
+            if not np.isfinite(block).all():
+                raise ValueError("path positions must be finite")
     paths.flags.writeable = False
     return PathSample._rows(_PathBatch(paths, t))

@@ -82,7 +82,7 @@ def u64_stream(seed: int, n: int) -> np.ndarray:
     import numpy as np
 
     with np.errstate(over="ignore"):
-        state0 = mix64(np.uint64(seed % (1 << 64)))
+        state0 = mix64(np.uint64(operator.index(seed) % (1 << 64)))
         steps = (np.arange(1, n + 1, dtype=np.uint64)) * np.uint64(_GOLDEN_I)
         return _finalize(state0 + steps)
 
@@ -152,5 +152,5 @@ def trial_seeds(base_seed: int, n: int) -> np.ndarray:
     import numpy as np
 
     with np.errstate(over="ignore"):
-        base = np.uint64(base_seed % (1 << 64))
+        base = np.uint64(operator.index(base_seed) % (1 << 64))
         return base + np.arange(n, dtype=np.uint64)

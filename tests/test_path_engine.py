@@ -370,18 +370,73 @@ def test_batch_paths_and_actions_are_bit_identical_to_the_per_row_rule(
         assert pe.discrete_action(path, potential, mass) == reference_action(ref, t, potential, mass)
 
 
+def assert_rows_match_the_per_row_rule(u, v, t, n_slices, n_paths, jitter, seed):
+    paths = pe.sample_paths(u, v, t, n_slices, n_paths, jitter, seed)
+    want = reference_paths(u, v, t, n_slices, n_paths, jitter, seed)
+    assert len(paths) == n_paths
+    assert all(np.array_equal(path.positions, ref) for path, ref in zip(paths, want))
+    switch = (pe.harmonic(5.0), 2.0)
+    for potential, mass in ((pe.FREE, 1.3), (pe.harmonic(0.7), 0.9)):
+        actions = [reference_action(ref, t, potential, mass) for ref in want]
+        # a key that changes on every call computes every row alone
+        alone = []
+        for path in paths:
+            alone.append(pe.discrete_action(path, potential, mass))
+            pe.discrete_action(path, *switch)
+        assert alone == actions
+        # one key: its rent alone, then one table; the second loop reads every row from it
+        for _ in range(2):
+            assert [pe.discrete_action(path, potential, mass) for path in paths] == actions
+
+
+@pytest.mark.parametrize("n_slices", [15, 16])
+def test_rows_across_block_boundaries_match_the_per_row_rule(n_slices):
+    rows = pe._BLOCK_POSITIONS // n_slices
+    for n_paths in (rows - 1, rows, rows + 1, 2 * rows + 1):
+        assert_rows_match_the_per_row_rule(0.3, -1.1, 1.7, n_slices, n_paths, 0.9, 2**64 - 5)
+
+
+def test_rows_longer_than_a_block_match_the_per_row_rule():
+    assert_rows_match_the_per_row_rule(-0.4, 0.8, 2.5, pe._BLOCK_POSITIONS + 3, 3, 1.2, 11)
+
+
+@pytest.mark.filterwarnings("error")
+def test_an_overflow_in_a_later_block_ends_at_the_finiteness_check():
+    rows = pe._BLOCK_POSITIONS // 16
+    n_paths = 3 * rows
+    # from u = v = 0 with unit jitter, a path's positions are its bridge
+    excursion = np.abs([p.positions for p in pe.sample_paths(0.0, 0.0, 1.0, 16, n_paths, 1.0, 1)])
+    first, rest = excursion[:rows].max(), excursion[rows:].max()
+    assert first < rest
+    jitter = sys.float_info.max / math.sqrt(first * rest)
+    assert len(pe.sample_paths(0.0, 0.0, 1.0, 16, rows, jitter, 1)) == rows
+    with pytest.raises(ValueError, match=r"^path positions must be finite$"):
+        pe.sample_paths(0.0, 0.0, 1.0, 16, n_paths, jitter, 1)
+
+
 def test_a_batch_holds_little_beyond_its_matrix():
-    # a path is its batch and row: about 90 bytes with its list slot and row number
-    pe.sample_paths(0, 1, 1, 16, 2, 0.5, 1)  # first-call allocations are not the batch's
+    # a path is its batch and row: about 90 bytes with its list slot and row number;
+    # sampling and a one-key action loop allocate a few blocks beyond what they keep
+    h = pe.harmonic(1.0)
+    for path in pe.sample_paths(0, 1, 1, 16, 2, 0.5, 1):  # first-call allocations
+        pe.discrete_action(path, h)
+    blocks = 8 * pe._BLOCK_POSITIONS * 8
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         paths = pe.sample_paths(0, 1, 1, 16, 20000, 0.5, 1)
-        held = tracemalloc.get_traced_memory()[0] - before
+        after, peak = tracemalloc.get_traced_memory()
+        held, sampling = after - before, peak - after
+        tracemalloc.reset_peak()
+        actions = [pe.discrete_action(path, h) for path in paths]
+        after, peak = tracemalloc.get_traced_memory()
+        acting = peak - after
     finally:
         tracemalloc.stop()
-    assert len(paths) == 20000
+    assert len(paths) == len(actions) == 20000
     assert (held - 20000 * 17 * 8) / 20000 <= 120
+    assert sampling <= blocks
+    assert acting <= blocks
 
 
 def test_a_path_reprs_as_its_positions_and_duration():

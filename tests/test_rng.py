@@ -91,3 +91,35 @@ def test_float_seeds_are_refused():
     for seed in (1.0, np.float64(2.0)):
         with pytest.raises(TypeError):
             rng.uniform(seed)
+
+
+def _seeded_calls():
+    """Every seeded entry point, as a comparable function of the seed alone."""
+    from bellpath import bell_stats, interferometer, path_engine
+    from bellpath.hv_models import ClockModel, Setting
+
+    side = interferometer.SideConfig(arm_lengths=(1.0, 1.3), k_wave=1.0)
+    a, b = Setting.index(0), Setting.index(1)
+    return {
+        "trial_seeds": lambda s: rng.trial_seeds(s, 3).tolist(),
+        "u64_stream": lambda s: rng.u64_stream(s, 2).tolist(),
+        "sample_paths": lambda s: [p.positions.tolist()
+                                   for p in path_engine.sample_paths(0, 1, 1, 4, 2, 0.5, s)],
+        "estimate_E": lambda s: bell_stats.estimate_E(ClockModel(), a, b, 100, s),
+        "overall_agreement": lambda s: bell_stats.overall_agreement(ClockModel(), 100, s),
+        "correlation_scan": lambda s: interferometer.correlation_scan(side, side, [0.0], 50, s),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_seeded_calls()))
+@pytest.mark.parametrize("seed", [1.5, np.float64(3.0)])
+def test_float_seeds_are_refused_not_truncated(name, seed):
+    with pytest.raises(TypeError):
+        _seeded_calls()[name](seed)
+
+
+@pytest.mark.parametrize("name", sorted(_seeded_calls()))
+@pytest.mark.parametrize("seed, same", [(np.int64(-1), -1), (True, 1), (2**70 + 1, 1)])
+def test_integer_seeds_of_any_type_draw_the_stream_of_their_value(name, seed, same):
+    call = _seeded_calls()[name]
+    assert call(seed) == call(same)
