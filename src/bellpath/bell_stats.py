@@ -32,6 +32,7 @@ The two-setting Bell check takes the same four terms and evaluates
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,6 +151,7 @@ def _tally(model: LhvModel, n: int, seed: int, sides) -> list[list[int]]:
     once per block.  Trial i draws from seed + i alone, so each tally equals
     the whole-array one.
     """
+    seed = operator.index(seed)  # seed + start must not overflow a numpy integer
     if n < 1:
         raise ValueError("n must be >= 1")
     blocks = []

@@ -43,6 +43,7 @@ import collections
 import functools
 import itertools
 import json
+import operator
 import socket
 import time
 from dataclasses import dataclass, field
@@ -273,7 +274,7 @@ class RandomPolicy:
         self.choices = tuple(choices)
         if not self.choices:
             raise ValueError("need at least one choice")
-        self.seed = seed
+        self.seed = operator.index(seed)  # seed + trial must not overflow a numpy integer
 
     def setting(self, trial: int) -> Setting:
         u = rng.uniform(self.seed + trial)

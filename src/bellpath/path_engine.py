@@ -36,9 +36,10 @@ u, the last at v, so a single slice involves no grid at all and reproduces
 the analytic free propagator to machine precision.
 
 Monte Carlo path sums work on a batch: sample_paths fills one
-(n_paths, N + 1) position matrix, and discrete_action reads its rows from one
-action table per (potential, mass).  Both fill their output one block of rows
-at a time, so their temporaries hold at most _BLOCK_POSITIONS values whatever
+(n_paths, N + 1) position matrix one block of rows at a time, and
+discrete_action reads a row from the action table of its block, one table per
+(potential, mass) and block.  A block holds at most _BLOCK_POSITIONS values
+(at least one row), so the temporaries of both stay that small whatever
 n_paths is; every row is a pure function of its own seed, and numpy sums each
 contiguous row as it sums a lone one, so the block size changes no value.
 """
@@ -103,63 +104,57 @@ def harmonic(omega: float) -> Potential:
     return Potential("harmonic", omega)
 
 
-#: Values per block of the temporaries of sample_paths and _action_table (a
-#: block is _BLOCK_POSITIONS // N rows of N increments, at least one row).
-#: Larger blocks no longer reuse the allocator's freed memory and page-fault
-#: on every block; smaller ones pay numpy's per-call cost more often.
+#: Values per block of a path batch: a block is _BLOCK_POSITIONS // N rows of
+#: N increments, at least one row.  Larger blocks no longer reuse the
+#: allocator's freed memory and page-fault on every block; smaller ones pay
+#: numpy's per-call cost more often.
 _BLOCK_POSITIONS = 1 << 14
 
 
-#: numpy's fixed cost of one _action_table call, in positions of table
-#: arithmetic: a row of N + 1 positions computed alone costs about as much as
-#: N + 1 + _CALL_POSITIONS positions of a whole-batch table.  It was set from
-#: 11 us against 20 ns a position; with tables built in blocks, a 2-vCPU x86 VM
-#: measures 11-24 us against 6-12 ns a position (N from 16 to 1000), so a call
-#: now costs 1300-2700 positions.  The value is kept: the rent rests on it.
-_CALL_POSITIONS = 512
-
-
 class _PathBatch:
-    """A checked, read-only (n_paths, N + 1) position matrix and its last action table.
+    """A checked, read-only (n_paths, N + 1) position matrix and the action tables of its blocks.
 
-    action(row, potential, mass) computes the row alone while a key is new,
-    and builds the midpoint action of every row in one _action_table call once
-    the same key has served as many consecutive calls alone as the table costs
-    (rent, from _CALL_POSITIONS).  Rows served alone are paid for at most
-    once more by the table, so over any sequence of calls and keys a call
-    costs at most about twice a lone row, and a loop over the rows with one
-    key pays for one table and its rent.  The batch keeps one (key, served,
-    table) slot, at most one list of n_paths floats; the slot is read once and
-    replaced in one assignment, so threads sharing a batch never pair one
-    key with another key's table.
+    A block is the block_rows consecutive rows that sample_paths fills at
+    once (it builds the batch on the matrix, then fills and checks it).
+    action(row, potential, mass) computes a (potential, mass) key's first row
+    in a block alone and leaves a marker; the key's second call in that block
+    builds the block's midpoint actions in one _action_table call, and that
+    table serves every later call of the key in the block.  A one-row block
+    keeps its first row as its table.  So a loop over the rows pays one lone
+    row and one table per key and block, however the keys interleave, and the
+    batch keeps a marker for every key it has seen and a list of block_rows
+    floats for every key and block called twice.  Markers and tables sit in
+    one dict keyed by (key, block), so a key never reads another key's table,
+    and threads sharing a batch at worst build a table twice.
     """
 
-    __slots__ = ("positions", "t_total", "_rent", "_cache")
+    __slots__ = ("positions", "t_total", "block_rows", "_tables")
 
     def __init__(self, positions: np.ndarray, t_total: float):
-        n_paths, n_positions = positions.shape
         self.positions = positions
         self.t_total = t_total
-        self._rent = n_paths * n_positions // (n_positions + _CALL_POSITIONS)
-        self._cache = (None, 0, None)
+        self.block_rows = max(1, _BLOCK_POSITIONS // (positions.shape[1] - 1))
+        self._tables = {}
 
     def action(self, row: int, potential: Potential, mass: float) -> float:
-        # the types are in the key: equal values of other types (a float32 mass
-        # or omega) round the coefficients differently
-        key = (potential, type(potential.omega), mass, type(mass))
-        cached_key, served, table = self._cache
-        if key != cached_key:
-            served, table = 0, None
+        block, offset = divmod(row, self.block_rows)
+        # the fields key the table, not the Potential, whose hash runs in Python;
+        # the types are in the key, since equal values of other types (a float32
+        # mass or omega) round the coefficients differently
+        omega = potential.omega
+        key = (potential.kind, omega, type(omega), mass, type(mass), block)
+        table = self._tables.get(key)
         if table is None:
-            # a key that fails the mass check raises here and is never cached
-            if served < self._rent:
+            # a key that fails the mass check raises here and is never stored
+            start = row - offset
+            x = self.positions[start:start + self.block_rows]
+            if len(x) > 1 and key not in self._tables:
                 action = _action_table(self.positions[row:row + 1], self.t_total,
                                        potential, mass)[0]
-                self._cache = (key, served + 1, None)
+                self._tables.setdefault(key, None)
                 return action
-            table = _action_table(self.positions, self.t_total, potential, mass)
-            self._cache = (key, served, table)
-        return table[row]
+            table = self._tables[key] = _action_table(x, self.t_total, potential, mass)
+        return table[offset]
 
 
 class PathSample:
@@ -172,7 +167,7 @@ class PathSample:
     of it shares memory with) never reach the path; such a path is a one-row
     batch of its own.  sample_paths hands out the rows of one matrix that it
     has checked as a whole, all sharing that batch, so discrete_action can
-    serve every row from one action table.  Two paths are equal when their
+    serve a block of rows from one action table.  Two paths are equal when their
     t_total and positions are equal, whatever batch they come from.
     """
 
@@ -284,15 +279,14 @@ class PropagatorResult:
 def discrete_action(path: PathSample, potential: Potential = FREE, mass: float = 1.0) -> float:
     """Midpoint-rule action: sum of [m/2 * v_k^2 - V(midpoint_k)] * dt.
 
-    Rows of one sample_paths batch share an action table (see _action_table
-    and _PathBatch): a (potential, mass) key computes each row alone until it
-    has served consecutive calls worth one table, then builds the table for
-    every row, and later calls with that key look their row up.  Only the last
-    key is kept.  Every value is bit-identical to the same rule applied to the
-    path alone.  mass must be finite and positive (ValueError otherwise).  An
-    action that overflows is returned as the rule gives it (inf or nan) with a
-    RuntimeWarning for that path alone, as when each path was computed on its
-    own.
+    Rows of one block of a sample_paths batch share an action table per
+    (potential, mass) key (see _PathBatch): a key's first call in a block
+    computes its row alone, its second call builds the block's table, and
+    later calls of that key in that block look their row up.  Every value is
+    bit-identical to the same rule applied to the path alone.  mass must be
+    finite and positive (ValueError otherwise).  An action that overflows is
+    returned as the rule gives it (inf or nan) with a RuntimeWarning for that
+    path alone, as when each path was computed on its own.
     """
     action = path._batch.action(path._row, potential, mass)
     if not math.isfinite(action):
@@ -301,40 +295,33 @@ def discrete_action(path: PathSample, potential: Potential = FREE, mass: float =
 
 
 def _action_table(x: np.ndarray, t_total: float, potential: Potential, mass: float) -> list[float]:
-    """Midpoint actions of every row of the (n_paths, N + 1) matrix x.
+    """Midpoint actions of every row of the (rows, N + 1) matrix x: one row or one block.
 
     Each term is (0.5*m)*((b - a)/dt)^2 - c*(0.5*(a + b))^2, times dt, over
     adjacent positions a, b, and each row is summed pairwise by numpy; c = V(1)
     is taken once from Potential.energy (V is c*x^2, as _slice_operator uses
-    it).  The arithmetic runs in place on the arrays of one block of rows at a
-    time (at most _BLOCK_POSITIONS terms), element by element in the same
-    order as on a single row, and numpy sums each contiguous row as it sums a
-    lone one, so every entry equals the rule applied to that row alone.
+    it).  The arithmetic runs in place, element by element in the same order
+    as on a single row, and numpy sums each contiguous row as it sums a lone
+    one, so every entry equals the rule applied to that row alone.
     """
     _require_positive("mass", mass)
-    n_terms = x.shape[1] - 1
-    dt = t_total / n_terms
+    dt = t_total / (x.shape[1] - 1)
     c = float(potential.energy(1.0, mass))
-    rows = max(1, _BLOCK_POSITIONS // n_terms)
-    table = []
+    a, b = x[:, :-1], x[:, 1:]
     # one row's overflow must not warn for the others: discrete_action warns per path
     with np.errstate(all="ignore"):
-        for start in range(0, len(x), rows):
-            block = x[start:start + rows]
-            a, b = block[:, :-1], block[:, 1:]
-            terms = b - a
-            terms /= dt
-            terms *= terms
-            terms *= 0.5 * mass
-            if c:  # a free path subtracts nothing (c*mid^2 could be 0*inf)
-                mid = a + b
-                mid *= 0.5
-                mid *= mid
-                mid *= c
-                terms -= mid
-            terms *= dt
-            table += terms.sum(axis=1).tolist()
-    return table
+        terms = b - a
+        terms /= dt
+        terms *= terms
+        terms *= 0.5 * mass
+        if c:  # a free path subtracts nothing (c*mid^2 could be 0*inf)
+            mid = a + b
+            mid *= 0.5
+            mid *= mid
+            mid *= c
+            terms -= mid
+        terms *= dt
+        return terms.sum(axis=1).tolist()
 
 
 def _slice_kernel(spec: PropagatorSpec, tau: complex, xp, xq):
@@ -492,8 +479,9 @@ def sample_paths(
     finite inputs whose arithmetic overflows end at that check with "path
     positions must be finite", not in a numpy warning.  The matrix is then
     made read-only and each path is a view of one of its rows; the paths
-    share one batch, so discrete_action computes the actions of all of them
-    in one table per (potential, mass).
+    share one batch, whose blocks are the blocks filled here, so
+    discrete_action computes the actions of a block's rows in one table per
+    (potential, mass).
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
@@ -506,8 +494,9 @@ def sample_paths(
     seed = operator.index(seed)  # seed + start must not overflow a numpy integer
     scale = math.sqrt(t / n_slices)
     frac = np.arange(1, n_slices + 1) / n_slices
-    rows = max(1, _BLOCK_POSITIONS // n_slices)
     paths = np.empty((n_paths, n_slices + 1))
+    batch = _PathBatch(paths, t)
+    rows = batch.block_rows
     with np.errstate(over="ignore", invalid="ignore"):
         base = np.linspace(u, v, n_slices + 1)
         for start in range(0, n_paths, rows):
@@ -523,4 +512,4 @@ def sample_paths(
             if not np.isfinite(block).all():
                 raise ValueError("path positions must be finite")
     paths.flags.writeable = False
-    return PathSample._rows(_PathBatch(paths, t))
+    return PathSample._rows(batch)

@@ -59,6 +59,16 @@ def test_estimate_is_reproducible_and_seed_sensitive():
     assert a.mean != c.mean
 
 
+@pytest.mark.filterwarnings("error")
+def test_a_numpy_integer_seed_tallies_as_its_python_int():
+    seed = 2**63 - 1  # seed + start of a later block passes the int64 limit
+    model = ClockModel()
+    assert bs.estimate_E(model, I0, I1, 10000, np.int64(seed)) == \
+        bs.estimate_E(model, I0, I1, 10000, seed)
+    assert bs.overall_agreement(model, 10000, np.int64(seed)) == \
+        bs.overall_agreement(model, 10000, seed)
+
+
 # -- exact_E ----------------------------------------------------------------------
 
 

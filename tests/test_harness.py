@@ -8,6 +8,7 @@ import types
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -171,6 +172,20 @@ def test_policies_are_reproducible():
     seq2 = [harness.RandomPolicy((I0, I1, I2), seed=7).setting(t) for t in range(50)]
     assert seq1 == seq2
     assert len({s.text for s in seq1}) == 3
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_numpy_integer_policy_seed_draws_as_its_python_int():
+    seed = 2**63 - 1  # seed + trial passes the int64 limit
+    rand = harness.RandomPolicy((I0, I1, I2), np.int64(seed))
+    want = harness.RandomPolicy((I0, I1, I2), seed)
+    assert [rand.setting(t) for t in range(50)] == [want.setting(t) for t in range(50)]
+
+
+@pytest.mark.parametrize("seed", [1.5, np.float64(3.0)])
+def test_a_float_policy_seed_is_refused_when_the_policy_is_built(seed):
+    with pytest.raises(TypeError):
+        harness.RandomPolicy((I0, I1), seed)
 
 
 # -- in-process twin ---------------------------------------------------------------

@@ -378,13 +378,15 @@ def assert_rows_match_the_per_row_rule(u, v, t, n_slices, n_paths, jitter, seed)
     switch = (pe.harmonic(5.0), 2.0)
     for potential, mass in ((pe.FREE, 1.3), (pe.harmonic(0.7), 0.9)):
         actions = [reference_action(ref, t, potential, mass) for ref in want]
-        # a key that changes on every call computes every row alone
-        alone = []
+        # keys that switch on every call: each computes a block's first row alone
+        # and builds the block's table on its second call there
+        switching = []
         for path in paths:
-            alone.append(pe.discrete_action(path, potential, mass))
+            switching.append(pe.discrete_action(path, potential, mass))
             pe.discrete_action(path, *switch)
-        assert alone == actions
-        # one key: its rent alone, then one table; the second loop reads every row from it
+        assert switching == actions
+        # a fresh batch with one key, then the tables it built
+        paths = pe.sample_paths(u, v, t, n_slices, n_paths, jitter, seed)
         for _ in range(2):
             assert [pe.discrete_action(path, potential, mass) for path in paths] == actions
 
@@ -416,10 +418,12 @@ def test_an_overflow_in_a_later_block_ends_at_the_finiteness_check():
 
 def test_a_batch_holds_little_beyond_its_matrix():
     # a path is its batch and row: about 90 bytes with its list slot and row number;
-    # sampling and a one-key action loop allocate a few blocks beyond what they keep
+    # sampling and action loops allocate a few blocks beyond what they keep, and a
+    # key's tables keep a float object and a list slot per row
     h = pe.harmonic(1.0)
     for path in pe.sample_paths(0, 1, 1, 16, 2, 0.5, 1):  # first-call allocations
         pe.discrete_action(path, h)
+        pe.discrete_action(path, pe.FREE)
     blocks = 8 * pe._BLOCK_POSITIONS * 8
     tracemalloc.start()
     try:
@@ -427,16 +431,32 @@ def test_a_batch_holds_little_beyond_its_matrix():
         paths = pe.sample_paths(0, 1, 1, 16, 20000, 0.5, 1)
         after, peak = tracemalloc.get_traced_memory()
         held, sampling = after - before, peak - after
+        sampled = after
         tracemalloc.reset_peak()
         actions = [pe.discrete_action(path, h) for path in paths]
         after, peak = tracemalloc.get_traced_memory()
         acting = peak - after
+        del actions
+        tracemalloc.reset_peak()
+        actions = [(pe.discrete_action(path, pe.FREE), pe.discrete_action(path, h))
+                   for path in paths]
+        after, peak = tracemalloc.get_traced_memory()
+        switching = peak - after
+        del actions
+        tables = tracemalloc.get_traced_memory()[0] - sampled
+        actions = [pe.discrete_action(paths[0], pe.harmonic(1.0 + k / 1000), 1.0)
+                   for k in range(1000)]
+        del actions
+        markers = tracemalloc.get_traced_memory()[0] - sampled - tables
     finally:
         tracemalloc.stop()
-    assert len(paths) == len(actions) == 20000
+    assert len(paths) == 20000
     assert (held - 20000 * 17 * 8) / 20000 <= 120
     assert sampling <= blocks
     assert acting <= blocks
+    assert switching <= blocks
+    assert tables <= 2 * 20000 * 40  # the tables of two keys
+    assert markers < 500_000  # one marker for each of 1000 keys
 
 
 def test_a_path_reprs_as_its_positions_and_duration():
@@ -524,23 +544,41 @@ def counting_builds(monkeypatch):
 
 def test_a_batch_builds_one_table_per_key(monkeypatch):
     built = counting_builds(monkeypatch)
-    paths = pe.sample_paths(0.0, 1.0, 1.0, 8, 1000, 0.5, seed=3)
-    rent = 1000 * 9 // (9 + pe._CALL_POSITIONS)
-    assert rent == 17
+    rows = pe._BLOCK_POSITIONS // 8
+    paths = pe.sample_paths(0.0, 1.0, 1.0, 8, rows + 5, 0.5, seed=3)
     h = pe.harmonic(2.0)
     actions = [pe.discrete_action(p, h, 1.5) for p in paths]
-    # the first calls serve their own rows, then one table serves the rest
-    assert built == [((h, 1.5), 1)] * rent + [((h, 1.5), 1000)]
+    # in each block, the first call serves its own row and the second builds the table
+    assert built == [((h, 1.5), 1), ((h, 1.5), rows), ((h, 1.5), 1), ((h, 1.5), 5)]
     del built[:]
     assert [pe.discrete_action(p, pe.harmonic(2.0), 1.5) for p in paths] == actions
     assert built == []  # an equal key is the same key
-    pe.discrete_action(paths[0], h, 2.5)
-    for p in paths[:rent + 1]:
+    for p in paths[:3]:
         pe.discrete_action(p, pe.FREE, 2.5)
-    assert built == [((h, 2.5), 1)] + [((pe.FREE, 2.5), 1)] * rent + [((pe.FREE, 2.5), 1000)]
+    assert built == [((pe.FREE, 2.5), 1), ((pe.FREE, 2.5), rows)]
     del built[:]
-    assert pe.discrete_action(paths[7], h, 1.5) == actions[7]  # only the last table is kept
-    assert built == [((h, 1.5), 1)]
+    assert [pe.discrete_action(p, h, 1.5) for p in paths] == actions
+    assert built == []  # a second key leaves the first key's tables in place
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_free_and_harmonic_actions_of_every_path_build_one_table_per_key_and_block(
+        monkeypatch, extra):
+    built = counting_builds(monkeypatch)
+    rows = pe._BLOCK_POSITIONS // 16
+    n_paths = rows + extra
+    paths = pe.sample_paths(0.3, -0.2, 1.0, 16, n_paths, 0.8, seed=9)
+    keys = [(pe.FREE, 1.0), (pe.harmonic(1.5), 1.0)]
+    for p in paths:
+        x = np.array(p.positions)
+        for key in keys:
+            assert pe.discrete_action(p, *key) == reference_action(x, 1.0, *key)
+    want = []
+    for start in range(0, n_paths, rows):
+        k = min(rows, n_paths - start)
+        # a lone row for each key, then each key's table; a one-row block's lone row is its table
+        want += [(key, 1) for key in keys] + ([(key, k) for key in keys] if k > 1 else [])
+    assert built == want
 
 
 def test_a_lone_path_builds_its_one_row_table_at_once(monkeypatch):
@@ -568,7 +606,8 @@ def test_switching_keys_costs_at_most_a_lone_row_and_one_call_per_call(
                 x, 1.0, potential, mass)
             calls += 1
     positions = sum(rows for _, rows in built) * (n_slices + 1)
-    assert positions < calls * (2 * (n_slices + 1) + pe._CALL_POSITIONS)
+    # 512: the per-call cost, in table positions, that an earlier rule was built on
+    assert positions < calls * (2 * (n_slices + 1) + 512)
 
 
 @pytest.mark.filterwarnings("error")
@@ -580,7 +619,7 @@ def test_equal_masses_and_omegas_of_other_types_keep_their_own_rounding():
             for i, key in enumerate(keys)}
     assert want[0] != want[1] and want[2] != want[3]  # the types do round differently
     for order in (range(4), range(3, -1, -1)):
-        for i in order:  # each key twice: a row of its own, then the whole table
+        for i in order:  # each key twice: a row of its own and the table, then the table
             assert [pe.discrete_action(p, *keys[i]) for p in paths] == want[i]
             assert [pe.discrete_action(p, *keys[i]) for p in paths] == want[i]
 
@@ -608,7 +647,7 @@ def test_threads_alternating_keys_on_one_batch_get_their_own_actions():
     finally:
         sys.setswitchinterval(interval)
     assert wrong == []
-    for k in (1, 0, 1):  # whatever the threads left in the slot pairs a key with its own table
+    for k in (1, 0, 1):  # whatever tables the threads left, each key reads its own
         assert [pe.discrete_action(p, *keys[k]) for p in paths] == want[k]
 
 
