@@ -16,6 +16,7 @@ runs, so ``wing`` on a clock model starts without loading numpy.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import gc
 import itertools
@@ -312,15 +313,16 @@ def cmd_propagate(args) -> int:
     grid = (float(xmin), float(xmax), int(npts))
     potential = path_engine.FREE if args.kind == "free" else path_engine.harmonic(args.omega)
 
-    def run(n_slices: int, n_points: int):
-        spec = path_engine.PropagatorSpec(
-            mass=args.mass, potential=potential, u=args.u, v=args.v, t=args.t,
-            n_slices=n_slices, grid=(grid[0], grid[1], n_points),
-            hbar=args.hbar, damping=damping)
-        res = path_engine.sliced_propagator(spec)
+    # built before the closed form, so a non-finite input is refused before any arithmetic
+    spec = path_engine.PropagatorSpec(
+        mass=args.mass, potential=potential, u=args.u, v=args.v, t=args.t,
+        n_slices=args.slices, grid=grid, hbar=args.hbar, damping=damping)
+
+    def run(n_slices: int):
+        res = path_engine.sliced_propagator(dataclasses.replace(spec, n_slices=n_slices))
         if res.eta > path_engine.ETA_WARNING_LEVEL:
             print(f"warning: eta = {res.eta:.3g} exceeds {path_engine.ETA_WARNING_LEVEL} "
-                  f"at {n_slices} slices on {n_points} points; the result carries a bias "
+                  f"at {n_slices} slices on {grid[2]} points; the result carries a bias "
                   f"of order eta, refine the grid", file=sys.stderr)
         return res
 
@@ -329,14 +331,14 @@ def cmd_propagate(args) -> int:
     if args.convergence:
         doc = []
         for ns in (int(x) for x in args.convergence.split(",")):
-            res = run(ns, grid[2])
+            res = run(ns)
             doc.append({"n_slices": ns, "n_points": grid[2],
                         "rel_err_modulus": abs(abs(res.value) - abs(analytic)) / abs(analytic),
                         "phase_err": abs(np.angle(res.value / analytic))})
         _report(args, doc, "n_slices,n_points,rel_err_modulus,phase_err")
         return EXIT_OK
 
-    res = run(args.slices, grid[2])
+    res = run(args.slices)
     doc = {"re": res.value.real, "im": res.value.imag,
            "modulus": res.modulus, "phase": res.phase,
            "support_warning": res.support_warning}
@@ -498,6 +500,13 @@ def _grid_points(text: str) -> int:
     return n
 
 
+def _scan_count(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
+    return n
+
+
 def _add_grid(p):
     p.add_argument("--grid", type=_grid_points, default=DEFAULT_QUADRATURE_N,
                    help="the n reported for exact clock-model results; "
@@ -540,7 +549,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--exact", action="store_true",
                    help="enumeration or closed form instead of Monte Carlo")
     _add_grid(p)
-    p.add_argument("--scan", type=int, default=0,
+    p.add_argument("--scan", type=_scan_count, default=0,
                    help="max |S| over all discrete quadruples plus, for the clock model, "
                         "this many random ones")
 

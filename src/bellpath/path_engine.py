@@ -36,12 +36,14 @@ u, the last at v, so a single slice involves no grid at all and reproduces
 the analytic free propagator to machine precision.
 
 Monte Carlo path sums work on a batch: sample_paths fills one
-(n_paths, N + 1) position matrix one block of rows at a time, and
-discrete_action reads a row from the action table of its block, one table per
-(potential, mass) and block.  A block holds at most _BLOCK_POSITIONS values
-(at least one row), so the temporaries of both stay that small whatever
-n_paths is; every row is a pure function of its own seed, and numpy sums each
-contiguous row as it sums a lone one, so the block size changes no value.
+(n_paths, N + 1) position matrix one block of rows at a time, and with it two
+sums per row, steps = sum of (b - a)^2 and mids = sum of ((a + b)/2)^2 over
+adjacent positions a, b.  Every potential here is c*x^2, so discrete_action
+reads any (potential, mass) key's action off those two sums.  A block holds at
+most _BLOCK_POSITIONS values (at least one row), so the temporaries stay that
+small whatever n_paths is; every row is a pure function of its own seed, and
+numpy sums each contiguous row as it sums a lone one, so the block size
+changes no value.
 """
 
 from __future__ import annotations
@@ -112,49 +114,42 @@ _BLOCK_POSITIONS = 1 << 14
 
 
 class _PathBatch:
-    """A checked, read-only (n_paths, N + 1) position matrix and the action tables of its blocks.
+    """A checked, read-only (n_paths, N + 1) position matrix and two sums per row.
 
-    A block is the block_rows consecutive rows that sample_paths fills at
-    once (it builds the batch on the matrix, then fills and checks it).
-    action(row, potential, mass) computes a (potential, mass) key's first row
-    in a block alone and leaves a marker; the key's second call in that block
-    builds the block's midpoint actions in one _action_table call, and that
-    table serves every later call of the key in the block.  A one-row block
-    keeps its first row as its table.  So a loop over the rows pays one lone
-    row and one table per key and block, however the keys interleave, and the
-    batch keeps a marker for every key it has seen and a list of block_rows
-    floats for every key and block called twice.  Markers and tables sit in
-    one dict keyed by (key, block), so a key never reads another key's table,
-    and threads sharing a batch at worst build a table twice.
+    steps[row] is the sum of (b - a)^2 and mids[row] the sum of
+    ((a + b)/2)^2 over the row's adjacent positions a, b, each summed
+    pairwise by numpy (see _fill_sums); both are memoryviews, so an index
+    gives a Python float.  Nothing changes after construction, and no key
+    leaves anything behind.
     """
 
-    __slots__ = ("positions", "t_total", "block_rows", "_tables")
+    __slots__ = ("positions", "t_total", "dt", "steps", "mids")
 
-    def __init__(self, positions: np.ndarray, t_total: float):
+    def __init__(self, positions: np.ndarray, t_total: float, steps: np.ndarray,
+                 mids: np.ndarray):
         self.positions = positions
         self.t_total = t_total
-        self.block_rows = max(1, _BLOCK_POSITIONS // (positions.shape[1] - 1))
-        self._tables = {}
+        self.dt = t_total / (positions.shape[1] - 1)
+        self.steps = memoryview(steps)
+        self.mids = memoryview(mids)
 
-    def action(self, row: int, potential: Potential, mass: float) -> float:
-        block, offset = divmod(row, self.block_rows)
-        # the fields key the table, not the Potential, whose hash runs in Python;
-        # the types are in the key, since equal values of other types (a float32
-        # mass or omega) round the coefficients differently
-        omega = potential.omega
-        key = (potential.kind, omega, type(omega), mass, type(mass), block)
-        table = self._tables.get(key)
-        if table is None:
-            # a key that fails the mass check raises here and is never stored
-            start = row - offset
-            x = self.positions[start:start + self.block_rows]
-            if len(x) > 1 and key not in self._tables:
-                action = _action_table(self.positions[row:row + 1], self.t_total,
-                                       potential, mass)[0]
-                self._tables.setdefault(key, None)
-                return action
-            table = self._tables[key] = _action_table(x, self.t_total, potential, mass)
-        return table[offset]
+
+def _fill_sums(x: np.ndarray, scratch: np.ndarray, steps: np.ndarray, mids: np.ndarray) -> None:
+    """Write the two sums of each row of the (rows, N + 1) matrix x into steps and mids.
+
+    scratch is a spent (rows, N) buffer.  The arithmetic runs element by
+    element as on a single row, and numpy sums each contiguous row as it sums
+    a lone one, so every entry equals its row's sums taken alone.  Callers
+    hold an errstate: one row's overflow must not warn for the others.
+    """
+    a, b = x[:, :-1], x[:, 1:]
+    np.subtract(b, a, out=scratch)
+    scratch *= scratch
+    scratch.sum(axis=1, out=steps)
+    np.add(a, b, out=scratch)
+    scratch *= 0.5
+    scratch *= scratch
+    scratch.sum(axis=1, out=mids)
 
 
 class PathSample:
@@ -165,10 +160,10 @@ class PathSample:
     constructor checks its input and keeps a private read-only copy of the
     positions, so later writes to the caller's array (or to the array a view
     of it shares memory with) never reach the path; such a path is a one-row
-    batch of its own.  sample_paths hands out the rows of one matrix that it
-    has checked as a whole, all sharing that batch, so discrete_action can
-    serve a block of rows from one action table.  Two paths are equal when their
-    t_total and positions are equal, whatever batch they come from.
+    batch of its own, whose two sums the constructor fills.  sample_paths
+    hands out the rows of one matrix that it has checked and summed as a
+    whole, all sharing that batch.  Two paths are equal when their t_total
+    and positions are equal, whatever batch they come from.
     """
 
     __slots__ = ("_batch", "_row")
@@ -181,7 +176,10 @@ class PathSample:
             raise ValueError("path positions must be finite")
         _require_positive("t_total", t_total)
         pos.flags.writeable = False
-        self._batch = _PathBatch(pos[None, :], t_total)
+        x, steps, mids = pos[None, :], np.empty(1), np.empty(1)
+        with np.errstate(all="ignore"):
+            _fill_sums(x, np.empty((1, pos.size - 1)), steps, mids)
+        self._batch = _PathBatch(x, t_total, steps, mids)
         self._row = 0
 
     @classmethod
@@ -248,8 +246,10 @@ class PropagatorSpec:
 
     def __post_init__(self):
         x_min, x_max, n_points = self.grid
-        if self.mass <= 0 or self.hbar <= 0 or self.t <= 0:
-            raise ValueError("mass, hbar and t must be positive")
+        for name in ("mass", "hbar", "t", "damping"):
+            _require_positive(name, getattr(self, name))
+        if not (math.isfinite(x_min) and math.isfinite(x_max)):
+            raise ValueError(f"grid bounds must be finite, got {x_min}, {x_max}")
         if self.n_slices < 1:
             raise ValueError("n_slices must be >= 1")
         if n_points < 16:
@@ -279,49 +279,27 @@ class PropagatorResult:
 def discrete_action(path: PathSample, potential: Potential = FREE, mass: float = 1.0) -> float:
     """Midpoint-rule action: sum of [m/2 * v_k^2 - V(midpoint_k)] * dt.
 
-    Rows of one block of a sample_paths batch share an action table per
-    (potential, mass) key (see _PathBatch): a key's first call in a block
-    computes its row alone, its second call builds the block's table, and
-    later calls of that key in that block look their row up.  Every value is
-    bit-identical to the same rule applied to the path alone.  mass must be
-    finite and positive (ValueError otherwise).  An action that overflows is
-    returned as the rule gives it (inf or nan) with a RuntimeWarning for that
-    path alone, as when each path was computed on its own.
+    V is c*x^2 for every Potential (c = V(1), as _slice_operator uses it), so
+    the action is m/(2*dt) * steps - c*dt * mids, read off the two sums that
+    the path's batch holds (see _PathBatch): O(1) per call for any key, and
+    bit-identical to the same rule applied to the path alone.  It differs
+    from the per-step sum of the terms by a few ulps of the sum of their
+    magnitudes.  mass must be finite and positive (ValueError otherwise).  An
+    action that overflows is returned as the rule gives it (inf or nan) with
+    a RuntimeWarning for that path alone.
     """
-    action = path._batch.action(path._row, potential, mass)
+    if not 0.0 < mass < math.inf:  # _require_positive's test, inline: a call costs 50 ns here
+        _require_positive("mass", mass)
+    batch, row = path._batch, path._row
+    dt = batch.dt
+    action = float(mass) / (2.0 * dt) * batch.steps[row]
+    if potential.kind == "harmonic":  # a free path subtracts nothing (0*mids could be 0*inf)
+        # c in the types of mass and omega, rounded as Potential.energy(1.0, mass) rounds it
+        c = float(0.5 * mass * potential.omega**2)
+        action -= c * dt * batch.mids[row]
     if not math.isfinite(action):
         warnings.warn(f"discrete_action is not finite: {action}", RuntimeWarning, stacklevel=2)
     return action
-
-
-def _action_table(x: np.ndarray, t_total: float, potential: Potential, mass: float) -> list[float]:
-    """Midpoint actions of every row of the (rows, N + 1) matrix x: one row or one block.
-
-    Each term is (0.5*m)*((b - a)/dt)^2 - c*(0.5*(a + b))^2, times dt, over
-    adjacent positions a, b, and each row is summed pairwise by numpy; c = V(1)
-    is taken once from Potential.energy (V is c*x^2, as _slice_operator uses
-    it).  The arithmetic runs in place, element by element in the same order
-    as on a single row, and numpy sums each contiguous row as it sums a lone
-    one, so every entry equals the rule applied to that row alone.
-    """
-    _require_positive("mass", mass)
-    dt = t_total / (x.shape[1] - 1)
-    c = float(potential.energy(1.0, mass))
-    a, b = x[:, :-1], x[:, 1:]
-    # one row's overflow must not warn for the others: discrete_action warns per path
-    with np.errstate(all="ignore"):
-        terms = b - a
-        terms /= dt
-        terms *= terms
-        terms *= 0.5 * mass
-        if c:  # a free path subtracts nothing (c*mid^2 could be 0*inf)
-            mid = a + b
-            mid *= 0.5
-            mid *= mid
-            mid *= c
-            terms -= mid
-        terms *= dt
-        return terms.sum(axis=1).tolist()
 
 
 def _slice_kernel(spec: PropagatorSpec, tau: complex, xp, xq):
@@ -477,11 +455,10 @@ def sample_paths(
     place, so the temporaries hold at most _BLOCK_POSITIONS values.  The
     inputs are checked once and every block's finiteness as it is written;
     finite inputs whose arithmetic overflows end at that check with "path
-    positions must be finite", not in a numpy warning.  The matrix is then
-    made read-only and each path is a view of one of its rows; the paths
-    share one batch, whose blocks are the blocks filled here, so
-    discrete_action computes the actions of a block's rows in one table per
-    (potential, mass).
+    positions must be finite", not in a numpy warning.  Each block then
+    fills its rows' two sums (see _PathBatch), with its spent bridge buffer
+    as scratch.  The matrix is made read-only and each path is a view of one
+    of its rows; the paths share one batch.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
@@ -495,8 +472,8 @@ def sample_paths(
     scale = math.sqrt(t / n_slices)
     frac = np.arange(1, n_slices + 1) / n_slices
     paths = np.empty((n_paths, n_slices + 1))
-    batch = _PathBatch(paths, t)
-    rows = batch.block_rows
+    steps, mids = np.empty(n_paths), np.empty(n_paths)
+    rows = max(1, _BLOCK_POSITIONS // n_slices)
     with np.errstate(over="ignore", invalid="ignore"):
         base = np.linspace(u, v, n_slices + 1)
         for start in range(0, n_paths, rows):
@@ -511,5 +488,6 @@ def sample_paths(
             block[:, -1] = v  # bridge end is 0 by construction; pin exactly anyway
             if not np.isfinite(block).all():
                 raise ValueError("path positions must be finite")
+            _fill_sums(block, z, steps[start:start + rows], mids[start:start + rows])
     paths.flags.writeable = False
-    return PathSample._rows(batch)
+    return PathSample._rows(_PathBatch(paths, t, steps, mids))

@@ -587,6 +587,39 @@ def test_propagate_refuses_a_non_finite_omega(capsys, omega):
     assert "harmonic potential needs a finite omega > 0" in captured.err
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("flags, field", [
+    (["--mass", "nan"], "mass"),
+    (["--hbar", "nan"], "hbar"),
+    (["--t", "inf"], "t"),
+    (["--damping", "nan"], "damping"),
+    (["--damping", "-1"], "damping"),
+    (["--convergence", "1,2", "--mass", "nan"], "mass"),
+])
+def test_propagate_refuses_a_non_finite_or_non_positive_input(capsys, flags, field):
+    assert cli.main(["propagate", *flags]) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {field} must be finite and positive, got ")
+
+
+@pytest.mark.filterwarnings("error")
+def test_propagate_refuses_non_finite_grid_bounds(capsys):
+    assert cli.main(["propagate", "--grid=-inf,inf,64"]) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: grid bounds must be finite, got -inf, inf\n"
+
+
+@pytest.mark.parametrize("argv", [["chsh", "--model", "clock", "--scan", "-5"],
+                                  ["chsh", "--model", "mermin", "--scan", "-2"]])
+def test_scan_refuses_a_negative_count(capsys, argv):
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --scan: must be >= 0, got " in captured.err
+
+
 @pytest.mark.parametrize("flags, field", [
     (["--spread-dx", "nan"], "sigma_dx"),
     (["--spread-dx", "-1"], "sigma_dx"),
