@@ -47,6 +47,7 @@ import operator
 import socket
 import time
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -129,6 +130,23 @@ def _outcome_fault(payload: dict) -> str | None:
 
 # json.dumps builds a new encoder per call when given separators; one is enough
 _ENCODER = json.JSONEncoder(separators=(",", ":"))
+# the decoder json.loads uses, with its own defaults; scan_once reads one value
+_SCAN_ONCE = json.JSONDecoder().scan_once
+
+
+def _json_value(line: str):
+    """``json.loads(line)``: its value, or its exception.
+
+    The scanner reads a line that is one JSON value from its first character
+    to its last; any other line (leading or trailing whitespace, a BOM,
+    extra data, no JSON at all) goes to ``json.loads``, which accepts or
+    refuses it with its own message.
+    """
+    try:
+        obj, end = _SCAN_ONCE(line, 0)
+    except (StopIteration, json.JSONDecodeError):
+        end = None
+    return obj if end == len(line) else json.loads(line)
 
 
 class WireError(ValueError):
@@ -144,26 +162,61 @@ class WireMessage:
     v: int = PROTOCOL_VERSION
 
     def to_line(self) -> str:
-        obj = {"type": self.type, "v": self.v, "trial": self.trial,
-               "wing": self.wing, "payload": self.payload}
-        return _ENCODER.encode(obj)
+        """The compact JSON of the five fields in wire order, ``_ENCODER``'s text.
+
+        A message of the protocol's own kinds (str type and wing, int v and
+        trial, a dict payload of str keys and str or int values) is written
+        from one template: strings quoted as ``_ENCODER`` quotes them
+        (``encode_basestring_ascii``), an int as ``int.__repr__`` writes it,
+        which is how an f-string formats an exact int.  Any other message
+        (a bool, float, None or nested value, a subclass, a non-str key) goes
+        to ``_ENCODER`` itself.
+        """
+        mtype, v, trial, wing, payload = self.type, self.v, self.trial, self.wing, self.payload
+        if (type(mtype) is str and type(wing) is str and type(v) is int
+                and type(trial) is int and type(payload) is dict):
+            items = []
+            for key, value in payload.items():
+                if type(key) is not str:
+                    break
+                if type(value) is str:
+                    items.append(f"{_quote(key)}:{_quote(value)}")
+                elif type(value) is int:
+                    items.append(f"{_quote(key)}:{value}")
+                else:
+                    break
+            else:
+                body = ",".join(items)
+                return (f'{{"type":{_quote(mtype)},"v":{v},"trial":{trial},'
+                        f'"wing":{_quote(wing)},"payload":{{{body}}}}}')
+        return _ENCODER.encode({"type": mtype, "v": v, "trial": trial,
+                                "wing": wing, "payload": payload})
 
     @staticmethod
     def from_line(line: str) -> "WireMessage":
         try:
-            obj = json.loads(line)
+            obj = _json_value(line)
         except json.JSONDecodeError as exc:
             raise WireError(f"not JSON: {line!r}") from exc
+        except RecursionError as exc:
+            raise WireError(f"nested too deeply to decode: {line[:80]!r}") from exc
+        except ValueError as exc:  # an integer of more digits than int() converts
+            raise WireError(f"number too long to decode: {line[:80]!r}") from exc
         if type(obj) is not dict or obj.keys() != _FIELD_SET:
             raise WireError(f"message fields must be exactly {_FIELDS}")
         payload, trial, v = obj["payload"], obj["trial"], obj["v"]
+        mtype, wing = obj["type"], obj["wing"]
         if type(payload) is not dict:
             raise WireError("payload must be an object")
         if type(trial) is not int:
             raise WireError(f"trial must be an integer, got {trial!r}")
         if type(v) is not int:
             raise WireError(f"v must be an integer, got {v!r}")
-        return WireMessage(obj["type"], trial, str(obj["wing"]), payload, v)
+        if type(mtype) is not str:
+            raise WireError(f"type must be a string, got {mtype!r}")
+        if type(wing) is not str:
+            raise WireError(f"wing must be a string, got {wing!r}")
+        return WireMessage(mtype, trial, wing, payload, v)
 
     @staticmethod
     def from_bytes(raw: bytes) -> "WireMessage":
@@ -446,7 +499,8 @@ def _run(model: LhvModel, n_trials: int, seed: int, connect) -> RunLog:
             log.append("<", reply)
             if reply.type == "error":
                 raise ConnectionError(f"wing {wing} error: {reply.payload.get('message')}")
-            if reply.type != mtype or reply.trial != trial or reply.v != PROTOCOL_VERSION:
+            if (reply.type != mtype or reply.trial != trial or reply.v != PROTOCOL_VERSION
+                    or reply.wing != wing):
                 raise ConnectionError(f"wing {wing} broke lockstep: {reply.to_line()}")
             if mtype == "outcome" and (fault := _outcome_fault(reply.payload)):
                 raise WireError(f"wing {wing} broke the outcome schema: {fault}")

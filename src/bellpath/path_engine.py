@@ -256,6 +256,14 @@ class PropagatorSpec:
             raise ValueError("grid needs at least 16 points")
         if not (x_min < self.u < x_max and x_min < self.v < x_max):
             raise ValueError("endpoints must lie strictly inside the grid")
+        if self.n_slices > 1:
+            # sliced_propagator's eta, refused here before its arithmetic overflows
+            with np.errstate(all="ignore"):
+                dx = np.float64(x_max - x_min) / (n_points - 1)
+                eta = _slice_eta(self, self.t / self.n_slices, dx)
+            if not math.isfinite(eta):
+                raise ValueError(f"grid spacing {dx:.3g} is too wide: the anti-alias damping "
+                                 f"eta at {self.n_slices} slices is not finite")
 
 
 @dataclass(frozen=True)
@@ -300,6 +308,11 @@ def discrete_action(path: PathSample, potential: Potential = FREE, mass: float =
     if not math.isfinite(action):
         warnings.warn(f"discrete_action is not finite: {action}", RuntimeWarning, stacklevel=2)
     return action
+
+
+def _slice_eta(spec: PropagatorSpec, dt: float, dx: np.float64) -> np.float64:
+    """The anti-alias damping of one slice of dt on a grid of spacing dx."""
+    return 2.0 * spec.damping * spec.mass * dx * dx / (np.pi**2 * spec.hbar * dt)
 
 
 def _slice_kernel(spec: PropagatorSpec, tau: complex, xp, xq):
@@ -365,7 +378,7 @@ def sliced_propagator(spec: PropagatorSpec) -> PropagatorResult:
     x_min, x_max, n_points = spec.grid
     x = np.linspace(x_min, x_max, n_points)
     dx = x[1] - x[0]
-    eta = 2.0 * spec.damping * spec.mass * dx * dx / (np.pi**2 * spec.hbar * dt)
+    eta = _slice_eta(spec, dt, dx)
     tau = dt * (1.0 - 1j * eta)
 
     weights = np.full(n_points, dx)

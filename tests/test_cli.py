@@ -611,6 +611,26 @@ def test_propagate_refuses_non_finite_grid_bounds(capsys):
     assert captured.err == "error: grid bounds must be finite, got -inf, inf\n"
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("grid, spacing", [("-1e300,1e300,64", "3.17e+298"),
+                                           ("-1e200,1e200,64", "3.17e+198")])
+@pytest.mark.parametrize("extra", [[], ["--slices", "2"], ["--convergence", "2,4"]])
+def test_propagate_refuses_a_grid_whose_damping_overflows(capsys, grid, spacing, extra):
+    assert cli.main(["propagate", f"--grid={grid}", *extra]) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: grid spacing {spacing} is too wide: ")
+    assert captured.err.endswith(" slices is not finite\n")
+
+
+@pytest.mark.filterwarnings("error")
+def test_propagate_runs_a_wide_grid_whose_damping_is_finite(capsys):
+    assert cli.main(["propagate", "--grid=-1e150,1e150,64"]) == cli.EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err.startswith("warning: eta = 1.31e+298 exceeds ")
+    assert captured.out.startswith("re,im,modulus,phase,support_warning\n")
+
+
 @pytest.mark.parametrize("argv", [["chsh", "--model", "clock", "--scan", "-5"],
                                   ["chsh", "--model", "mermin", "--scan", "-2"]])
 def test_scan_refuses_a_negative_count(capsys, argv):

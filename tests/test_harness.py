@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import json
 import math
@@ -7,6 +8,7 @@ import threading
 import types
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -80,6 +82,103 @@ def test_wire_lines_are_pinned(msg, line):
     assert harness.WireMessage.from_line(line) == msg
 
 
+def test_protocol_messages_are_written_from_the_template(monkeypatch):
+    monkeypatch.setattr(harness, "_ENCODER", None)  # a fallback would raise AttributeError
+    for msg, line in _GOLDEN_LINES:
+        assert msg.to_line() == line
+
+
+#: text the encoder escapes: quotes, backslashes, control characters,
+#: non-ASCII letters, an astral character and lone surrogates
+_TEXT = st.text(st.one_of(st.characters(), st.sampled_from('"\\/\x00\x1f\x7f\u2028λ\U0001f600'),
+                          st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF)))
+_INTS = st.one_of(st.integers(-2**70, 2**70), st.integers())
+_SCALARS = st.one_of(_TEXT, _INTS, st.booleans(), st.none(), st.floats())
+#: payload values: the protocol's str and int, and every JSON value the
+#: template leaves to the encoder (bool, float, None, lists and objects)
+_VALUES = st.recursive(_SCALARS, lambda inner: st.one_of(
+    st.lists(inner, max_size=3), st.dictionaries(_TEXT, inner, max_size=3)), max_leaves=8)
+
+
+class _Text(str):
+    pass
+
+
+_TYPES = st.one_of(st.sampled_from(["hello", "lambda", "outcome", "done", "error"]), _TEXT)
+_WINGS = st.one_of(st.sampled_from(harness.WINGS), _TEXT)
+_VERSIONS = st.one_of(st.just(harness.PROTOCOL_VERSION), _INTS)
+_PLAIN_PAYLOADS = st.dictionaries(_TEXT, st.one_of(_TEXT, _INTS), max_size=4)
+#: payloads the encoder writes, not the template: other values and keys
+#: (which the encoder converts), a dict subclass, a str subclass, no dict
+_OTHER_PAYLOADS = st.one_of(
+    st.dictionaries(_TEXT, _VALUES, min_size=1, max_size=4),
+    st.dictionaries(st.one_of(_INTS, st.booleans(), st.none(), st.floats()),
+                    st.one_of(_TEXT, _INTS), min_size=1, max_size=3),
+    st.dictionaries(_TEXT, _TEXT, max_size=3).map(collections.OrderedDict),
+    st.dictionaries(_TEXT, _TEXT.map(_Text), min_size=1, max_size=3),
+    _VALUES,
+)
+#: messages of the protocol's own kinds (the template writes these); the
+#: same with an other payload; and any field of any JSON kind
+_MESSAGES = st.one_of(
+    st.builds(harness.WireMessage, _TYPES, _INTS, _WINGS, _PLAIN_PAYLOADS, _VERSIONS),
+    st.builds(harness.WireMessage, _TYPES, _INTS, _WINGS, _OTHER_PAYLOADS, _VERSIONS),
+    st.builds(harness.WireMessage,
+              st.one_of(_TYPES, _TEXT.map(_Text), _SCALARS), st.one_of(_INTS, _SCALARS),
+              st.one_of(_WINGS, _SCALARS), st.one_of(_PLAIN_PAYLOADS, _OTHER_PAYLOADS),
+              st.one_of(_VERSIONS, _SCALARS)),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_MESSAGES)
+@example(harness.WireMessage("lambda", 10**4000, "A", {"n": -10**4000, "s": "\\\"\n\u00e9"}))
+@example(harness.WireMessage("outcome", True, "A", {"sign": 1, "setting": "i0"}))
+@example(harness.WireMessage("outcome", 1, "A", {"sign": True, "setting": "i0"}))
+@example(harness.WireMessage("hello", 0, "A", {1: "x", None: 2}))
+@example(harness.WireMessage("lambda", 0, "A", {"lambda": math.nan, "x": [1, {"y": None}]}))
+def test_to_line_is_the_encoders_text_for_any_message(msg):
+    obj = {"type": msg.type, "v": msg.v, "trial": msg.trial, "wing": msg.wing,
+           "payload": msg.payload}
+    assert msg.to_line() == harness._ENCODER.encode(obj)
+
+
+def _decoded(line):
+    """What from_line makes of ``line``: a message's repr (so NaN equals NaN), or the refusal."""
+    try:
+        return "accepted", repr(harness.WireMessage.from_line(line))
+    except harness.WireError as exc:
+        return "refused", str(exc)
+
+
+_WIRE_LINES = _MESSAGES.map(harness.WireMessage.to_line)
+#: wire lines, alone, between whitespace, a BOM or extra data, or cut short; any text
+_LINES = st.one_of(
+    _WIRE_LINES,
+    st.tuples(st.sampled_from(["", " ", "\t", "\n", "\r\n", "\ufeff", "\ufeff "]), _WIRE_LINES,
+              st.sampled_from(["", " ", "\t", "\n", "x", "{}", ",", " 1", "]", "\ufeff"])
+              ).map("".join),
+    st.tuples(_WIRE_LINES, st.integers(0, 120)).map(lambda pair: pair[0][:pair[1]]),
+    st.text(),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_LINES)
+@example("")
+@example("NaN")
+@example('{"type":"x","v":2,"trial":0,"wing":"A","payload":{"a":NaN,"b":-Infinity}}')
+@example(' {"type":"x","v":2,"trial":0,"wing":"A","payload":{}}\n')
+@example('\ufeff{"type":"x","v":2,"trial":0,"wing":"A","payload":{}}')
+@example('{"type":"x","v":2,"trial":0,"wing":"A","payload":{}}{}')
+@example('{"type":"x","v":2,"trial":0,"wing":"A","payload":{}} x')
+@example('{"type":"x","v":2,"trial":0,"wing":"A","payload":{"k":1,"k":2}}')
+def test_from_line_accepts_and_refuses_as_json_loads_does(line):
+    with mock.patch.object(harness, "_json_value", json.loads):
+        want = _decoded(line)
+    assert _decoded(line) == want
+
+
 _STAMP = re.compile(r"^\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\.\d{6}\+00:00$")
 
 
@@ -115,6 +214,10 @@ def _wire_text(trial="0", v="2", payload="{}"):
     return f'{{"type":"x","v":{v},"trial":{trial},"wing":"A","payload":{payload}}}'
 
 
+#: nested deeper than the decoder recurses
+_DEEP = "[" * 100_000 + "]" * 100_000
+
+
 # each refusal's text, pinned, and which fault is named when several hold
 @pytest.mark.parametrize("line, error", [
     ("not json", "not JSON: 'not json'"),
@@ -134,6 +237,17 @@ def _wire_text(trial="0", v="2", payload="{}"):
     (_wire_text(v="1.5"), "v must be an integer, got 1.5"),
     (_wire_text(v="null"), "v must be an integer, got None"),
     (_wire_text(trial='"1"', v="2.0"), "trial must be an integer, got '1'"),
+    ('{"type":["outcome"],"v":2,"trial":0,"wing":"A","payload":{}}',
+     "type must be a string, got ['outcome']"),
+    ('{"type":7,"v":2,"trial":0,"wing":null,"payload":{}}', "type must be a string, got 7"),
+    ('{"type":"x","v":2,"trial":0,"wing":null,"payload":{}}', "wing must be a string, got None"),
+    ('{"type":"x","v":2,"trial":0,"wing":["A"],"payload":{}}', "wing must be a string, got ['A']"),
+    ('{"type":null,"v":null,"trial":0,"wing":"A","payload":{}}', "v must be an integer, got None"),
+    pytest.param(_DEEP, f"nested too deeply to decode: {_DEEP[:80]!r}", id="deep-array"),
+    pytest.param(_wire_text(payload=_DEEP),
+                 f"nested too deeply to decode: {_wire_text(payload=_DEEP)[:80]!r}", id="deep-payload"),
+    pytest.param(_wire_text(trial="9" * 5000),
+                 f"number too long to decode: {_wire_text(trial='9' * 5000)[:80]!r}", id="long-trial"),
 ])
 def test_wire_message_refusal_texts_are_pinned(line, error):
     with pytest.raises(harness.WireError) as info:
@@ -326,6 +440,54 @@ def test_wing_answers_undecodable_bytes_with_an_error():
         sock.sendall(harness.WireMessage("done", 0, "A", {}).to_line().encode() + b"\n")
     assert first.type == "error" and "not UTF-8" in first.payload["message"]
     assert second == harness.WireMessage("hello", 0, "A", {"role": "wing"})
+
+
+@pytest.mark.parametrize("line", [
+    pytest.param(_DEEP, id="deep-array"),
+    pytest.param(_wire_text(payload=_DEEP), id="deep-payload"),
+    pytest.param(_wire_text(trial="9" * 5000), id="long-trial"),
+    pytest.param('{"type":["lambda"],"v":2,"trial":0,"wing":"A","payload":{}}', id="list-type"),
+    pytest.param('{"type":"lambda","v":2,"trial":0,"wing":null,"payload":{"lambda":"0.5"}}',
+                 id="null-wing"),
+])
+def test_wing_answers_an_unrepresentable_line_with_an_error_and_keeps_serving(line):
+    host, port = start_wing("A", ClockModel(), harness.FixedPolicy(I0))
+    hello = harness.WireMessage("hello", 0, "A", {
+        "role": "source", "model": "clock", "b_convention": "anti_aligned", "n_trials": 1,
+        "window": W})
+    lam = harness.WireMessage("lambda", 0, "A", {"lambda": "0.25"})
+    with socket.create_connection((host, port), timeout=10) as sock, sock.makefile("rb") as rfile:
+        sock.sendall(f"{hello.to_line()}\n{line}\n{lam.to_line()}\n".encode())
+        replies = [harness.WireMessage.from_bytes(rfile.readline().rstrip(b"\n")) for _ in range(3)]
+        sock.sendall(harness.WireMessage("done", 1, "A", {}).to_line().encode() + b"\n")
+    assert [r.type for r in replies] == ["hello", "error", "outcome"]
+    assert replies[1].payload["message"] == _refusal(line)
+    assert replies[2] == harness.WireMessage("outcome", 0, "A", {"sign": 1, "setting": "i0"})
+
+
+def _refusal(line):
+    with pytest.raises(harness.WireError) as info:
+        harness.WireMessage.from_line(line)
+    return str(info.value)
+
+
+def test_two_wings_of_one_name_flag_the_log_incomplete(tmp_path, capsys):
+    model = ClockModel()
+    addr_a = start_wing("A", model, harness.FixedPolicy(I0))
+    addr_b = start_wing("A", model, harness.FixedPolicy(I1))
+    log = harness.source_run(model, 10, 3, addr_a, addr_b)
+    assert log.incomplete
+    assert [(e.direction, e.message.type, e.message.wing) for e in log.entries] == \
+        [(">", "hello", "A"), (">", "hello", "B"), ("<", "hello", "A"), ("<", "hello", "A")]
+    cfg = tmp_path / "clock.cfg"
+    cfg.write_text("model=clock\nb_convention=anti_aligned\n")
+    addr_a = start_wing("A", model, harness.FixedPolicy(I0))
+    addr_b = start_wing("A", model, harness.FixedPolicy(I1))
+    code = cli.main(["source", "--model-config", str(cfg), "--n", "10", "--seed", "3",
+                     "--wing-a", "%s:%d" % addr_a, "--wing-b", "%s:%d" % addr_b,
+                     "--log", str(tmp_path / "run.log")])
+    assert code == cli.EXIT_INCOMPLETE
+    assert harness.RunLog.read(tmp_path / "run.log").incomplete
 
 
 def fake_wing(reply: bytes):

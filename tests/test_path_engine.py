@@ -241,6 +241,13 @@ def test_spec_validation():
     for grid in ((-math.inf, math.inf, 64), (math.nan, 20, 64), (-20, math.inf, 64)):
         with pytest.raises(ValueError, match=r"^grid bounds must be finite"):
             pe.PropagatorSpec(**{**good, "grid": grid})
+    # finite bounds whose anti-alias damping eta overflows, or a slice too short for it
+    for bad in ({"grid": (-1e300, 1e300, 64)}, {"grid": (-1e200, 1e200, 64), "n_slices": 2},
+                {"t": 5e-324}):
+        with pytest.raises(ValueError, match=r"^grid spacing .* is too wide: .* not finite$"):
+            pe.PropagatorSpec(**{**good, **bad})
+    # one slice uses no grid, so any finite grid around the endpoints is accepted
+    pe.PropagatorSpec(**{**good, "grid": (-1e300, 1e300, 64), "n_slices": 1})
 
 
 # -- resultant ----------------------------------------------------------------------
