@@ -311,13 +311,13 @@ class RunLog:
 # -- setting policies ---------------------------------------------------------
 
 class FixedPolicy:
-    """The wing always measures at one setting."""
+    """The wing always measures at one setting, its only choice."""
 
     def __init__(self, setting: Setting):
-        self.setting_value = setting
+        self.choices = (setting,)
 
     def setting(self, trial: int) -> Setting:
-        return self.setting_value
+        return self.choices[0]
 
 
 class RandomPolicy:
@@ -332,6 +332,20 @@ class RandomPolicy:
     def setting(self, trial: int) -> Setting:
         u = rng.uniform(self.seed + trial)
         return self.choices[min(int(u * len(self.choices)), len(self.choices) - 1)]
+
+
+def _check_choices(wing_id: str, model: LhvModel, policy) -> None:
+    """Refuse a policy choice the model cannot measure, before any trial.
+
+    A policy is any object with ``setting(trial)``; one that lists no
+    ``choices`` has nothing to check here.
+    """
+    for setting in getattr(policy, "choices", ()):
+        try:
+            model.check_setting(setting)
+        except ValueError as exc:
+            raise ValueError(f"wing {wing_id} cannot measure setting {setting.text}: {exc}") \
+                from None
 
 
 # -- wing ----------------------------------------------------------------------
@@ -381,10 +395,12 @@ def wing_serve(
     endpoint through ``announce`` before accepting.  Each read answers every
     complete line it brought, in order, and writes those replies at once.
     ``quit_after`` drops the connection abruptly after that many outcomes,
-    for crash testing.
+    for crash testing.  A policy choice the model cannot measure raises
+    ValueError before the wing binds.
     """
     if wing_id not in WINGS:
         raise ValueError(f"wing_id must be one of {WINGS}")
+    _check_choices(wing_id, model, policy)
     with socket.create_server((host, port)) as srv:
         bound = srv.getsockname()
         if announce is not None:
@@ -556,9 +572,12 @@ def simulate_run(model: LhvModel, policy_a, policy_b, n_trials: int, seed: int) 
     """In-process twin of source_run + two wings, no sockets.
 
     The same source loop drives the same wing protocol, so the log equals a
-    distributed run's message for message under the same configuration.
+    distributed run's message for message under the same configuration.  A
+    policy choice the model cannot measure raises ValueError before any trial.
     """
     policies = {"A": policy_a, "B": policy_b}
+    for wing, policy in policies.items():
+        _check_choices(wing, model, policy)
     return _run(model, n_trials, seed, lambda wing: _LocalLink(wing, model, policies[wing]))
 
 

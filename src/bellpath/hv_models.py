@@ -262,6 +262,10 @@ class LhvModel:
         """One trial of ``outcomes_b``, as a Python int."""
         return self.outcome_a(lam, setting) * self._b_flip
 
+    def check_setting(self, setting: Setting) -> None:
+        """Raise ValueError unless the outcome rules take ``setting``; every
+        setting by default."""
+
     # -- wire serialization ----------------------------------------------
     def lambda_text(self, lam) -> str:
         raise NotImplementedError
@@ -345,6 +349,9 @@ class MerminModel(LhvModel):
 
     def outcome_a(self, lam, setting: Setting) -> int:
         return _SIGN_ROWS[int(lam)][int(self._setting_indices(setting))]
+
+    def check_setting(self, setting: Setting) -> None:
+        self._setting_indices(setting)
 
     # wire -------------------------------------------------------------------
     def lambda_text(self, lam) -> str:

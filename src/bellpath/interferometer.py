@@ -111,9 +111,9 @@ def _phasor_parts(cfg: SideConfig, side: str, dx0: np.ndarray, seed: int, n: int
     The full resultant is plain + exp(i*delta) * shifted, which lets scans
     vary the phase shifter without re-drawing anything.
     """
-    jitter = _jitters(cfg, side, seed, n)
     lengths = np.repeat(np.asarray(cfg.arm_lengths), cfg.n_ensemble)
     with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        jitter = _jitters(cfg, side, seed, n)
         base = cfg.k_wave * (lengths[None, :] + cfg.geometry_sign * dx0[:, None] + jitter)
     if not np.isfinite(base).all():
         raise ValueError(f"path phases must be finite, but k_wave * (L + geometry_sign*dx0 "
@@ -140,7 +140,8 @@ def _run_batch(cfg_a: SideConfig, cfg_b: SideConfig, spread_dx: float, n: int, s
     """dx0 and both sides' (plain, shifted) parts of n trials, trial i drawn from seed + i."""
     lam_seeds = rng.trial_seeds(seed, n) ^ _LAMBDA_TAG
     # second of two normals, as when the first drew an emission time: rt output stays bit-identical
-    dx0 = spread_dx * rng.normals_for_seeds(lam_seeds, 2)[:, 1]
+    with np.errstate(over="ignore"):  # an overflowed dx0 is refused with the path phases
+        dx0 = spread_dx * rng.normals_for_seeds(lam_seeds, 2)[:, 1]
     return dx0, _phasor_parts(cfg_a, "A", dx0, seed, n), _phasor_parts(cfg_b, "B", dx0, seed, n)
 
 

@@ -48,6 +48,7 @@ changes no value.
 
 from __future__ import annotations
 
+import cmath
 import math
 import operator
 import warnings
@@ -123,12 +124,11 @@ class _PathBatch:
     leaves anything behind.
     """
 
-    __slots__ = ("positions", "t_total", "dt", "steps", "mids")
+    __slots__ = ("positions", "dt", "steps", "mids")
 
     def __init__(self, positions: np.ndarray, t_total: float, steps: np.ndarray,
                  mids: np.ndarray):
         self.positions = positions
-        self.t_total = t_total
         self.dt = t_total / (positions.shape[1] - 1)
         self.steps = memoryview(steps)
         self.mids = memoryview(mids)
@@ -162,8 +162,8 @@ class PathSample:
     of it shares memory with) never reach the path; such a path is a one-row
     batch of its own, whose two sums the constructor fills.  sample_paths
     hands out the rows of one matrix that it has checked and summed as a
-    whole, all sharing that batch.  Two paths are equal when their t_total
-    and positions are equal, whatever batch they come from.
+    whole, all sharing that batch.  Paths compare and hash by identity, and
+    a path does not pickle (its batch holds memoryviews).
     """
 
     __slots__ = ("_batch", "_row")
@@ -184,7 +184,7 @@ class PathSample:
 
     @classmethod
     def _rows(cls, batch: _PathBatch) -> list["PathSample"]:
-        """One path per row of a batch whose matrix and t_total are already checked."""
+        """One path per row of a batch whose matrix and duration are already checked."""
         new, paths = object.__new__, []
         for row in range(len(batch.positions)):
             path = new(cls)
@@ -196,26 +196,6 @@ class PathSample:
     @property
     def positions(self) -> np.ndarray:
         return self._batch.positions[self._row]
-
-    @property
-    def t_total(self) -> float:
-        return self._batch.t_total
-
-    def __repr__(self):
-        return f"PathSample(positions={self.positions!r}, t_total={self.t_total!r})"
-
-    def __eq__(self, other):
-        if not isinstance(other, PathSample):
-            return NotImplemented
-        return self.t_total == other.t_total and np.array_equal(self.positions, other.positions)
-
-    def __hash__(self):
-        # tolist(): -0.0 and 0.0 compare equal, so they must hash equal too
-        return hash((self.t_total, tuple(self.positions.tolist())))
-
-    def __reduce__(self):
-        # a pickled path carries its own positions, not the batch it came from
-        return PathSample, (self.positions, self.t_total)
 
 
 def _require_positive(name: str, value: float) -> None:
@@ -368,7 +348,25 @@ def sliced_propagator(spec: PropagatorSpec) -> PropagatorResult:
     and the largest fraction of any intermediate state's |psi| mass in the
     outer 1% of cells on either side; above SUPPORT_WARNING_LEVEL it carries
     a support warning, a sign that the grid truncates the kernel materially.
+
+    The arithmetic runs with numpy's floating-point warnings off.  Inputs
+    that PropagatorSpec accepts can still overflow it (a slice phase or
+    prefactor past the float range, an exponent that exp cannot take), and
+    their value is not finite: that raises ValueError naming the inputs.
     """
+    with np.errstate(all="ignore"):
+        result = _compose_slices(spec)
+    if not cmath.isfinite(result.value):
+        x_min, x_max, _ = spec.grid
+        kind = "free" if spec.potential.kind == "free" else \
+            f"harmonic (omega {spec.potential.omega:.3g})"
+        raise ValueError(f"the {kind} propagator at {spec.n_slices} slices is not finite for "
+                         f"mass {spec.mass:.3g}, hbar {spec.hbar:.3g}, t {spec.t:.3g} and "
+                         f"grid {x_min:.3g}, {x_max:.3g}")
+    return result
+
+
+def _compose_slices(spec: PropagatorSpec) -> PropagatorResult:
     dt = spec.t / spec.n_slices
     if spec.n_slices == 1:
         # no quadrature happens, so no anti-alias damping is applied

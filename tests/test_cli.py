@@ -9,6 +9,7 @@ import shlex
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import itertools
@@ -631,6 +632,26 @@ def test_propagate_runs_a_wide_grid_whose_damping_is_finite(capsys):
     assert captured.out.startswith("re,im,modulus,phase,support_warning\n")
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv, err", [
+    (["--hbar=1e308"], "error: the free propagator at 8 slices is not finite for mass 1, "
+                       "hbar 1e+308, t 1 and grid -20, 20\n"),
+    (["--kind", "harmonic", "--t=1e307"],
+     "error: the harmonic (omega 1) propagator at 8 slices is not finite for mass 1, hbar 1, "
+     "t 1e+307 and grid -20, 20\n"),
+    (["--grid=-1e155,1e155,64", "--convergence", "2,4"],
+     "error: the free propagator at 2 slices is not finite for mass 1, hbar 1, t 1 and "
+     "grid -1e+155, 1e+155\n"),
+    # one slice: the closed form's caustic is still refused first
+    (["--kind", "harmonic", "--t=1e-320", "--slices", "1"],
+     "error: caustic: sin(omega*t) = 0 at omega*t = 1e-320\n"),
+])
+def test_propagate_refuses_a_propagator_that_overflows(capsys, argv, err):
+    assert cli.main(["propagate", *argv]) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", err)
+
+
 @pytest.mark.parametrize("argv", [["chsh", "--model", "clock", "--scan", "-5"],
                                   ["chsh", "--model", "mermin", "--scan", "-2"]])
 def test_scan_refuses_a_negative_count(capsys, argv):
@@ -670,6 +691,42 @@ def test_rt_has_no_emission_time_spread(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "unrecognized arguments: --spread-dt 1" in captured.err
+
+
+# -- every typed float flag at its extremes -------------------------------------------
+
+
+_EXTREMES = ("nan", "inf", "-inf", "1e308", "1e307", "-1e308", "1e-320", "0", "-1", "1e9", "1e3",
+             "3.5")
+_PROPAGATE_FLOATS = ("omega", "mass", "hbar", "u", "v", "t", "damping")
+_RT_FLOATS = ("k", "k-b", "sigma-path", "sigma-path-b", "geom-sign", "geom-sign-b", "spread-dx")
+_SWEEP = [
+    *(["propagate", "--kind", kind, f"--{flag}={value}"]
+      for kind in ("free", "harmonic") for flag in _PROPAGATE_FLOATS for value in _EXTREMES),
+    *(["propagate", "--kind", kind, f"--grid=-{bound},{bound},64"]
+      for kind in ("free", "harmonic") for bound in ("1e155", "1e300")),
+    *(["rt", f"--{flag}={value}"] for flag in _RT_FLOATS for value in _EXTREMES),
+]
+
+
+@pytest.mark.parametrize("argv", _SWEEP, ids=" ".join)
+def test_an_extreme_flag_value_is_refused_or_prints_finite_numbers(capsys, argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code in (cli.EXIT_OK, cli.EXIT_CONFIG)
+    if code == cli.EXIT_CONFIG:
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert lines and all(line.startswith(("error: ", "config error: ")) for line in lines)
+        return
+    for cell in re.split(r"[,\s=]+", captured.out):
+        try:
+            number = float(cell)
+        except ValueError:
+            continue
+        assert math.isfinite(number), cell
 
 
 # -- bell is the Bell check of chsh's terms ----------------------------------------
@@ -799,6 +856,20 @@ def test_wing_refuses_the_other_policy_flags_before_it_binds(policy, flag, clock
     assert captured.out == ""
     assert captured.err == f"config error: {flag[0]} cannot be combined with {' '.join(policy)}, " \
                            f"which does not read it\n"
+
+
+@pytest.mark.parametrize("policy", [["--setting", "a2.5"],
+                                    ["--policy", "random", "--choices", "i0,a2.5"]])
+def test_wing_refuses_a_setting_its_model_cannot_measure_before_it_listens(tmp_path, policy):
+    cfg = tmp_path / "mermin.cfg"
+    cfg.write_text("model=mermin\np[RRG]=1\n")
+    done = subprocess.run(
+        [sys.executable, "-m", "bellpath.cli", "wing", "--wing", "A", "--model-config", str(cfg),
+         *policy], capture_output=True, text=True, timeout=30)
+    assert done.returncode == cli.EXIT_CONFIG
+    assert done.stdout == ""
+    assert done.stderr == "error: wing A cannot measure setting a2.5: " \
+                          "the instruction-set model takes discrete settings only\n"
 
 
 def test_flags_at_their_defaults_pass_beside_a_mode(capsys):

@@ -336,6 +336,26 @@ def test_point_mass_run_is_fully_determined():
     assert cells[0].estimate.mean == exact.mean
 
 
+_UNMEASURABLE = [harness.FixedPolicy(Setting.angle(2.5)),
+                 harness.RandomPolicy((I0, Setting.angle(2.5)), 3)]
+
+
+@pytest.mark.parametrize("policy", _UNMEASURABLE)
+def test_simulate_run_refuses_a_setting_its_model_cannot_measure_before_any_trial(
+        policy, monkeypatch):
+    model = MerminModel.uniform()
+    monkeypatch.setattr(model, "sample_lambdas", lambda *args: pytest.fail("a trial ran"))
+    with pytest.raises(ValueError, match=r"^wing B cannot measure setting a2\.5: "):
+        harness.simulate_run(model, harness.FixedPolicy(I0), policy, 10, seed=1)
+
+
+@pytest.mark.parametrize("policy", _UNMEASURABLE)
+def test_wing_serve_refuses_a_setting_its_model_cannot_measure_before_it_binds(policy):
+    with pytest.raises(ValueError, match=r"^wing A cannot measure setting a2\.5: "):
+        harness.wing_serve("A", MerminModel.uniform(), policy,
+                           announce=lambda line: pytest.fail(f"bound: {line}"))
+
+
 # -- distributed over loopback -------------------------------------------------------
 
 
