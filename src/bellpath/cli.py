@@ -37,7 +37,6 @@ from .hv_models import (
     LhvModel,
     MerminModel,
     Setting,
-    wrap_angle,
 )
 from .util import render
 
@@ -264,7 +263,7 @@ def _chsh_scan(model: LhvModel, n_random: int, seed: int) -> bell_stats.ChshResu
         table = np.asarray(SETTING_ANGLES)[index]
         if n_random:
             u = rng.uniforms_for_seeds(rng.trial_seeds(seed, n_random), 4)
-            table = np.vstack([table, wrap_angle(u * TWO_PI)])
+            table = np.vstack([table, u * TWO_PI])
         corr = model.exact_correlation
     else:
         e = np.array([[bell_stats.exact_E(model, Setting.index(i), Setting.index(j)).mean
@@ -326,9 +325,11 @@ def cmd_propagate(args) -> int:
                   f"of order eta, refine the grid", file=sys.stderr)
         return res
 
-    analytic = path_engine.analytic_propagator(potential, args.mass, args.hbar,
-                                               args.u, args.v, args.t)
     if args.convergence:
+        # the rows' reference, refused (a caustic, or a value that cannot be represented)
+        # before any slice runs
+        analytic = path_engine.analytic_propagator(potential, args.mass, args.hbar,
+                                                   args.u, args.v, args.t)
         doc = []
         for ns in (int(x) for x in args.convergence.split(",")):
             res = run(ns)
@@ -338,6 +339,8 @@ def cmd_propagate(args) -> int:
         _report(args, doc, "n_slices,n_points,rel_err_modulus,phase_err")
         return EXIT_OK
 
+    if potential.kind == "harmonic":
+        path_engine._caustic_sin(potential, args.t)  # a caustic is refused in every mode
     res = run(args.slices)
     doc = {"re": res.value.real, "im": res.value.imag,
            "modulus": res.modulus, "phase": res.phase,

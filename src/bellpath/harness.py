@@ -25,12 +25,12 @@ at once.
 with the wings called in process instead of over sockets.
 
 The source's log records every message with an ISO-8601 timestamp and a
-direction marker (``>`` sent, ``<`` received).  A line sent over a socket
-is logged as sent; any other message (a received one, or one of
-``simulate_run``) as its canonical encoding ``WireMessage.to_line``, the
-text the sender's encoder gives too.  Messages and log entries are slotted
-records, not frozen ones: a run builds several per trial in every process
-that handles them, and nothing changes one once the run has logged it.
+direction marker (``>`` sent, ``<`` received).  Every message is logged as
+its canonical encoding ``WireMessage.to_line``, which is the text the
+source and the wings write to the wire, so a sent line is logged as sent.
+Messages and log entries are slotted records, not frozen ones: a run builds
+several per trial in every process that handles them, and nothing changes
+one once the run has logged it.
 Merged statistics are computed from the log after the run, the way a real
 experiment would, and reproduce the in-process estimators bit for bit under
 the same seed schedule.  ``audit_log`` also reads logs of protocol v1, which
@@ -247,11 +247,6 @@ class LogEntry:
     timestamp: str
     direction: str  # ">" sent by source, "<" received by source
     message: WireMessage
-    #: The wire line the source sent, kept so ``RunLog.write`` need not encode
-    #: the message again; None for received and in-process messages.  To edit
-    #: an entry, build a new one: the line is not an argument, so a new entry,
-    #: ``dataclasses.replace``'s too, has none and is written from its message.
-    line: str | None = field(default=None, init=False, compare=False, repr=False)
 
 
 @functools.lru_cache(maxsize=1)
@@ -265,22 +260,19 @@ class RunLog:
     entries: list[LogEntry] = field(default_factory=list)
     incomplete: bool = False
 
-    def append(self, direction: str, message: WireMessage, line: str | None = None):
+    def append(self, direction: str, message: WireMessage):
         # The text of datetime.now(timezone.utc).isoformat(timespec="microseconds"),
         # microseconds truncated, with the date and time of day formatted once
         # per second rather than once per message.
         second, ns = divmod(time.time_ns(), 1_000_000_000)
         stamp = f"{_utc_second(second)}.{ns // 1000:06d}+00:00"
-        entry = LogEntry(stamp, direction, message)
-        entry.line = line
-        self.entries.append(entry)
+        self.entries.append(LogEntry(stamp, direction, message))
 
     def write(self, path):
-        """Write the log; a sent line as sent, any other as ``to_line`` encodes it."""
+        """Write the log, each message as ``to_line`` encodes it."""
         lines = [f"# {k}={v}" for k, v in self.meta.items()]
         lines.append(f"# incomplete={str(self.incomplete).lower()}")
-        lines.extend(f"{e.timestamp} {e.direction} {e.line or e.message.to_line()}"
-                     for e in self.entries)
+        lines.extend(f"{e.timestamp} {e.direction} {e.message.to_line()}" for e in self.entries)
         Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     @staticmethod
@@ -444,11 +436,8 @@ class _WingLink:
         self.queued: list[str] = []
         self.lines = itertools.chain.from_iterable(_wire_lines(self.sock))
 
-    def send(self, msg: WireMessage) -> str:
-        """Queue the message; return its wire line."""
-        line = msg.to_line()
-        self.queued.append(line)
-        return line
+    def send(self, msg: WireMessage) -> None:
+        self.queued.append(msg.to_line())
 
     def flush(self):
         if self.queued:
@@ -503,7 +492,8 @@ def _run(model: LhvModel, n_trials: int, seed: int, connect) -> RunLog:
         for wing, link in links.items():
             # one payload per message, so editing a log entry cannot alter its twin
             msg = WireMessage(mtype, trial, wing, dict(payload))
-            log.append(">", msg, link.send(msg))
+            link.send(msg)
+            log.append(">", msg)
 
     def flush_all():
         for link in links.values():

@@ -66,20 +66,10 @@ DEFAULT_QUADRATURE_N = 10_000
 BOUNDARY_SNAP = 1e-12
 
 
-def wrap_angle(theta):
-    """Normalize an angle (or array) into [0, 2pi).
-
-    A float takes Python's ``%``, the IEEE operation of ``np.mod`` (see
-    ``_scalar_sign``); anything else goes through numpy.
-    """
-    if isinstance(theta, float):
-        w = theta % TWO_PI
-    else:
-        import numpy as np
-
-        w = np.mod(theta, TWO_PI)
-        if isinstance(w, np.ndarray):
-            return np.where(w >= TWO_PI, w - TWO_PI, w)
+def wrap_angle(theta: float) -> float:
+    """Normalize an angle into [0, 2pi) with Python's ``%``, the IEEE
+    operation of ``np.mod`` (see ``_scalar_sign``)."""
+    w = theta % TWO_PI
     # mod can return 2pi itself when theta is a tiny negative number
     return w - TWO_PI if w >= TWO_PI else w
 
@@ -151,7 +141,7 @@ class Setting:
             v = float(self.value)
             if not math.isfinite(v):
                 raise ValueError("setting angle must be finite")
-            object.__setattr__(self, "value", float(wrap_angle(v)))
+            object.__setattr__(self, "value", wrap_angle(v))
         else:
             raise ValueError(f"unknown setting kind {self.kind!r}")
 

@@ -161,7 +161,7 @@ def _wrapped_grid(phase_grid) -> list[float]:
     grid = [float(d) for d in phase_grid]
     if not all(math.isfinite(d) for d in grid):
         raise ValueError(f"phase_grid must be finite, got {grid!r}")
-    return [float(wrap_angle(d)) for d in grid]
+    return [wrap_angle(d) for d in grid]
 
 
 def correlation_scan(

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .bell_stats import chsh_pairs, chsh_s
+
 SQRT2 = float(np.sqrt(2.0))
 TSIRELSON_BOUND = 2.0 * SQRT2
 
@@ -50,10 +52,5 @@ def chsh_quantum(a: float, a_prime: float, b: float, b_prime: float) -> float:
     two-setting Bell argument bounds by 2 for any local model.  At
     (0, pi/2, pi/4, 3pi/4) it equals -2*sqrt(2).
     """
-    return float(
-        singlet_E(a, b)
-        + singlet_E(a_prime, b)
-        + singlet_E(a_prime, b_prime)
-        - singlet_E(a, b_prime)
-    )
+    return chsh_s([singlet_E(x, y) for x, y in chsh_pairs(a, a_prime, b, b_prime)])
 

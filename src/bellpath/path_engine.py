@@ -270,9 +270,13 @@ def discrete_action(path: PathSample, potential: Potential = FREE, mass: float =
     V is c*x^2 for every Potential (c = V(1), as _slice_operator uses it), so
     the action is m/(2*dt) * steps - c*dt * mids, read off the two sums that
     the path's batch holds (see _PathBatch): O(1) per call for any key, and
-    bit-identical to the same rule applied to the path alone.  It differs
-    from the per-step sum of the terms by a few ulps of the sum of their
-    magnitudes.  mass must be finite and positive (ValueError otherwise).  An
+    bit-identical to the same rule applied to the path alone.  It and the
+    per-step sum of the terms each round every part of a term at most N + 6
+    times, so they differ by at most 2*gamma_{N+6} * T (T the sum of the
+    terms' magnitudes, gamma_k = k*u/(1 - k*u), u = 2**-53; Higham, Accuracy
+    and Stability of Numerical Algorithms, section 4.2), plus
+    N * 2**-1074 * (m/dt + m*dt + c*dt + dt + 2) where a product is
+    subnormal.  mass must be finite and positive (ValueError otherwise).  An
     action that overflows is returned as the rule gives it (inf or nan) with
     a RuntimeWarning for that path alone.
     """
@@ -352,18 +356,35 @@ def sliced_propagator(spec: PropagatorSpec) -> PropagatorResult:
     The arithmetic runs with numpy's floating-point warnings off.  Inputs
     that PropagatorSpec accepts can still overflow it (a slice phase or
     prefactor past the float range, an exponent that exp cannot take), and
-    their value is not finite: that raises ValueError naming the inputs.
+    their value is not finite (so is a one-slice prefactor whose hbar*t
+    underflows to 0); a one-slice prefactor can also round to 0, which the
+    kernel's modulus sqrt(m/(2*pi*hbar*|tau|)) never is.  Either raises
+    ValueError naming the inputs.
     """
     with np.errstate(all="ignore"):
-        result = _compose_slices(spec)
-    if not cmath.isfinite(result.value):
+        try:
+            result = _compose_slices(spec)
+        except ZeroDivisionError:  # a one-slice hbar*t that underflowed to 0
+            result = PropagatorResult(complex(math.inf), False)
+    fault = _unrepresented(result.value, spec.n_slices == 1)
+    if fault:
         x_min, x_max, _ = spec.grid
-        kind = "free" if spec.potential.kind == "free" else \
-            f"harmonic (omega {spec.potential.omega:.3g})"
-        raise ValueError(f"the {kind} propagator at {spec.n_slices} slices is not finite for "
-                         f"mass {spec.mass:.3g}, hbar {spec.hbar:.3g}, t {spec.t:.3g} and "
-                         f"grid {x_min:.3g}, {x_max:.3g}")
+        raise ValueError(f"the {_kind_text(spec.potential)} propagator at {spec.n_slices} "
+                         f"slices {fault} for mass {spec.mass:.3g}, hbar {spec.hbar:.3g}, "
+                         f"t {spec.t:.3g} and grid {x_min:.3g}, {x_max:.3g}")
     return result
+
+
+def _kind_text(potential: Potential) -> str:
+    return "free" if potential.kind == "free" else f"harmonic (omega {potential.omega:.3g})"
+
+
+def _unrepresented(value: complex, kernel: bool) -> str | None:
+    """Why ``value`` cannot stand for a propagator, or None: it is not finite,
+    or it is a kernel (whose modulus is never 0) that rounded to 0."""
+    if not cmath.isfinite(value):
+        return "is not finite"
+    return "rounds to 0" if kernel and value == 0 else None
 
 
 def _compose_slices(spec: PropagatorSpec) -> PropagatorResult:
@@ -415,16 +436,41 @@ def analytic_propagator(
               * exp(i*m*w*((u^2+v^2)*cos(wt) - 2*u*v)/(2*hbar*sin(wt))),
     valid between caustics; sin(wt) = 0 raises.  sqrt(1/i) is taken on the
     principal branch, the exp(-i*pi/4) factor.
+
+    The arithmetic runs with numpy's floating-point warnings off.  A value
+    that is not finite, or that rounds to 0 (the modulus never is 0), raises
+    ValueError naming the inputs; a caustic is refused before either.
     """
     if t <= 0:
         raise ValueError("t must be positive")
-    if potential.kind == "free":
-        pref = np.sqrt(mass / (2j * np.pi * hbar * t))
-        return complex(pref * np.exp(1j * mass * (v - u) ** 2 / (2.0 * hbar * t)))
+    with np.errstate(all="ignore"):
+        try:
+            value = _closed_form(potential, mass, hbar, u, v, t)
+        except (OverflowError, ZeroDivisionError):  # a float ** past the float range,
+            value = complex(math.inf)  # or an hbar*t that underflowed to 0
+    fault = _unrepresented(value, True)
+    if fault:
+        raise ValueError(f"the {_kind_text(potential)} closed-form propagator {fault} for "
+                         f"mass {mass:.3g}, hbar {hbar:.3g}, u {u:.3g}, v {v:.3g} and t {t:.3g}")
+    return value
+
+
+def _caustic_sin(potential: Potential, t: float) -> float:
+    """sin(omega*t) of a harmonic potential; at a caustic, sin(omega*t) = 0,
+    the closed form is undefined and ValueError is raised."""
     w = potential.omega
     s = math.sin(w * t)
     if abs(s) < 1e-12:
         raise ValueError(f"caustic: sin(omega*t) = 0 at omega*t = {w * t}")
+    return s
+
+
+def _closed_form(potential: Potential, mass: float, hbar: float, u: float, v: float,
+                 t: float) -> complex:
+    if potential.kind == "free":
+        pref = np.sqrt(mass / (2j * np.pi * hbar * t))
+        return complex(pref * np.exp(1j * mass * (v - u) ** 2 / (2.0 * hbar * t)))
+    w, s = potential.omega, _caustic_sin(potential, t)
     pref = np.sqrt(mass * w / (2j * np.pi * hbar * s))
     phase = mass * w * ((u * u + v * v) * math.cos(w * t) - 2.0 * u * v) / (2.0 * hbar * s)
     return complex(pref * np.exp(1j * phase))

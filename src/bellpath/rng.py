@@ -75,16 +75,21 @@ def mix64(seed) -> np.ndarray:
         return _finalize(_as_u64(seed) + np.uint64(_GOLDEN_I))
 
 
+def _raw_streams(seeds, n: int) -> np.ndarray:
+    """Raw 64-bit outputs, row k holding the first n of the stream of the
+    k-th seed: ``mix64`` of the seed plus golden-ratio steps, finalized."""
+    import numpy as np
+
+    with np.errstate(over="ignore"):
+        steps = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GOLDEN_I)
+        return _finalize(mix64(seeds).reshape(-1, 1) + steps)
+
+
 def u64_stream(seed: int, n: int) -> np.ndarray:
     """First ``n`` raw 64-bit outputs of the stream for one seed."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    import numpy as np
-
-    with np.errstate(over="ignore"):
-        state0 = mix64(np.uint64(operator.index(seed) % (1 << 64)))
-        steps = (np.arange(1, n + 1, dtype=np.uint64)) * np.uint64(_GOLDEN_I)
-        return _finalize(state0 + steps)
+    return _raw_streams(operator.index(seed) % (1 << 64), n)[0]
 
 
 def _to_unit(u: np.ndarray) -> np.ndarray:
@@ -115,13 +120,7 @@ def uniform(seed: int) -> float:
 
 def uniforms_for_seeds(seeds, n: int) -> np.ndarray:
     """Matrix of uniforms, row k holding the first n draws of seeds[k]."""
-    import numpy as np
-
-    with np.errstate(over="ignore"):
-        s0 = mix64(_as_u64(seeds)).reshape(-1, 1)
-        steps = (np.arange(1, n + 1, dtype=np.uint64)) * np.uint64(_GOLDEN_I)
-        u = _finalize(s0 + steps.reshape(1, -1))
-    return _to_unit(u)
+    return _to_unit(_raw_streams(seeds, n))
 
 
 def normals_for_seeds(seeds, n: int) -> np.ndarray:

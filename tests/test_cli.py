@@ -652,6 +652,43 @@ def test_propagate_refuses_a_propagator_that_overflows(capsys, argv, err):
     assert (captured.out, captured.err) == ("", err)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv, err", [
+    # 2*pi*i*hbar*t overflows, so the closed form rounds to 0; the rows divided by it
+    (["--hbar=1e307", "--t=10", "--convergence", "1,2"],
+     "error: the free closed-form propagator rounds to 0 for mass 1, hbar 1e+307, u 0, v 1 "
+     "and t 10\n"),
+    # the one-slice kernel is the closed form, whose modulus is 3.99e-155
+    (["--hbar=1e307", "--t=10", "--slices", "1"],
+     "error: the free propagator at 1 slices rounds to 0 for mass 1, hbar 1e+307, t 10 and "
+     "grid -20, 20\n"),
+    # m/(2*pi*i*hbar*t) underflows to 0; the modulus is about 4.0e-301
+    (["--mass=1e-300", "--hbar=1e300", "--slices", "1"],
+     "error: the free propagator at 1 slices rounds to 0 for mass 1e-300, hbar 1e+300, t 1 "
+     "and grid -20, 20\n"),
+    # the closed form's phase overflows: numpy warned before the slices' refusal
+    (["--kind", "harmonic", "--v=1.5e154", "--grid=-2e154,2e154,64"],
+     "error: the harmonic (omega 1) propagator at 8 slices is not finite for mass 1, hbar 1, "
+     "t 1 and grid -2e+154, 2e+154\n"),
+    # (v - u)**2 past the float range raised OverflowError
+    (["--v=1.5e154", "--grid=-2e154,2e154,64", "--convergence", "1,2"],
+     "error: the free closed-form propagator is not finite for mass 1, hbar 1, u 0, "
+     "v 1.5e+154 and t 1\n"),
+    # hbar*t underflows to 0 and the one-slice prefactor divided by it
+    (["--hbar=1e-320", "--t=1e-10", "--slices", "1"],
+     "error: the free propagator at 1 slices is not finite for mass 1, hbar 1e-320, t 1e-10 "
+     "and grid -20, 20\n"),
+    # a convergence row of one slice that rounds to 0 is refused, not printed as error 1
+    (["--kind", "harmonic", "--t=1e308", "--convergence", "1,2"],
+     "error: the harmonic (omega 1) propagator at 1 slices rounds to 0 for mass 1, hbar 1, "
+     "t 1e+308 and grid -20, 20\n"),
+])
+def test_propagate_refuses_a_value_that_cannot_be_represented(capsys, argv, err):
+    assert cli.main(["propagate", *argv]) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", err)
+
+
 @pytest.mark.parametrize("argv", [["chsh", "--model", "clock", "--scan", "-5"],
                                   ["chsh", "--model", "mermin", "--scan", "-2"]])
 def test_scan_refuses_a_negative_count(capsys, argv):

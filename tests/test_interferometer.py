@@ -10,7 +10,7 @@ from bellpath import bell_stats as bs
 from bellpath import cli
 from bellpath import interferometer as itf
 from bellpath import oracle
-from bellpath.hv_models import ALIGNED, ClockModel, Setting, TWO_PI, wrap_angle
+from bellpath.hv_models import ALIGNED, ClockModel, Setting, TWO_PI
 from bellpath.path_engine import DEGENERATE_R, resultant
 from bellpath.util import fmt17
 
@@ -354,7 +354,9 @@ def test_degenerate_trials_equal_clock_outcomes():
     cfg_a = cfg_b = single_path_side()
     clock = ClockModel(b_convention=ALIGNED)
     batch = trials(cfg_a, cfg_b, 7.0, 2000, seed=21, delta_b=Setting.index(1).radians)
-    theta0 = wrap_angle(cfg_a.k_wave * (cfg_a.arm_lengths[0] + cfg_a.geometry_sign * batch["dx0"]))
+    theta0 = np.mod(cfg_a.k_wave * (cfg_a.arm_lengths[0] + cfg_a.geometry_sign * batch["dx0"]),
+                    TWO_PI)
+    theta0[theta0 >= TWO_PI] = 0.0
     expect_a = clock.outcomes_a(theta0, Setting.angle(0.0))
     expect_b = clock.outcomes_b(theta0, Setting.index(1))
     assert np.array_equal(batch["outcome_a"], expect_a)
