@@ -45,11 +45,13 @@ CHSH_TERM_LABELS = ("E(a,b)", "E(a',b)", "E(a',b')", "E(a,b')")
 
 #: Trials the Monte Carlo estimators evaluate at once.  Trial i draws from
 #: seed + i alone, so the block size changes no value; it bounds memory at
-#: O(BLOCK).  With 1 << 14, glibc trimmed the heap top and faulted a block's
-#: 128 KiB temporaries in again on every block in some heap layouts, which
-#: made a `statistics` benchmark pass a third slower; 1 << 13 showed it in
-#: none of the layouts measured.
-BLOCK = 1 << 13
+#: O(BLOCK).  A call allocates its block buffers once and faults only their
+#: first touch (about 130 pages for chsh(clock, n=250000)), so the size is
+#: chosen on speed.  In-process `statistics` passes on a 2-vCPU host (three
+#: medians of 40 passes each) took 42.6-49.1 ms at 1 << 13, 40.2-44.9 ms at
+#: 1 << 14, 40.0-43.5 ms at 1 << 15 and 39.6-54.2 ms at 1 << 16; 1 << 15
+#: ties with 1 << 14 and holds buffers twice the size.
+BLOCK = 1 << 14
 
 #: The slack of every CHSH and Bell verdict: exact terms and Monte Carlo terms
 #: on shared trials meet the bound up to floating-point rounding.
@@ -149,19 +151,35 @@ def _tally(model: LhvModel, n: int, seed: int, sides) -> list[list[int]]:
     side-B settings b_j, Settings or per-trial arrays, and each is evaluated
     once per block.  Trial i draws from seed + i alone, so each tally equals
     the whole-array one.
+
+    Every block writes into the buffers of the first, which is the widest:
+    its seeds and stream scratch, hidden variables, outcome columns and
+    disagreement mask.  For +/-1 outcomes A*B = 1 - 2*[A != B], so a block
+    of k trials adds k - 2*(its disagreements) to each tally.
     """
     seed = operator.index(seed)  # seed + start must not overflow a numpy integer
     if n < 1:
         raise ValueError("n must be >= 1")
-    blocks = []
+    width = min(BLOCK, n)
+    streams = np.empty((2, width), dtype=np.uint64)
+    differ = np.empty(width, dtype=np.bool_)
+    lams = None
     for start in range(0, n, BLOCK):
         k = min(BLOCK, n - start)
-        lams = model.sample_lambdas(seed + start, k)
+        drawn = model.sample_lambdas(seed + start, k, out=None if lams is None else lams[:k],
+                                     scratch=streams[:, :k])
         settings_a, settings_b = sides(seed + start, k)
-        outs_b = [model.outcomes_b(lams, b) for b in settings_b]
-        blocks.append([[int((out_a * out_b).sum(dtype=np.int64)) for out_b in outs_b]
-                       for out_a in (model.outcomes_a(lams, a) for a in settings_a)])
-    return [[sum(cell) for cell in zip(*row)] for row in zip(*blocks)]
+        if lams is None:
+            lams, work = drawn, np.empty((2, width), dtype=drawn.dtype)
+            signs = np.empty((len(settings_b) + 1, width), dtype=np.int8)
+            totals = [[0] * len(settings_b) for _ in settings_a]
+        outs_b = [model.outcomes_b(drawn, b, out=signs[j, :k], scratch=work[:, :k])
+                  for j, b in enumerate(settings_b)]
+        for row, a in zip(totals, settings_a):
+            out_a = model.outcomes_a(drawn, a, out=signs[-1, :k], scratch=work[:, :k])
+            for j, out_b in enumerate(outs_b):
+                row[j] += k - 2 * int(np.count_nonzero(np.not_equal(out_a, out_b, out=differ[:k])))
+    return totals
 
 
 def _estimate_from_tally(total: int, n: int) -> CorrelationEstimate:
@@ -260,16 +278,26 @@ def overall_agreement(model: LhvModel, n: int, seed: int) -> CorrelationEstimate
     reproducible and shard-stable.
     """
     angles = np.asarray([Setting.index(k).radians for k in range(3)])
+    circle = model.lambda_kind == "circle"
+    width = max(1, min(BLOCK, n))  # _tally refuses n < 1
+    seeds = np.empty(width, dtype=np.uint64)
+    streams = np.empty((2, width), dtype=np.uint64)  # tagged seeds, stream scratch
+    u = np.empty((width, 1))
+    picks = np.empty((2, width), dtype=np.int64)
+    thetas = np.empty((2, width)) if circle else None
 
     def settings(block_seed: int, k: int):
-        seeds = rng.trial_seeds(block_seed, k)
-        ua = rng.uniforms_for_seeds(seeds ^ np.uint64(0xA11CE), 1)[:, 0]
-        ub = rng.uniforms_for_seeds(seeds ^ np.uint64(0xB0B0B0), 1)[:, 0]
-        sa = np.minimum((ua * 3).astype(np.int64), 2)
-        sb = np.minimum((ub * 3).astype(np.int64), 2)
-        if model.lambda_kind == "circle":
-            return (angles[sa],), (angles[sb],)
-        return (sa,), (sb,)
+        base = rng.trial_seeds(block_seed, k, out=seeds[:k])
+        sides = []
+        for side, tag in enumerate((0xA11CE, 0xB0B0B0)):
+            tagged = np.bitwise_xor(base, np.uint64(tag), out=streams[0, :k])
+            col = rng.uniforms_for_seeds(tagged, 1, out=u[:k], scratch=streams[1, :k, None])[:, 0]
+            col *= 3
+            pick = picks[side, :k]
+            np.copyto(pick, col, casting="unsafe")  # truncates, as astype does
+            np.minimum(pick, 2, out=pick)
+            sides.append((np.take(angles, pick, out=thetas[side, :k], mode="clip") if circle
+                          else pick,))
+        return sides
 
     return _estimate_from_tally(_tally(model, n, seed, settings)[0][0], n)
-

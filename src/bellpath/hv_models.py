@@ -89,11 +89,14 @@ def _scalar_sign(theta: float) -> int:
     return 1 if w < math.pi else -1
 
 
-def threshold_sign(theta):
+def threshold_sign(theta, *, out=None, scratch=None):
     """Detector rule: +1 for clock angles in [0, pi), -1 for [pi, 2pi).
 
     Angles exactly 0 or pi map to +1 and -1 respectively (half-open
-    intervals, fixed for determinism).  Works elementwise on arrays.
+    intervals, fixed for determinism).  Works elementwise on arrays.  The
+    signs are written into ``out`` (int8, theta's shape) and the reduced
+    angle into ``scratch`` (float64, theta's shape, not theta itself); each
+    is allocated when None.
 
     An input whose values all lie in [0, 4pi) -- every Monte Carlo call,
     a phase in [0, 2pi) plus a setting angle in [0, 2pi) -- is reduced
@@ -102,23 +105,35 @@ def threshold_sign(theta):
     for bit (up to the sign of a zero, which signs +1 either way).  Any
     other input -- negative, 4pi or more, NaN or infinite, or empty --
     is reduced by ``np.mod``.
+
+    The snapped rule (near 2pi counts as 0, so +1; near pi as pi, so -1)
+    is then plus = (w - pi <= -SNAP) | (w - 2pi > -SNAP).  Sterbenz's
+    lemma makes w - pi exact for w >= pi/2, and so (w - pi) - pi, the
+    form computed, equals w - 2pi for w >= pi, where w - 2pi is exact too.
+    Below those values both differences lie far outside the snap band, so
+    rounding cannot move a sign; a NaN fails both tests and signs -1.
     """
     import numpy as np
 
     x = np.asarray(theta, dtype=np.float64)
+    w = np.empty(x.shape) if scratch is None else scratch
+    signs = np.empty(x.shape, dtype=np.int8) if out is None else out
+    plus = signs.view(np.bool_)
     if x.size and 0.0 <= x.min() and x.max() < 2.0 * TWO_PI:
-        w = x - TWO_PI * (x >= TWO_PI)
+        np.greater_equal(x, TWO_PI, out=plus)
+        np.copyto(w, plus)
+        w *= TWO_PI
+        np.subtract(x, w, out=w)
     else:
-        w = np.mod(x, TWO_PI)
-    # snap onto the boundary first: near 2pi counts as 0 (+1), near pi as pi (-1)
-    near_zero = np.abs(w - TWO_PI) < BOUNDARY_SNAP
-    near_pi = np.abs(w - np.pi) < BOUNDARY_SNAP
-    plus = ((w < np.pi) & ~near_pi) | near_zero
+        np.mod(x, TWO_PI, out=w)
+    w -= np.pi
+    np.less_equal(w, -BOUNDARY_SNAP, out=plus)
+    w -= np.pi
+    plus |= np.greater(w, -BOUNDARY_SNAP)  # the one temporary: len(theta) bytes
     # +1/-1 from the bool in place; np.where with int8 scalars is many times slower
-    out = plus.astype(np.int8)
-    out *= 2
-    out -= 1
-    return out if out.ndim else np.int8(out)
+    signs *= 2
+    signs -= 1
+    return signs if signs.ndim else np.int8(signs)
 
 
 @dataclass(frozen=True)
@@ -232,17 +247,26 @@ class LhvModel:
         self._b_flip = -1 if b_convention == ANTI_ALIGNED else 1
 
     # -- hidden variable -------------------------------------------------
-    def sample_lambdas(self, seed: int, n: int) -> np.ndarray:
-        """Vectorized draw; trial i uses the stream of seed + i."""
+    # The array methods write into ``out`` when given, with ``scratch`` as
+    # their temporaries, and allocate both when None: a caller that works
+    # block after block keeps its buffers, and both routes run one code.
+    def sample_lambdas(self, seed: int, n: int, *, out=None, scratch=None) -> np.ndarray:
+        """Vectorized draw; trial i uses the stream of seed + i.  ``scratch``
+        is a uint64 array of shape (2, n)."""
         raise NotImplementedError
 
     # -- outcomes ---------------------------------------------------------
     # The signatures admit no remote setting; that is the locality claim.
-    def outcomes_a(self, lams: np.ndarray, setting) -> np.ndarray:
+    def outcomes_a(self, lams: np.ndarray, setting, *, out=None, scratch=None) -> np.ndarray:
+        """The +/-1 int8 outcomes at ``setting``; ``scratch`` is an array
+        like lams, of shape (2, len(lams))."""
         raise NotImplementedError
 
-    def outcomes_b(self, lams: np.ndarray, setting) -> np.ndarray:
-        return self.outcomes_a(lams, setting) * self._b_flip
+    def outcomes_b(self, lams: np.ndarray, setting, *, out=None, scratch=None) -> np.ndarray:
+        signs = self.outcomes_a(lams, setting, out=out, scratch=scratch)
+        if self._b_flip < 0:
+            signs *= -1
+        return signs
 
     def outcome_a(self, lam, setting: Setting) -> int:
         """One trial of ``outcomes_a``, as a Python int."""
@@ -298,17 +322,26 @@ class MerminModel(LhvModel):
         return MerminModel(p, b_convention, name=f"mermin-{colors}")
 
     # hidden variable ------------------------------------------------------
-    def sample_lambdas(self, seed: int, n: int) -> np.ndarray:
+    def sample_lambdas(self, seed: int, n: int, *, out=None, scratch=None) -> np.ndarray:
         import numpy as np
 
-        u = rng.uniforms_for_seeds(rng.trial_seeds(seed, n), 1)[:, 0]
+        lams = np.empty(n, dtype=np.int64) if out is None else out
+        streams = np.empty((2, n), dtype=np.uint64) if scratch is None else scratch
+        # the uniforms are drawn into lams' own bytes, then counted over
+        # the spent seed and stream rows
+        u = lams.view(np.float64)
+        rng.uniforms_for_seeds(rng.trial_seeds(seed, n, out=streams[0]), 1,
+                               out=u[:, None], scratch=streams[1, :, None])
         # the count of table entries <= u: searchsorted(side="right") on
         # the non-decreasing table, without its per-element binary search
-        idx = np.zeros(len(u), dtype=np.uint8)
+        above, count = streams[0].view(np.bool_)[:n], streams[1].view(np.uint8)[:n]
+        count[:] = 0
         for c in self._cum:
-            idx += u >= c
-        np.minimum(idx, 7, out=idx)  # guard cum-sum rounding
-        return idx.astype(np.int64)
+            np.greater_equal(u, c, out=above)
+            count += above.view(np.uint8)
+        np.minimum(count, 7, out=count)  # guard cum-sum rounding
+        np.copyto(lams, count)
+        return lams
 
     def enumerate_lambda(self):
         """The atoms of positive probability and their probabilities."""
@@ -327,15 +360,19 @@ class MerminModel(LhvModel):
         import numpy as np
 
         idx = np.asarray(setting, dtype=np.int64)
-        if np.any((idx < 0) | (idx > 2)):
+        if idx.size and (idx.min() < 0 or idx.max() > 2):
             raise ValueError("setting index out of range")
         return idx
 
-    def outcomes_a(self, lams, setting) -> np.ndarray:
+    def outcomes_a(self, lams, setting, *, out=None, scratch=None) -> np.ndarray:
         import numpy as np
 
         j = self._setting_indices(setting)
-        return _sign_table()[np.asarray(lams, dtype=np.int64), j]
+        lams = np.asarray(lams, dtype=np.int64)
+        # table[lam, j] is entry 3*lam + j of the flat table, read in one gather
+        flat = np.multiply(lams, 3, out=None if scratch is None else scratch[0])
+        flat += j
+        return np.take(_sign_table().ravel(), flat, out=out)
 
     def outcome_a(self, lam, setting: Setting) -> int:
         return _SIGN_ROWS[int(lam)][int(self._setting_indices(setting))]
@@ -363,9 +400,15 @@ class ClockModel(LhvModel):
     def __init__(self, b_convention: str = ANTI_ALIGNED, name: str = "clock"):
         super().__init__(b_convention, name)
 
-    def sample_lambdas(self, seed: int, n: int) -> np.ndarray:
-        u = rng.uniforms_for_seeds(rng.trial_seeds(seed, n), 1)[:, 0]
-        return TWO_PI * u
+    def sample_lambdas(self, seed: int, n: int, *, out=None, scratch=None) -> np.ndarray:
+        import numpy as np
+
+        lams = np.empty(n) if out is None else out
+        streams = np.empty((2, n), dtype=np.uint64) if scratch is None else scratch
+        rng.uniforms_for_seeds(rng.trial_seeds(seed, n, out=streams[0]), 1,
+                               out=lams[:, None], scratch=streams[1, :, None])
+        lams *= TWO_PI
+        return lams
 
     def exact_correlation(self, a, b) -> np.ndarray:
         """E(a, b) in closed form, elementwise over settings or arrays of angles.
@@ -390,11 +433,12 @@ class ClockModel(LhvModel):
             return np.asarray(setting.radians)
         return np.asarray(setting, dtype=np.float64)
 
-    def outcomes_a(self, lams, setting) -> np.ndarray:
+    def outcomes_a(self, lams, setting, *, out=None, scratch=None) -> np.ndarray:
         import numpy as np
 
-        delta = self._setting_angles(setting)
-        return threshold_sign(np.asarray(lams, dtype=np.float64) + delta)
+        theta, w = (None, None) if scratch is None else scratch
+        theta = np.add(np.asarray(lams, dtype=np.float64), self._setting_angles(setting), out=theta)
+        return threshold_sign(theta, out=out, scratch=w)
 
     def outcome_a(self, lam, setting: Setting) -> int:
         return _scalar_sign(float(lam) + setting.radians)

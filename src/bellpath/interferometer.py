@@ -131,8 +131,7 @@ def _side_outcomes(plain: np.ndarray, shifted: np.ndarray, delta: float):
     total = plain + np.exp(1j * delta) * shifted
     r = np.abs(total)
     theta = np.mod(np.angle(total), TWO_PI)
-    det = threshold_sign(theta).astype(np.int8)
-    out = np.where(r < DEGENERATE_R, np.int8(UNDETERMINED), det)
+    out = np.where(r < DEGENERATE_R, np.int8(UNDETERMINED), threshold_sign(theta))
     return out, r, theta
 
 

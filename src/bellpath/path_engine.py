@@ -358,15 +358,16 @@ def sliced_propagator(spec: PropagatorSpec) -> PropagatorResult:
     prefactor past the float range, an exponent that exp cannot take), and
     their value is not finite (so is a one-slice prefactor whose hbar*t
     underflows to 0); a one-slice prefactor can also round to 0, which the
-    kernel's modulus sqrt(m/(2*pi*hbar*|tau|)) never is.  Either raises
-    ValueError naming the inputs.
+    kernel's modulus sqrt(m/(2*pi*hbar*|tau|)) never is, and so can a
+    composed state, at every grid point, which leaves the value 0 whatever
+    follows.  Each raises ValueError naming the inputs.
     """
     with np.errstate(all="ignore"):
         try:
-            result = _compose_slices(spec)
+            result, nonzero = _compose_slices(spec)
         except ZeroDivisionError:  # a one-slice hbar*t that underflowed to 0
-            result = PropagatorResult(complex(math.inf), False)
-    fault = _unrepresented(result.value, spec.n_slices == 1)
+            result, nonzero = PropagatorResult(complex(math.inf), False), True
+    fault = _unrepresented(result.value, nonzero)
     if fault:
         x_min, x_max, _ = spec.grid
         raise ValueError(f"the {_kind_text(spec.potential)} propagator at {spec.n_slices} "
@@ -387,12 +388,15 @@ def _unrepresented(value: complex, kernel: bool) -> str | None:
     return "rounds to 0" if kernel and value == 0 else None
 
 
-def _compose_slices(spec: PropagatorSpec) -> PropagatorResult:
+def _compose_slices(spec: PropagatorSpec) -> tuple[PropagatorResult, bool]:
+    """The result, and whether a value of 0 is a rounding: a one-slice
+    kernel, or a last state that is 0 at every grid point (a state that
+    underflowed to 0 stays 0)."""
     dt = spec.t / spec.n_slices
     if spec.n_slices == 1:
         # no quadrature happens, so no anti-alias damping is applied
         value = complex(_slice_kernel(spec, dt, spec.v, spec.u))
-        return PropagatorResult(value, False)
+        return PropagatorResult(value, False), True
 
     x_min, x_max, n_points = spec.grid
     x = np.linspace(x_min, x_max, n_points)
@@ -415,7 +419,7 @@ def _compose_slices(spec: PropagatorSpec) -> PropagatorResult:
             edge = max(edge, _edge_fraction(psi, weights, n_edge))
 
     value = complex(np.sum(weights * _slice_kernel(spec, tau, spec.v, x) * psi))
-    return PropagatorResult(value, edge > SUPPORT_WARNING_LEVEL, float(eta), edge)
+    return PropagatorResult(value, edge > SUPPORT_WARNING_LEVEL, float(eta), edge), not psi.any()
 
 
 def _edge_fraction(psi: np.ndarray, weights: np.ndarray, n_edge: int) -> float:
@@ -457,8 +461,11 @@ def analytic_propagator(
 
 def _caustic_sin(potential: Potential, t: float) -> float:
     """sin(omega*t) of a harmonic potential; at a caustic, sin(omega*t) = 0,
-    the closed form is undefined and ValueError is raised."""
+    the closed form is undefined and ValueError is raised, as it is for an
+    omega*t that overflows."""
     w = potential.omega
+    if not math.isfinite(w * t):
+        raise ValueError(f"harmonic omega*t is not finite for omega {w:.3g} and t {t:.3g}")
     s = math.sin(w * t)
     if abs(s) < 1e-12:
         raise ValueError(f"caustic: sin(omega*t) = 0 at omega*t = {w * t}")

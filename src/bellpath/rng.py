@@ -10,9 +10,11 @@ Streams are generated with SplitMix64: the per-trial seed is passed through
 the SplitMix64 finalizer once, and successive outputs are finalizer values of
 states stepped by the golden-ratio increment.  Everything is integer mixing
 plus IEEE-754 double arithmetic, so results are identical across platforms.
-Seed 0 is valid.  The array finalizer works in place: it updates the fresh
-state array it is given, with one scratch buffer, instead of allocating a
-temporary per step.
+Seed 0 is valid.  The array finalizer works in place: it updates the state
+array it is given, with one scratch buffer, instead of allocating a
+temporary per step.  The array functions take keyword-only ``out`` (and
+``scratch``) arrays, so a caller that draws block after block can keep
+its buffers; without them each call allocates its own.
 
 ``uniform`` is the scalar form of the stream: the first draw of one seed,
 computed in plain Python integers masked to 64 bits.  It gives the same bits
@@ -38,23 +40,18 @@ _MASK64 = (1 << 64) - 1
 _INV53 = 2.0 ** -53
 
 
-def _finalize(z) -> np.ndarray:
-    """SplitMix64 finalizer of a fresh uint64 array, updated in place.
-
-    A 0-d input (a numpy scalar) is finalized in a 0-d copy and comes
-    back as a numpy scalar.
-    """
+def _finalize(z: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """SplitMix64 finalizer of the uint64 array z, in place, with t (z's
+    shape) as its scratch."""
     import numpy as np
 
-    z = np.asarray(z)
-    t = np.empty_like(z)
     for shift, mul in ((30, _MIX_A_I), (27, _MIX_B_I)):
         np.right_shift(z, np.uint64(shift), out=t)
         z ^= t
         z *= np.uint64(mul)
     np.right_shift(z, np.uint64(31), out=t)
     z ^= t
-    return z if z.ndim else z[()]
+    return z
 
 
 def _as_u64(seed) -> np.ndarray:
@@ -67,22 +64,29 @@ def _as_u64(seed) -> np.ndarray:
     raise TypeError(f"seed must be an integer, got {arr.dtype}")
 
 
-def mix64(seed) -> np.ndarray:
-    """SplitMix64 finalizer of ``seed`` (elementwise for arrays)."""
-    import numpy as np
-
-    with np.errstate(over="ignore"):
-        return _finalize(_as_u64(seed) + np.uint64(_GOLDEN_I))
-
-
-def _raw_streams(seeds, n: int) -> np.ndarray:
+def _raw_streams(seeds, n: int, state=None, scratch=None) -> np.ndarray:
     """Raw 64-bit outputs, row k holding the first n of the stream of the
-    k-th seed: ``mix64`` of the seed plus golden-ratio steps, finalized."""
+    k-th seed: the finalized seed plus golden-ratio steps, finalized.
+
+    They are written into ``state`` (uint64, shape (len(seeds), n)) with
+    ``scratch`` (the same) as the finalizer's temporary; each is allocated
+    when None.
+    """
     import numpy as np
 
-    with np.errstate(over="ignore"):
-        steps = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GOLDEN_I)
-        return _finalize(mix64(seeds).reshape(-1, 1) + steps)
+    seeds = _as_u64(seeds).reshape(-1, 1)
+    if state is None:
+        state = np.empty((len(seeds), n), dtype=np.uint64)
+    if scratch is None:
+        scratch = np.empty_like(state)
+    if n:
+        with np.errstate(over="ignore"):
+            first = state[:, :1]
+            np.add(seeds, np.uint64(_GOLDEN_I), out=first)
+            _finalize(first, scratch[:, :1])
+            steps = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GOLDEN_I)
+            _finalize(np.add(first, steps, out=state), scratch)
+    return state
 
 
 def u64_stream(seed: int, n: int) -> np.ndarray:
@@ -90,19 +94,6 @@ def u64_stream(seed: int, n: int) -> np.ndarray:
     if n < 0:
         raise ValueError("n must be >= 0")
     return _raw_streams(operator.index(seed) % (1 << 64), n)[0]
-
-
-def _to_unit(u: np.ndarray) -> np.ndarray:
-    """Doubles in [0, 1) from the top 53 bits of a fresh uint64 array.
-
-    The shift is done in place, and the multiply converts each value to
-    double inside the ufunc: the same IEEE result as ``astype`` then
-    multiply, without the extra copy.
-    """
-    import numpy as np
-
-    u >>= np.uint64(11)
-    return np.multiply(u, _INV53)
 
 
 def _finalize_int(z: int) -> int:
@@ -118,9 +109,26 @@ def uniform(seed: int) -> float:
     return (_finalize_int((state0 + _GOLDEN_I) & _MASK64) >> 11) * _INV53
 
 
-def uniforms_for_seeds(seeds, n: int) -> np.ndarray:
-    """Matrix of uniforms, row k holding the first n draws of seeds[k]."""
-    return _to_unit(_raw_streams(seeds, n))
+def uniforms_for_seeds(seeds, n: int, *, out=None, scratch=None) -> np.ndarray:
+    """Matrix of uniforms, row k holding the first n draws of seeds[k].
+
+    It is written into ``out`` (float64, shape (len(seeds), n)), with
+    ``scratch`` (uint64, the same shape) as the stream's temporary; each is
+    allocated when None.  The stream state is kept in ``out``'s own bytes,
+    and its top 53 bits go through ``scratch`` into ``out`` as doubles: the
+    conversion is exact, and so is the multiply by 2**-53.
+    """
+    import numpy as np
+
+    if out is None:
+        out = np.empty((np.size(seeds), n))
+    if scratch is None:
+        scratch = np.empty(out.shape, dtype=np.uint64)
+    state = _raw_streams(seeds, n, out.view(np.uint64), scratch)
+    np.right_shift(state, np.uint64(11), out=scratch)
+    np.copyto(out, scratch)
+    out *= _INV53
+    return out
 
 
 def normals_for_seeds(seeds, n: int) -> np.ndarray:
@@ -142,8 +150,9 @@ def normals_for_seeds(seeds, n: int) -> np.ndarray:
     return z[:, :n]
 
 
-def trial_seeds(base_seed: int, n: int) -> np.ndarray:
-    """Per-trial seeds base .. base+n-1 (mod 2**64).
+def trial_seeds(base_seed: int, n: int, *, out=None) -> np.ndarray:
+    """Per-trial seeds base .. base+n-1 (mod 2**64), written into ``out``
+    (uint64, shape (n,)) when given.
 
     This is the one seed schedule used everywhere: trial i of a run is a pure
     function of base_seed + i regardless of how trials are sharded.
@@ -152,4 +161,4 @@ def trial_seeds(base_seed: int, n: int) -> np.ndarray:
 
     with np.errstate(over="ignore"):
         base = np.uint64(operator.index(base_seed) % (1 << 64))
-        return base + np.arange(n, dtype=np.uint64)
+        return np.add(np.arange(n, dtype=np.uint64), base, out=out)

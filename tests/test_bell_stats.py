@@ -290,15 +290,15 @@ def test_chsh_terms_equal_estimate_E_across_a_block_boundary(model, n, monkeypat
     in_b = []  # outcomes_b evaluates through outcomes_a; count that as side B's one call
     outcomes_a, outcomes_b = model.outcomes_a, model.outcomes_b
 
-    def counted_a(lams, setting):
+    def counted_a(lams, setting, **buffers):
         calls["A"] += not in_b
-        return outcomes_a(lams, setting)
+        return outcomes_a(lams, setting, **buffers)
 
-    def counted_b(lams, setting):
+    def counted_b(lams, setting, **buffers):
         calls["B"] += 1
         in_b.append(True)
         try:
-            return outcomes_b(lams, setting)
+            return outcomes_b(lams, setting, **buffers)
         finally:
             in_b.pop()
 
@@ -312,6 +312,23 @@ def test_chsh_terms_equal_estimate_E_across_a_block_boundary(model, n, monkeypat
     for term, (sa, sb) in zip(res.terms, bs.chsh_pairs(*quad)):
         assert term == bs.estimate_E(model, sa, sb, n, 2**64 - 5)
         assert term.sum_products == _whole_array_tally(model, n, 2**64 - 5, sa, sb)
+
+
+@pytest.mark.parametrize("model, quad", [
+    (ClockModel(), tuple(Setting.angle(x) for x in (0.3, 1.9, 4.0, 5.5))),
+    (MerminModel(_RANDOM_PROBS / _RANDOM_PROBS.sum()), (I0, I2, I1, I0)),
+], ids=["clock", "mermin"])
+def test_block_size_changes_no_value(model, quad, monkeypatch):
+    # 70001 trials leave a short last block at every size below; each call reuses
+    # the first block's buffers for the rest
+    n, seed = 70001, 2**64 - 9
+    results = set()
+    for block in (1000, 1 << 12, bs.BLOCK, 1 << 16):
+        monkeypatch.setattr(bs, "BLOCK", block)
+        results.add((bs.chsh(model, *quad, n=n, seed=seed),
+                     bs.estimate_E(model, quad[1], quad[3], n, seed),
+                     bs.overall_agreement(model, n, seed)))
+    assert len(results) == 1
 
 
 # -- agreement ---------------------------------------------------------------------------

@@ -645,6 +645,9 @@ def test_propagate_runs_a_wide_grid_whose_damping_is_finite(capsys):
     # one slice: the closed form's caustic is still refused first
     (["--kind", "harmonic", "--t=1e-320", "--slices", "1"],
      "error: caustic: sin(omega*t) = 0 at omega*t = 1e-320\n"),
+    # omega*t past the float range: math.sin raised a bare "math domain error"
+    (["--kind", "harmonic", "--omega=1e150", "--t=1e300"],
+     "error: harmonic omega*t is not finite for omega 1e+150 and t 1e+300\n"),
 ])
 def test_propagate_refuses_a_propagator_that_overflows(capsys, argv, err):
     assert cli.main(["propagate", *argv]) == cli.EXIT_CONFIG
@@ -661,6 +664,13 @@ def test_propagate_refuses_a_propagator_that_overflows(capsys, argv, err):
     # the one-slice kernel is the closed form, whose modulus is 3.99e-155
     (["--hbar=1e307", "--t=10", "--slices", "1"],
      "error: the free propagator at 1 slices rounds to 0 for mass 1, hbar 1e+307, t 10 and "
+     "grid -20, 20\n"),
+    # the composed states underflow to 0 at every grid point: 0,0,0,0 was printed
+    (["--hbar=1e307", "--t=10"],
+     "error: the free propagator at 8 slices rounds to 0 for mass 1, hbar 1e+307, t 10 and "
+     "grid -20, 20\n"),
+    (["--hbar=1e307", "--t=10", "--slices", "2"],
+     "error: the free propagator at 2 slices rounds to 0 for mass 1, hbar 1e+307, t 10 and "
      "grid -20, 20\n"),
     # m/(2*pi*i*hbar*t) underflows to 0; the modulus is about 4.0e-301
     (["--mass=1e-300", "--hbar=1e300", "--slices", "1"],

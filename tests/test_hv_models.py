@@ -148,6 +148,45 @@ def test_threshold_sign_matches_the_mod_rule(theta):
     assert np.array_equal(got, want)
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered in remainder:RuntimeWarning")
+@pytest.mark.parametrize("theta", [
+    np.array(_EDGE_ANGLES),
+    np.array([0.5, TWO_PI + 1.0, 2 * TWO_PI]),
+    np.array([], dtype=np.float64),
+    np.array(-0.0),
+    _UNIFORM_DRAWS.uniform(0.0, 2 * TWO_PI, 10_000),
+], ids=lambda t: f"shape{np.shape(t)}")
+def test_threshold_sign_writes_into_out(theta):
+    out, scratch = np.empty(theta.shape, dtype=np.int8), np.empty(theta.shape)
+    got = threshold_sign(theta, out=out, scratch=scratch)
+    if out.ndim:
+        assert got is out
+    assert np.array_equal(got, threshold_sign(theta))
+
+
+def _band_walk():
+    """Every double within 64 ulps of each snap-band edge and boundary in [0, 4pi]."""
+    centers = [math.pi, TWO_PI, 3 * math.pi, 2 * TWO_PI]
+    edges = [c + d for c in centers for d in (-BOUNDARY_SNAP, 0.0, BOUNDARY_SNAP)] + [0.0]
+    walk = []
+    for e in edges:
+        x = e
+        for _ in range(64):
+            x = np.nextafter(x, -math.inf)
+        for _ in range(129):
+            walk.append(x)
+            x = np.nextafter(x, math.inf)
+    return np.array(walk)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in remainder:RuntimeWarning")
+def test_threshold_sign_matches_the_mod_rule_across_every_band_edge():
+    walk = _band_walk()
+    assert np.array_equal(threshold_sign(walk), _mod_rule_sign(walk))
+    # the same values through np.mod: one negative value sends the whole array there
+    assert np.array_equal(threshold_sign(np.append(walk, -1.0))[:-1], _mod_rule_sign(walk))
+
+
 # -- the numpy-free scalar routes against numpy -----------------------------------
 
 
@@ -336,7 +375,10 @@ def test_outcome_a_ignores_whatever_b_does():
 def test_outcome_signatures_admit_no_remote_setting():
     for cls in (LhvModel, ClockModel, MerminModel):
         for fn in (cls.outcomes_a, cls.outcomes_b):
-            assert list(inspect.signature(fn).parameters) == ["self", "lams", "setting"]
+            # beyond the one setting, only keyword-only output buffers
+            params = inspect.signature(fn).parameters
+            assert list(params) == ["self", "lams", "setting", "out", "scratch"]
+            assert {params[p].kind for p in ("out", "scratch")} == {inspect.Parameter.KEYWORD_ONLY}
         for fn in (cls.outcome_a, cls.outcome_b):
             assert list(inspect.signature(fn).parameters) == ["self", "lam", "setting"]
     # side B's rule is written once, in the base class

@@ -183,9 +183,17 @@ def propagator_specs(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(propagator_specs())
+# heavy damping: every composed state underflows to 0, in the dense product too
+@example(pe.PropagatorSpec(mass=4.0, potential=pe.harmonic(3.0), u=0.0, v=0.0, t=1.0,
+                           n_slices=15, grid=(-3.0, 13.0, 16), hbar=0.375, damping=12.0))
 def test_fft_joints_match_the_dense_kernel(spec):
     scale = math.sqrt(spec.mass / (2.0 * math.pi * spec.hbar * spec.t))
-    got = pe.sliced_propagator(spec)
+    try:
+        got = pe.sliced_propagator(spec)
+    except ValueError as refusal:  # a state that underflowed to 0 everywhere prints no value
+        assert " rounds to 0 for " in str(refusal)
+        assert abs(dense_propagator(spec)) <= 1e-10 * scale
+        return
     assert abs(got.value - dense_propagator(spec)) <= 1e-10 * scale
     assert got.eta == pytest.approx(slice_eta(spec), rel=1e-12)
     assert got.support_warning == (got.edge_fraction > pe.SUPPORT_WARNING_LEVEL)
@@ -276,6 +284,25 @@ def test_a_one_slice_kernel_that_cannot_be_represented_is_refused(bad, fault):
                                 "t": 1.0, "n_slices": 1, "grid": (-20, 20, 256), **bad})
     with pytest.raises(ValueError, match=rf"^the free propagator at 1 slices {fault} for mass "):
         pe.sliced_propagator(spec)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n_slices", [2, 8])
+def test_a_composed_state_that_underflows_to_0_is_refused(n_slices):
+    # every grid value of a composed state rounds to 0; the true modulus is about 4.0e-155
+    spec = pe.PropagatorSpec(mass=1.0, potential=pe.FREE, u=0.0, v=1.0, t=10.0, hbar=1e307,
+                             n_slices=n_slices, grid=(-20, 20, 1024))
+    with pytest.raises(ValueError) as info:
+        pe.sliced_propagator(spec)
+    assert str(info.value) == (f"the free propagator at {n_slices} slices rounds to 0 for mass 1, "
+                               "hbar 1e+307, t 10 and grid -20, 20")
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_harmonic_omega_t_that_overflows_is_refused():
+    with pytest.raises(ValueError) as info:
+        pe.analytic_propagator(pe.harmonic(1e150), 1.0, 1.0, 0.0, 1.0, 1e300)
+    assert str(info.value) == "harmonic omega*t is not finite for omega 1e+150 and t 1e+300"
 
 
 @pytest.mark.filterwarnings("error")
