@@ -234,17 +234,16 @@ def chsh(
     n: int | None = None,
     seed: int | None = None,
     exact: bool = False,
-    n_grid: int = DEFAULT_QUADRATURE_N,
 ) -> ChshResult:
     """CHSH quantity for an LHV model.
 
     All four Monte Carlo terms evaluate trials seed .. seed + n - 1, each
     equal to ``estimate_E`` at ``seed`` bit for bit, so every trial adds
-    S(lambda) = +/-2.  Exact terms of a circle model report n_grid as their n.
+    S(lambda) = +/-2.  Exact terms of a circle model report exact_E's default n.
     """
     pairs = chsh_pairs(a, a_prime, b, b_prime)
     if exact:
-        terms = tuple(exact_E(model, sa, sb, n_grid) for sa, sb in pairs)
+        terms = tuple(exact_E(model, sa, sb) for sa, sb in pairs)
     else:
         if n is None or seed is None:
             raise ValueError("Monte Carlo CHSH needs n and seed")

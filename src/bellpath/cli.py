@@ -200,7 +200,7 @@ def cmd_chsh(args) -> int:
     from . import bell_stats, oracle
 
     if args.oracle:
-        _refuse_beside(args, "--oracle", *_ORACLE_UNREAD, "--exact", "--scan", "--grid")
+        _refuse_beside(args, "--oracle", *_ORACLE_UNREAD, "--exact", "--scan")
         a, ap, b, bp = _parse_angles(args.angles or SINGLET_ANGLES)
         s = oracle.chsh_quantum(a, ap, b, bp)
         doc = {"oracle": True, "settings": [a, ap, b, bp], "s_value": s, "abs_s": abs(s),
@@ -210,7 +210,7 @@ def cmd_chsh(args) -> int:
 
     model = _build_model(args)
     if args.scan:
-        _refuse_beside(args, "--scan", "--indices", "--angles", "--exact", "--n", "--grid")
+        _refuse_beside(args, "--scan", "--indices", "--angles", "--exact", "--n")
         # exhaustive discrete quadruples plus, for the clock model, --scan random angle ones
         if isinstance(model, ClockModel):
             n_random, best = args.scan, _chsh_scan(model, args.scan, args.seed)
@@ -225,9 +225,8 @@ def cmd_chsh(args) -> int:
 
     if args.exact:
         _refuse_beside(args, "--exact", "--n", "--seed")
-        result = bell_stats.chsh(model, *_settings_from_args(args), exact=True, n_grid=args.grid)
+        result = bell_stats.chsh(model, *_settings_from_args(args), exact=True)
     else:
-        _refuse_beside(args, "Monte Carlo chsh", "--grid")
         result = bell_stats.chsh(model, *_settings_from_args(args), n=args.n, seed=args.seed)
     terms = [{"label": label, "mean": t.mean, "stderr": t.stderr, "n": t.n_trials,
               "exact": t.exact}
@@ -551,7 +550,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--indices", help="four discrete setting indices")
     p.add_argument("--exact", action="store_true",
                    help="enumeration or closed form instead of Monte Carlo")
-    _add_grid(p)
     p.add_argument("--scan", type=_scan_count, default=0,
                    help="max |S| over all discrete quadruples plus, for the clock model, "
                         "this many random ones")

@@ -192,7 +192,7 @@ def correlation_scan(
     columns_b = [_side_outcomes(*parts_b, db)[0] for db in grid]
     rows = []
     for da in grid:
-        out_a = _side_outcomes(*parts_a, da)[0].astype(np.int64)
+        out_a = _side_outcomes(*parts_a, da)[0]
         rows.extend(_scan_row(da, db, out_a, out_b) for db, out_b in zip(grid, columns_b))
     return rows
 

@@ -236,14 +236,6 @@ class PropagatorSpec:
             raise ValueError("grid needs at least 16 points")
         if not (x_min < self.u < x_max and x_min < self.v < x_max):
             raise ValueError("endpoints must lie strictly inside the grid")
-        if self.n_slices > 1:
-            # sliced_propagator's eta, refused here before its arithmetic overflows
-            with np.errstate(all="ignore"):
-                dx = np.float64(x_max - x_min) / (n_points - 1)
-                eta = _slice_eta(self, self.t / self.n_slices, dx)
-            if not math.isfinite(eta):
-                raise ValueError(f"grid spacing {dx:.3g} is too wide: the anti-alias damping "
-                                 f"eta at {self.n_slices} slices is not finite")
 
 
 @dataclass(frozen=True)
@@ -292,11 +284,6 @@ def discrete_action(path: PathSample, potential: Potential = FREE, mass: float =
     if not math.isfinite(action):
         warnings.warn(f"discrete_action is not finite: {action}", RuntimeWarning, stacklevel=2)
     return action
-
-
-def _slice_eta(spec: PropagatorSpec, dt: float, dx: np.float64) -> np.float64:
-    """The anti-alias damping of one slice of dt on a grid of spacing dx."""
-    return 2.0 * spec.damping * spec.mass * dx * dx / (np.pi**2 * spec.hbar * dt)
 
 
 def _slice_kernel(spec: PropagatorSpec, tau: complex, xp, xq):
@@ -353,21 +340,20 @@ def sliced_propagator(spec: PropagatorSpec) -> PropagatorResult:
     outer 1% of cells on either side; above SUPPORT_WARNING_LEVEL it carries
     a support warning, a sign that the grid truncates the kernel materially.
 
-    The arithmetic runs with numpy's floating-point warnings off.  Inputs
-    that PropagatorSpec accepts can still overflow it (a slice phase or
-    prefactor past the float range, an exponent that exp cannot take), and
-    their value is not finite (so is a one-slice prefactor whose hbar*t
-    underflows to 0); a one-slice prefactor can also round to 0, which the
-    kernel's modulus sqrt(m/(2*pi*hbar*|tau|)) never is, and so can a
-    composed state, at every grid point, which leaves the value 0 whatever
-    follows.  Each raises ValueError naming the inputs.
+    The arithmetic runs with numpy's floating-point warnings off.  A grid
+    too wide for a finite eta at n_slices raises ValueError before any slice
+    is composed.  Inputs that PropagatorSpec accepts can still overflow the
+    arithmetic (a slice phase or prefactor past the float range, an exponent
+    that exp cannot take, a one-slice hbar*t that underflows to 0) or
+    underflow it to 0; a value that is not finite or is 0 raises ValueError
+    naming the inputs (see _unrepresented).
     """
     with np.errstate(all="ignore"):
         try:
-            result, nonzero = _compose_slices(spec)
+            result = _compose_slices(spec)
         except ZeroDivisionError:  # a one-slice hbar*t that underflowed to 0
-            result, nonzero = PropagatorResult(complex(math.inf), False), True
-    fault = _unrepresented(result.value, nonzero)
+            result = PropagatorResult(complex(math.inf), False)
+    fault = _unrepresented(result.value)
     if fault:
         x_min, x_max, _ = spec.grid
         raise ValueError(f"the {_kind_text(spec.potential)} propagator at {spec.n_slices} "
@@ -380,28 +366,27 @@ def _kind_text(potential: Potential) -> str:
     return "free" if potential.kind == "free" else f"harmonic (omega {potential.omega:.3g})"
 
 
-def _unrepresented(value: complex, kernel: bool) -> str | None:
+def _unrepresented(value: complex) -> str | None:
     """Why ``value`` cannot stand for a propagator, or None: it is not finite,
-    or it is a kernel (whose modulus is never 0) that rounded to 0."""
+    or it rounded to 0, which a propagator's modulus never is."""
     if not cmath.isfinite(value):
         return "is not finite"
-    return "rounds to 0" if kernel and value == 0 else None
+    return "rounds to 0" if value == 0 else None
 
 
-def _compose_slices(spec: PropagatorSpec) -> tuple[PropagatorResult, bool]:
-    """The result, and whether a value of 0 is a rounding: a one-slice
-    kernel, or a last state that is 0 at every grid point (a state that
-    underflowed to 0 stays 0)."""
+def _compose_slices(spec: PropagatorSpec) -> PropagatorResult:
     dt = spec.t / spec.n_slices
     if spec.n_slices == 1:
         # no quadrature happens, so no anti-alias damping is applied
-        value = complex(_slice_kernel(spec, dt, spec.v, spec.u))
-        return PropagatorResult(value, False), True
+        return PropagatorResult(complex(_slice_kernel(spec, dt, spec.v, spec.u)), False)
 
     x_min, x_max, n_points = spec.grid
     x = np.linspace(x_min, x_max, n_points)
     dx = x[1] - x[0]
-    eta = _slice_eta(spec, dt, dx)
+    eta = 2.0 * spec.damping * spec.mass * dx * dx / (np.pi**2 * spec.hbar * dt)
+    if not math.isfinite(eta):  # named by its nominal spacing: x[0] is nan once that overflows
+        raise ValueError(f"grid spacing {(x_max - x_min) / (n_points - 1):.3g} is too wide: the "
+                         f"anti-alias damping eta at {spec.n_slices} slices is not finite")
     tau = dt * (1.0 - 1j * eta)
 
     weights = np.full(n_points, dx)
@@ -419,7 +404,7 @@ def _compose_slices(spec: PropagatorSpec) -> tuple[PropagatorResult, bool]:
             edge = max(edge, _edge_fraction(psi, weights, n_edge))
 
     value = complex(np.sum(weights * _slice_kernel(spec, tau, spec.v, x) * psi))
-    return PropagatorResult(value, edge > SUPPORT_WARNING_LEVEL, float(eta), edge), not psi.any()
+    return PropagatorResult(value, edge > SUPPORT_WARNING_LEVEL, float(eta), edge)
 
 
 def _edge_fraction(psi: np.ndarray, weights: np.ndarray, n_edge: int) -> float:
@@ -452,7 +437,7 @@ def analytic_propagator(
             value = _closed_form(potential, mass, hbar, u, v, t)
         except (OverflowError, ZeroDivisionError):  # a float ** past the float range,
             value = complex(math.inf)  # or an hbar*t that underflowed to 0
-    fault = _unrepresented(value, True)
+    fault = _unrepresented(value)
     if fault:
         raise ValueError(f"the {_kind_text(potential)} closed-form propagator {fault} for "
                          f"mass {mass:.3g}, hbar {hbar:.3g}, u {u:.3g}, v {v:.3g} and t {t:.3g}")

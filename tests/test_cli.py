@@ -154,13 +154,13 @@ def test_chsh_clock_exact(capsys):
 
 
 def test_csv_row_format(capsys):
-    # the closed form 1 - 2d/pi at d = 2pi/3 in floating point (-1/3 to 1 ulp);
-    # --grid only names the reported n
+    # the closed form 1 - 2d/pi at d = 2pi/3 in floating point (-1/3 to 1 ulp); n is
+    # exact_E's default, which names no sampled count
     code, out = run_cli(capsys, "chsh", "--model", "clock", "--convention", "aligned",
-                        "--exact", "--indices", "0,0,1,1", "--grid", "10002")
+                        "--exact", "--indices", "0,0,1,1")
     assert code == 0
     assert out.splitlines()[:2] == ["setting_a,setting_b,mean,stderr,n,exact",
-                                    "i0,i1,-0.33333333333333326,0,10002,true"]
+                                    "i0,i1,-0.33333333333333326,0,10000,true"]
 
 
 def test_chsh_exact_clock_is_the_closed_form(capsys):
@@ -614,14 +614,18 @@ def test_propagate_refuses_non_finite_grid_bounds(capsys):
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("grid, spacing", [("-1e300,1e300,64", "3.17e+298"),
-                                           ("-1e200,1e200,64", "3.17e+198")])
-@pytest.mark.parametrize("extra", [[], ["--slices", "2"], ["--convergence", "2,4"]])
-def test_propagate_refuses_a_grid_whose_damping_overflows(capsys, grid, spacing, extra):
+                                           ("-1e200,1e200,64", "3.17e+198"),
+                                           ("-1e308,1e308,64", "inf")])
+@pytest.mark.parametrize("extra, n_slices", [([], 8), (["--slices", "2"], 2),
+                                             (["--convergence", "2,4"], 2)])
+def test_propagate_refuses_a_grid_whose_damping_overflows(capsys, grid, spacing, extra,
+                                                          n_slices):
+    # refused at the slice count that runs: --convergence never runs the default 8
     assert cli.main(["propagate", f"--grid={grid}", *extra]) == cli.EXIT_CONFIG
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith(f"error: grid spacing {spacing} is too wide: ")
-    assert captured.err.endswith(" slices is not finite\n")
+    assert (captured.out, captured.err) == ("", f"error: grid spacing {spacing} is too wide: "
+                                                f"the anti-alias damping eta at {n_slices} "
+                                                f"slices is not finite\n")
 
 
 @pytest.mark.filterwarnings("error")
@@ -630,6 +634,18 @@ def test_propagate_runs_a_wide_grid_whose_damping_is_finite(capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("warning: eta = 1.31e+298 exceeds ")
     assert captured.out.startswith("re,im,modulus,phase,support_warning\n")
+
+
+@pytest.mark.filterwarnings("error")
+def test_propagate_convergence_checks_eta_only_at_its_own_slice_counts(capsys):
+    # eta is finite at 1 and 2 slices and overflows at 8, which the table does not run
+    argv = ["propagate", "--convergence", "1,2", "--t=1e-300", "--grid=-157500,157500,64"]
+    assert cli.main(argv) == cli.EXIT_OK
+    captured = capsys.readouterr()
+    assert [row.split(",")[:2] for row in captured.out.splitlines()] == [
+        ["n_slices", "n_points"], ["1", "64"], ["2", "64"]]
+    assert re.fullmatch(r"warning: eta = 8\.11e\+307 exceeds 0\.05 at 2 slices on 64 points;.*\n",
+                        captured.err)
 
 
 @pytest.mark.filterwarnings("error")
@@ -645,6 +661,9 @@ def test_propagate_runs_a_wide_grid_whose_damping_is_finite(capsys):
     # one slice: the closed form's caustic is still refused first
     (["--kind", "harmonic", "--t=1e-320", "--slices", "1"],
      "error: caustic: sin(omega*t) = 0 at omega*t = 1e-320\n"),
+    # and before a grid too wide for a finite eta
+    (["--kind", "harmonic", "--t=1e-300", "--grid=-1e300,1e300,64"],
+     "error: caustic: sin(omega*t) = 0 at omega*t = 1e-300\n"),
     # omega*t past the float range: math.sin raised a bare "math domain error"
     (["--kind", "harmonic", "--omega=1e150", "--t=1e300"],
      "error: harmonic omega*t is not finite for omega 1e+150 and t 1e+300\n"),
@@ -692,6 +711,17 @@ def test_propagate_refuses_a_propagator_that_overflows(capsys, argv, err):
     (["--kind", "harmonic", "--t=1e308", "--convergence", "1,2"],
      "error: the harmonic (omega 1) propagator at 1 slices rounds to 0 for mass 1, hbar 1, "
      "t 1e+308 and grid -20, 20\n"),
+    # the one joint leaves a state that is not 0 everywhere, and the last sum underflows:
+    # 0,0,0,0 was printed, and a 3-slice convergence row read error 1
+    (["--hbar=1e300", "--slices", "3"],
+     "error: the free propagator at 3 slices rounds to 0 for mass 1, hbar 1e+300, t 1 and "
+     "grid -20, 20\n"),
+    (["--kind", "harmonic", "--hbar=1e250", "--t=10", "--slices", "3"],
+     "error: the harmonic (omega 1) propagator at 3 slices rounds to 0 for mass 1, "
+     "hbar 1e+250, t 10 and grid -20, 20\n"),
+    (["--hbar=1e300", "--convergence", "1,3"],
+     "error: the free propagator at 3 slices rounds to 0 for mass 1, hbar 1e+300, t 1 and "
+     "grid -20, 20\n"),
 ])
 def test_propagate_refuses_a_value_that_cannot_be_represented(capsys, argv, err):
     assert cli.main(["propagate", *argv]) == cli.EXIT_CONFIG
@@ -745,13 +775,25 @@ def test_rt_has_no_emission_time_spread(capsys):
 
 _EXTREMES = ("nan", "inf", "-inf", "1e308", "1e307", "-1e308", "1e-320", "0", "-1", "1e9", "1e3",
              "3.5")
-_PROPAGATE_FLOATS = ("omega", "mass", "hbar", "u", "v", "t", "damping")
-_RT_FLOATS = ("k", "k-b", "sigma-path", "sigma-path-b", "geom-sign", "geom-sign-b", "spread-dx")
+
+
+def _float_flags(command: str) -> tuple[str, ...]:
+    """Every option of ``command`` whose type is float, so a new one joins the sweep."""
+    return tuple(a.option_strings[0][2:] for a in cli.build_parser()[1][command]._actions
+                 if a.type is float)
+
+
+_PROPAGATE_FLOATS = _float_flags("propagate")
+_RT_FLOATS = _float_flags("rt")
 _SWEEP = [
     *(["propagate", "--kind", kind, f"--{flag}={value}"]
       for kind in ("free", "harmonic") for flag in _PROPAGATE_FLOATS for value in _EXTREMES),
     *(["propagate", "--kind", kind, f"--grid=-{bound},{bound},64"]
       for kind in ("free", "harmonic") for bound in ("1e155", "1e300")),
+    # a scale flag beside a slice count: a value that underflows to 0 must be refused
+    *(["propagate", "--kind", kind, f"--{flag}={value}", "--slices", slices]
+      for kind in ("free", "harmonic") for flag in ("hbar", "mass", "t")
+      for value in (*_EXTREMES, "1e250", "1e300") for slices in ("1", "2", "3", "8")),
     *(["rt", f"--{flag}={value}"] for flag in _RT_FLOATS for value in _EXTREMES),
 ]
 
@@ -774,6 +816,9 @@ def test_an_extreme_flag_value_is_refused_or_prints_finite_numbers(capsys, argv)
         except ValueError:
             continue
         assert math.isfinite(number), cell
+    if argv[0] == "propagate":  # a propagator's modulus is never 0
+        header, row = captured.out.splitlines()
+        assert float(row.split(",")[header.split(",").index("modulus")]) != 0, row
 
 
 # -- bell is the Bell check of chsh's terms ----------------------------------------
@@ -838,6 +883,10 @@ def test_bell_is_the_bell_check_of_the_chsh_terms(kind, indices, angles, weights
     ["oracle", "--what", "chsh", "--seed", "1"],
     ["oracle", "--what", "chsh", "--n", "5"],
     ["bell", "--oracle", "--grid", "5"],
+    # chsh's --grid only set a printed n, so it is gone in every mode
+    ["chsh", "--model", "clock", "--scan", "3", "--grid", "5"],
+    ["chsh", "--oracle", "--grid", "5"],
+    ["chsh", "--model", "clock", "--angles", "1,2,3,4", "--n", "50", "--grid", "5"],
 ])
 def test_unread_flags_are_refused(capsys, argv):
     assert cli.main(argv) == cli.EXIT_CONFIG
@@ -854,13 +903,9 @@ _ORACLE_UNREAD = [["--model", "clock"], ["--model-config", "/nonexistent"],
       for flag in _ORACLE_UNREAD + [["--exact"], ["--scan", "3"]]),
     *((["bell", "--oracle"], flag, "--oracle") for flag in _ORACLE_UNREAD),
     *((["chsh", "--model", "clock", "--scan", "3"], flag, "--scan")
-      for flag in (["--indices", "0,1,2,0"], ["--angles", "1,2,3,4"], ["--exact"], ["--n", "5"],
-                   ["--grid", "5"])),
-    (["chsh", "--oracle"], ["--grid", "5"], "--oracle"),
+      for flag in (["--indices", "0,1,2,0"], ["--angles", "1,2,3,4"], ["--exact"], ["--n", "5"])),
     (["chsh", "--model", "mermin", "--scan", "1000"], ["--seed", "9"],
      "--scan of a discrete model"),
-    (["chsh", "--model", "clock", "--angles", "1,2,3,4", "--n", "50"], ["--grid", "5"],
-     "Monte Carlo chsh"),
     *((["chsh", "--model", "clock", "--exact", "--indices", "0,1,2,0"], flag, "--exact")
       for flag in (["--n", "5"], ["--seed", "3"])),
     (["chsh", "--model", "clock", "--exact", "--indices", "0,1,2,0"], ["--angles", "1,2,3,4"],
@@ -982,8 +1027,7 @@ FLAG_CASES = {
                "--out", "{out}"],
               ["--model", "clock"], ["--model-config", "{cfg}"]],
     "chsh": [["--oracle", "--angles", _A],
-             ["--model", "clock", "--convention", "aligned", "--exact", "--indices", "0,1,2,0",
-              "--grid", "600"],
+             ["--model", "clock", "--convention", "aligned", "--exact", "--indices", "0,1,2,0"],
              ["--model-config", "{cfg}", "--scan", "3", "--seed", "2"],
              ["--model", "mermin", "--scan", "2"],
              ["--model", "clock", "--angles", _A, "--n", "50", "--seed", "1", "--format", "json",

@@ -190,7 +190,7 @@ def test_fft_joints_match_the_dense_kernel(spec):
     scale = math.sqrt(spec.mass / (2.0 * math.pi * spec.hbar * spec.t))
     try:
         got = pe.sliced_propagator(spec)
-    except ValueError as refusal:  # a state that underflowed to 0 everywhere prints no value
+    except ValueError as refusal:  # a value that underflowed to 0 prints no value
         assert " rounds to 0 for " in str(refusal)
         assert abs(dense_propagator(spec)) <= 1e-10 * scale
         return
@@ -249,13 +249,17 @@ def test_spec_validation():
     for grid in ((-math.inf, math.inf, 64), (math.nan, 20, 64), (-20, math.inf, 64)):
         with pytest.raises(ValueError, match=r"^grid bounds must be finite"):
             pe.PropagatorSpec(**{**good, "grid": grid})
-    # finite bounds whose anti-alias damping eta overflows, or a slice too short for it
+    # finite bounds whose anti-alias damping eta overflows, or a slice too short for it: the
+    # spec holds them, and sliced_propagator refuses them at the slice count it runs
     for bad in ({"grid": (-1e300, 1e300, 64)}, {"grid": (-1e200, 1e200, 64), "n_slices": 2},
                 {"t": 5e-324}):
-        with pytest.raises(ValueError, match=r"^grid spacing .* is too wide: .* not finite$"):
-            pe.PropagatorSpec(**{**good, **bad})
+        spec = pe.PropagatorSpec(**{**good, **bad})
+        with pytest.raises(ValueError, match=rf"^grid spacing .* is too wide: .* eta at "
+                                             rf"{spec.n_slices} slices is not finite$"):
+            pe.sliced_propagator(spec)
     # one slice uses no grid, so any finite grid around the endpoints is accepted
-    pe.PropagatorSpec(**{**good, "grid": (-1e300, 1e300, 64), "n_slices": 1})
+    one = pe.PropagatorSpec(**{**good, "grid": (-1e300, 1e300, 64), "n_slices": 1})
+    assert pe.sliced_propagator(one).eta == 0.0
 
 
 @pytest.mark.filterwarnings("error")
@@ -287,15 +291,21 @@ def test_a_one_slice_kernel_that_cannot_be_represented_is_refused(bad, fault):
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("n_slices", [2, 8])
-def test_a_composed_state_that_underflows_to_0_is_refused(n_slices):
+@pytest.mark.parametrize("potential, hbar, t, n_slices", [
     # every grid value of a composed state rounds to 0; the true modulus is about 4.0e-155
-    spec = pe.PropagatorSpec(mass=1.0, potential=pe.FREE, u=0.0, v=1.0, t=10.0, hbar=1e307,
+    (pe.FREE, 1e307, 10.0, 2), (pe.FREE, 1e307, 10.0, 8),
+    # the one joint leaves a state that is not 0 everywhere, and the last slice's sum over
+    # it still rounds to 0: 0,0,0,0 was printed
+    (pe.FREE, 1e300, 1.0, 3), (pe.harmonic(1.0), 1e250, 10.0, 3),
+])
+def test_a_composed_state_that_underflows_to_0_is_refused(potential, hbar, t, n_slices):
+    spec = pe.PropagatorSpec(mass=1.0, potential=potential, u=0.0, v=1.0, t=t, hbar=hbar,
                              n_slices=n_slices, grid=(-20, 20, 1024))
     with pytest.raises(ValueError) as info:
         pe.sliced_propagator(spec)
-    assert str(info.value) == (f"the free propagator at {n_slices} slices rounds to 0 for mass 1, "
-                               "hbar 1e+307, t 10 and grid -20, 20")
+    assert str(info.value) == (f"the {pe._kind_text(potential)} propagator at {n_slices} slices "
+                               f"rounds to 0 for mass 1, hbar {hbar:.3g}, t {t:.3g} and "
+                               f"grid -20, 20")
 
 
 @pytest.mark.filterwarnings("error")
